@@ -1,14 +1,17 @@
 """Budget plumbing shared by the evaluators.
 
 Budgets exist to turn accidental nontermination into a loud BudgetExceeded
-instead of a hang. PLAB_BUDGET, when set to a positive integer, overrides
-every default budget in the package (recursion chains, reachable-set growth,
-path enumeration).
+instead of a hang. PLAB_BUDGET, when set, must be a positive integer; it
+overrides every default budget in the package (recursion chains,
+reachable-set growth, path enumeration). This module is the only place that
+reads it or knows the order: explicit argument, then PLAB_BUDGET, then the
+default.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 ENV_VAR = "PLAB_BUDGET"
 
@@ -18,22 +21,35 @@ MAXPART_CHAIN_SLACK = 4
 
 
 def env_budget() -> int | None:
-    """The PLAB_BUDGET override, or None when unset/unusable."""
+    """The PLAB_BUDGET override, or None when unset.
+
+    Raises ValueError, naming the variable and its value, when it is set to
+    anything but a positive integer.
+    """
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+    return value
+
+
+def resolver(explicit: int | None) -> Callable[[int], int]:
+    """resolve() with the explicit argument and PLAB_BUDGET read now.
+
+    For callers whose default differs from one use to the next: the returned
+    function maps a default to the budget, without reading the environment.
+    """
+    override = explicit if explicit is not None else env_budget()
+    if override is None:
+        return lambda default: default
+    return lambda default: override
 
 
 def resolve(explicit: int | None, default: int) -> int:
     """Priority: explicit argument, then PLAB_BUDGET, then the default."""
-    if explicit is not None:
-        return explicit
-    override = env_budget()
-    if override is not None:
-        return override
-    return default
+    return resolver(explicit)(default)

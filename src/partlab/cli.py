@@ -15,6 +15,7 @@ import json
 import sys
 import time
 
+from . import budget
 from . import verify as verify_mod
 from .coefficients import (
     c_from_product,
@@ -154,31 +155,32 @@ def _cmd_coeffs(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
+# verify --upto sets these size-indexed VerifyConfig fields, each clamped at
+# its cap where one is given. The oracle enumerates every partition of each
+# n, so its cost grows exponentially: the sweep to 45 takes seconds, the
+# sweep to 80 many minutes.
+VERIFY_ORACLE_CAP = 45
+VERIFY_DAG_CAP = 60
+_UPTO_CAPS = {
+    "oracle_limit": VERIFY_ORACLE_CAP,
+    "engine_limit": None,
+    "series_limit": None,
+    "dag_limit": VERIFY_DAG_CAP,
+    "involution_limit": None,
+    "region_bound": None,
+}
+
+
 def _cmd_verify(args) -> int:
     config = None
     if args.upto is not None:
         defaults = VerifyConfig()
-        config = dataclasses.replace(
-            defaults,
-            oracle_limit=min(args.upto, 80),
-            engine_limit=args.upto,
-            series_limit=args.upto,
-            dag_limit=min(args.upto, 60),
-            involution_limit=args.upto,
-            region_bound=args.upto,
-        )
-        raised = any(
-            getattr(config, field) > getattr(defaults, field)
-            for field in (
-                "oracle_limit",
-                "engine_limit",
-                "series_limit",
-                "dag_limit",
-                "involution_limit",
-                "region_bound",
-            )
-        )
-        if raised:
+        bounds = {
+            field: args.upto if cap is None else min(args.upto, cap)
+            for field, cap in _UPTO_CAPS.items()
+        }
+        config = dataclasses.replace(defaults, **bounds)
+        if any(value > getattr(defaults, field) for field, value in bounds.items()):
             print(
                 "warning: bound raised above its default; this may take a while",
                 file=sys.stderr,
@@ -575,6 +577,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
+    try:
+        budget.env_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (PartlabError, ValueError) as exc:

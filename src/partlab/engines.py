@@ -1,12 +1,15 @@
 """Six independent exact evaluators for the partition count p(n).
 
-Every engine memoizes into per-instance tables, grows them monotonically, and
-counts recurrent-term reads in .recurrent_terms: each time a recurrence body
-reads one previously computed table value, the counter increases by one.
-Constants do not count. The counter is what makes the cost claims testable:
-the euler engine touches O(sqrt n) terms per step, the integral engine
-Theta(n), so euler's cumulative counter stays strictly below integral's from
-n = 20 on.
+Every engine shares one skeleton: a per-instance table p(0), p(1), ... that
+only grows, and a work counter .recurrent_terms. Asking for p(n) appends
+_next(m) for m = len(table) .. n, in order, so _next(m) may read p(0..m-1)
+and whatever side tables earlier calls built. Each engine supplies only its
+_next(m): the recurrence body, which returns p(m) and adds to the counter
+one for each previously computed table value it reads. Constants do not
+count. The counter is what makes the cost claims testable: the euler engine
+touches O(sqrt n) terms per step, the integral engine Theta(n), so euler's
+cumulative counter stays strictly below integral's from n = 20 on. A sweep
+p(0..n) and a cold p(n) build the same tables and read the same terms.
 
 Engines:
 
@@ -44,235 +47,190 @@ class EngineKind(str, Enum):
         return self.value
 
 
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+class Engine:
+    """The shared skeleton: the p table, the counter and the grow loop."""
 
-
-class EulerEngine:
-    """Pentagonal recurrence; only pentagonal offsets contribute."""
-
-    kind = EngineKind.EULER
+    kind: EngineKind
 
     def __init__(self) -> None:
         self._p = [1]
         self.recurrent_terms = 0
 
     def p(self, n: int) -> int:
-        _check_n(n)
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         while len(self._p) <= n:
-            m = len(self._p)
-            total = 0
-            for g, sign in pentagonal_pairs():
-                if g > m:
-                    break
-                total += sign * self._p[m - g]
-                self.recurrent_terms += 1
-            self._p.append(total)
+            self._p.append(self._next(len(self._p)))
         return self._p[n]
 
+    def _next(self, m: int) -> int:
+        """p(m), given p(0..m-1) in the table."""
+        raise NotImplementedError
 
-class IntegralEngine:
+
+class EulerEngine(Engine):
+    """Pentagonal recurrence; only pentagonal offsets contribute."""
+
+    kind = EngineKind.EULER
+
+    def _next(self, m: int) -> int:
+        total = 0
+        for g, sign in pentagonal_pairs():
+            if g > m:
+                break
+            total += sign * self._p[m - g]
+            self.recurrent_terms += 1
+        return total
+
+
+class IntegralEngine(Engine):
     """Integrated recurrence p(n) = 1 + sum f_k p(n-k); skips zero f_k."""
 
     kind = EngineKind.INTEGRAL
 
     def __init__(self) -> None:
-        self._p = [1]
+        super().__init__()
         self._f: tuple[int, ...] = (-1,)
-        self.recurrent_terms = 0
 
-    def _f_upto(self, n: int) -> tuple[int, ...]:
-        if len(self._f) <= n:
-            self._f = integrated_f(max(n, 2 * len(self._f))).values
-        return self._f
-
-    def p(self, n: int) -> int:
-        _check_n(n)
-        f = self._f_upto(n)
-        while len(self._p) <= n:
-            m = len(self._p)
-            total = 1
-            for k in range(1, m + 1):
-                if f[k] != 0:
-                    total += f[k] * self._p[m - k]
-                    self.recurrent_terms += 1
-            self._p.append(total)
-        return self._p[n]
+    def _next(self, m: int) -> int:
+        if len(self._f) <= m:
+            self._f = integrated_f(2 * m).values
+        f, p = self._f, self._p
+        total = 1
+        for k in range(1, m + 1):
+            if f[k] != 0:
+                total += f[k] * p[m - k]
+                self.recurrent_terms += 1
+        return total
 
 
-class SigmaEngine:
+class SigmaEngine(Engine):
     """Divisor-sum recurrence with checked exact division."""
 
     kind = EngineKind.SIGMA
 
     def __init__(self) -> None:
-        self._p = [1]
+        super().__init__()
         self._sigma = [0]
-        self.recurrent_terms = 0
 
-    def _sigma_upto(self, n: int) -> list[int]:
-        if len(self._sigma) <= n:
-            self._sigma = sigma_table(max(n, 2 * len(self._sigma)))
-        return self._sigma
-
-    def p(self, n: int) -> int:
-        _check_n(n)
-        sig = self._sigma_upto(n)
-        while len(self._p) <= n:
-            m = len(self._p)
-            total = 0
-            for k in range(1, m + 1):
-                total += sig[k] * self._p[m - k]
-                self.recurrent_terms += 1
-            q, r = divmod(total, m)
-            if r != 0:
-                raise NonIntegralDivision(f"p({m}): {total} not divisible by {m}")
-            self._p.append(q)
-        return self._p[n]
+    def _next(self, m: int) -> int:
+        if len(self._sigma) <= m:
+            self._sigma = sigma_table(2 * m)
+        sig, p = self._sigma, self._p
+        total = 0
+        for k in range(1, m + 1):
+            total += sig[k] * p[m - k]
+        self.recurrent_terms += m
+        q, r = divmod(total, m)
+        if r != 0:
+            raise NonIntegralDivision(f"p({m}): {total} not divisible by {m}")
+        return q
 
 
-class MinPartEngine:
+class MinPartEngine(Engine):
     """Counts by smallest part.
 
     row_m[k] holds the number of partitions of m with smallest part k:
     row_m[1] = p(m-1), row_m[k] = row_{m-1}[k-1] - row_{m-k}[k-1], and the
-    count is zero once k exceeds the argument. p(m) sums the row.
+    count is zero once k exceeds the argument, so the second read is zero
+    for k > (m+1)/2. p(m) sums the row. Each cell k >= 2 counts its two
+    reads, zero or not.
     """
 
     kind = EngineKind.MINPART
 
     def __init__(self) -> None:
-        self._p = [1]
+        super().__init__()
         self._rows: list[list[int]] = [[]]
-        self.recurrent_terms = 0
 
-    def p(self, n: int) -> int:
-        _check_n(n)
-        while len(self._p) <= n:
-            m = len(self._p)
-            row = [0, self._p[m - 1]]  # index 0 unused
-            self.recurrent_terms += 1
-            for k in range(2, m + 1):
-                first = self._rows[m - 1][k - 1] if k - 1 <= m - 1 else 0
-                second = self._rows[m - k][k - 1] if k - 1 <= m - k else 0
-                self.recurrent_terms += 2
-                row.append(first - second)
-            self._rows.append(row)
-            total = 0
-            for k in range(1, m + 1):
-                total += row[k]
-                self.recurrent_terms += 1
-            self._p.append(total)
-        return self._p[n]
+    def _next(self, m: int) -> int:
+        rows = self._rows
+        prev = rows[m - 1]
+        half = (m + 1) // 2
+        row = [0, self._p[m - 1]]  # index 0 unused
+        row += [prev[k - 1] - rows[m - k][k - 1] for k in range(2, half + 1)]
+        row += prev[half:m]
+        rows.append(row)
+        # p(m-1), two reads per cell k = 2..m, then m reads for the row sum
+        self.recurrent_terms += 3 * m - 1
+        return sum(row)
 
 
-class BoundedEngine:
+class BoundedEngine(Engine):
     """Counts with all parts below a bound.
 
     blt[k][j] holds the number of partitions of j with every part < k, for
-    k >= 2. The table fills row-by-row in k; p(j) = 1 + blt[j][j] closes as
-    soon as row j completes.
+    k >= 2: blt[k][j] = p(j) for j < k, blt[2][j] = 1 for j >= 2, and
+    blt[k][j] = sum_i blt[k-1][j - i(k-1)] otherwise. Growing to m appends
+    column m to rows 2..m-1 and adds row m; p(m) = 1 + blt[m][m].
     """
 
     kind = EngineKind.BOUNDED
 
     def __init__(self) -> None:
-        self._p = [1, 1]
-        self._blt: dict[int, list[int]] = {}
-        self._built = 1
-        self.recurrent_terms = 0
+        super().__init__()
+        self._p.append(1)
+        self._blt: list[list[int]] = [[], []]  # rows 0 and 1 unused
 
-    def _cell(self, k: int, j: int) -> int:
-        if k > j:
-            self.recurrent_terms += 1
-            return self._p[j]
-        if k == 2:
-            return 1
-        step = k - 1
-        total = 0
-        prev = self._blt[step]
-        for m in range(0, j // step + 1):
-            total += prev[j - m * step]
-            self.recurrent_terms += 1
-        return total
-
-    def p(self, n: int) -> int:
-        _check_n(n)
-        if n <= 1:
-            return 1
-        if n > self._built:
-            for k in range(2, n + 1):
-                row = self._blt.setdefault(k, [])
-                for j in range(len(row), n + 1):
-                    row.append(self._cell(k, j))
-                if len(self._p) == k:
-                    self._p.append(1 + row[k])
-                    self.recurrent_terms += 1
-            self._built = n
-        return self._p[n]
+    def _next(self, m: int) -> int:
+        blt = self._blt
+        blt.append(self._p[:m])  # row m below the diagonal reads p(0..m-1)
+        blt[2].append(1)
+        terms = m + 1  # those reads, and blt[m][m] when p(m) closes
+        for step in range(2, m):
+            blt[step + 1].append(sum(blt[step][m % step :: step]))
+            terms += m // step + 1
+        self.recurrent_terms += terms
+        return 1 + blt[m][m]
 
 
-class MaxPartEngine:
+class MaxPartEngine(Engine):
     """Counts by largest part.
 
-    aux(n, k) counts partitions of n with largest part exactly k. Outside the
-    terminal wedge (n > 2k) the step aux(n, k) = aux(n+1, k+1) - aux(n-k, k+1)
-    grows both arguments; n - 2k shrinks every step, so a chain from (n0, k0)
-    terminates within n0 - 2k0 steps. The budget guard allows that plus a
-    small slack and raises BudgetExceeded instead of looping.
+    aux(n, k) counts partitions of n with largest part exactly k. Inside the
+    terminal wedge (n <= 2k) aux(n, k) = p(n - k). Outside it the step
+    aux(n, k) = aux(n+1, k+1) - aux(n-k, k+1) grows both arguments; n - 2k
+    shrinks every step, so a chain from (n0, k0) terminates within n0 - 2k0
+    steps. The budget guard allows that plus a small slack and raises
+    BudgetExceeded instead of looping.
+
+    The first step stays on the diagonal n - k = d; the second, aux(d, k+1),
+    lies in row d < n, which an earlier call already filled. So the table is
+    kept by diagonal: diag[d][k] holds aux(d + k, k) for 2 <= k <= d. Row
+    m = d + 2 is the first to need diagonal d; the chain from (m, 2) climbs
+    it to the terminal (2d, d), so _next(m) fills it from that terminal
+    back down, then sums row m: p(m) = 1 + sum_{k=2..m} aux(m, k).
     """
 
     kind = EngineKind.MAXPART
 
     def __init__(self, chain_slack: int = budget.MAXPART_CHAIN_SLACK) -> None:
-        self._p = [1, 1]
-        self._aux: dict[tuple[int, int], int] = {}
+        super().__init__()
+        self._p.append(1)
+        self._diag: list[list[int]] = []  # row m appends diagonal m - 2
         self.chain_slack = chain_slack
-        self.recurrent_terms = 0
 
-    def _pmax(self, n0: int, k0: int) -> int:
-        memo = self._aux
-        if (n0, k0) in memo:
-            return memo[(n0, k0)]
-        override = budget.env_budget()
-        limit = override if override is not None else max(0, n0 - 2 * k0) + self.chain_slack
-        stack = [(n0, k0, 0)]
-        while stack:
-            n, k, depth = stack[-1]
-            if depth > limit:
-                raise BudgetExceeded(
-                    f"maxpart chain from ({n0},{k0}) exceeded {limit} steps"
-                )
-            if (n, k) in memo:
-                stack.pop()
-                continue
-            if n <= 2 * k:
-                self.recurrent_terms += 1
-                memo[(n, k)] = self._p[n - k]
-                stack.pop()
-                continue
-            first, second = (n + 1, k + 1), (n - k, k + 1)
-            pending = [c for c in (first, second) if c not in memo]
-            if pending:
-                for child in pending:
-                    stack.append((child[0], child[1], depth + 1))
-                continue
-            self.recurrent_terms += 2
-            memo[(n, k)] = memo[first] - memo[second]
-            stack.pop()
-        return memo[(n0, k0)]
+    def _aux(self, n: int, k: int) -> int:
+        d = n - k
+        return self._diag[d][k] if k <= d else self._p[d]
 
-    def p(self, n: int) -> int:
-        _check_n(n)
-        while len(self._p) <= n:
-            m = len(self._p)
-            total = 1
-            for k in range(2, m + 1):
-                total += self._pmax(m, k)
-                self.recurrent_terms += 1
-            self._p.append(total)
-        return self._p[n]
+    def _next(self, m: int) -> int:
+        d = m - 2
+        steps = max(0, m - 4)
+        limit = budget.resolve(None, steps + self.chain_slack)
+        if steps > limit:
+            raise BudgetExceeded(f"maxpart chain from ({m},2) exceeded {limit} steps")
+        diag = [0] * (d + 1)
+        if d >= 2:
+            diag[d] = self._p[d]
+            for k in range(d - 1, 1, -1):
+                diag[k] = diag[k + 1] - self._aux(d, k + 1)
+            # the terminal, then two reads per step
+            self.recurrent_terms += 2 * d - 3
+        self._diag.append(diag)
+        # wedge cells of row m read p(m - k) once each; then the row sum
+        self.recurrent_terms += (m + 1) // 2 + m - 1
+        return 1 + sum(self._aux(m, k) for k in range(2, m + 1))
 
 
 _ENGINE_CLASSES = {
@@ -285,32 +243,12 @@ _ENGINE_CLASSES = {
 }
 
 
-def make_engine(kind: EngineKind | str):
+def make_engine(kind: EngineKind | str) -> Engine:
     return _ENGINE_CLASSES[EngineKind(kind)]()
 
 
 def p_euler(n: int) -> int:
     return EulerEngine().p(n)
-
-
-def p_integral(n: int) -> int:
-    return IntegralEngine().p(n)
-
-
-def p_sigma(n: int) -> int:
-    return SigmaEngine().p(n)
-
-
-def p_minpart(n: int) -> int:
-    return MinPartEngine().p(n)
-
-
-def p_bounded(n: int) -> int:
-    return BoundedEngine().p(n)
-
-
-def p_maxpart(n: int) -> int:
-    return MaxPartEngine().p(n)
 
 
 def p_all(n: int) -> dict[EngineKind, int]:

@@ -225,12 +225,7 @@ def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityRepo
     return report
 
 
-def _chain_limit(atom: Atom, explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    override = budget.env_budget()
-    if override is not None:
-        return override
+def _default_chain_limit(atom: Atom) -> int:
     k = atom.k if isinstance(atom, Auxiliary) else 0
     return 10 * (abs(atom.n) + abs(k) + 1)
 
@@ -256,6 +251,7 @@ def eval_atom(
     if atom in memo:
         return memo[atom]
 
+    chain_limit = budget.resolver(chain_budget)
     in_progress: set[Atom] = set()
     stack: list[list] = []  # [atom, ground, fan index, acc, depth, limit]
 
@@ -263,7 +259,7 @@ def eval_atom(
         if target in in_progress:
             raise BudgetExceeded(f"{system.name}: cyclic reduction through {target!r}")
         if isinstance(target, Primary):
-            depth, limit = 1, _chain_limit(target, chain_budget)
+            depth, limit = 1, chain_limit(_default_chain_limit(target))
         else:
             depth += 1
         if depth > limit:
@@ -276,7 +272,7 @@ def eval_atom(
         in_progress.add(target)
         stack.append([target, ground, 0, ground.constant, depth, limit])
 
-    push(atom, 0, _chain_limit(atom, chain_budget))
+    push(atom, 0, chain_limit(_default_chain_limit(atom)))
     while stack:
         frame = stack[-1]
         ground: GroundRule = frame[1]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from partlab.cli import build_parser, console_main, main
+from partlab import verify
+from partlab.cli import VERIFY_ORACLE_CAP, build_parser, console_main, main
 
 
 def run(capsys, *argv):
@@ -267,6 +268,29 @@ def test_budget_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "30", "--engine", "maxpart")
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_malformed_budget_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("PLAB_BUDGET", raw)
+    code, out, err = run(capsys, "count", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: PLAB_BUDGET") and repr(raw) in err
+
+
+def test_verify_upto_clamps_oracle(capsys, monkeypatch):
+    seen = []
+
+    def fake_run(suite, config):
+        seen.append(config)
+        return verify.VerifyReport(())
+
+    monkeypatch.setattr(verify, "run", fake_run)
+    code, _, err = run(capsys, "verify", "--upto", "1000")
+    assert code == 0 and "warning" in err
+    assert seen[0].oracle_limit == VERIFY_ORACLE_CAP
+    assert seen[0].engine_limit == 1000
 
 
 def test_help_exits_zero(capsys):

@@ -71,6 +71,34 @@ def test_euler_beats_integral_on_work():
     assert euler.recurrent_terms < integral.recurrent_terms
 
 
+# recurrent_terms is the paper's cost measure, so restructuring an engine must
+# not move it. A sweep p(0..300) and a cold p(300) build the same tables, so
+# they read the same terms.
+PINNED_TERMS = {
+    "euler": (5383, 1328),
+    "integral": (30030, 4820),
+    "sigma": (45150, 7260),
+    "minpart": (135150, 21660),
+    "bounded": (287504, 39627),
+    "maxpart": (155708, 24488),
+}
+
+
+@pytest.mark.parametrize("kind", list(EngineKind))
+def test_recurrent_terms_pinned(kind):
+    at_300, at_120 = PINNED_TERMS[str(kind)]
+    sweep = make_engine(kind)
+    for n in range(301):
+        sweep.p(n)
+    assert sweep.recurrent_terms == at_300
+    cold = make_engine(kind)
+    cold.p(300)
+    assert cold.recurrent_terms == at_300
+    cold = make_engine(kind)
+    cold.p(120)
+    assert cold.recurrent_terms == at_120
+
+
 def test_maxpart_chain_bound_is_tight():
     # chains from (n, k) terminate within n - 2k steps; zero slack must work
     engine = MaxPartEngine(chain_slack=0)
