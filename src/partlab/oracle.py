@@ -2,8 +2,16 @@
 
 Partitions are represented as nonincreasing tuples of positive ints; strict
 partitions as strictly decreasing tuples. Everything here counts by explicit
-enumeration, so it is slow and trusted. Enumeration refuses n > ORACLE_CAP
-(p(80) is around 1.6e7 partitions, the practical desk limit).
+enumeration, so it is slow and trusted.
+
+All partitions are walked by ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for
+generating integer partitions", 1998): one mutable buffer, rewritten in place
+in descending lexicographic order at constant amortised cost per partition.
+Counting reads only the largest and smallest part of each step and builds no
+tuple; listing copies the buffer once per partition. Strict partitions, far
+fewer, keep a plain recursive enumerator. The cost is still one step per
+partition, and p(80) is about 1.6e7 partitions, so enumeration refuses
+n > ORACLE_CAP.
 
 Constraint vocabulary for count_constrained:
 
@@ -16,13 +24,24 @@ Constraint vocabulary for count_constrained:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidPartition, OracleLimitError
 
 ORACLE_CAP = 80
 
 CONSTRAINTS = ("none", "parts_below", "parts_above", "max_part", "min_part")
+
+# Each constraint as a test on (largest part, smallest part, k) of a nonempty
+# partition. The empty partition satisfies exactly the vacuous ones.
+_HOLDS = {
+    "none": lambda largest, smallest, k: True,
+    "parts_below": lambda largest, smallest, k: largest < k,
+    "parts_above": lambda largest, smallest, k: smallest > k,
+    "max_part": lambda largest, smallest, k: largest == k,
+    "min_part": lambda largest, smallest, k: smallest == k,
+}
+_VACUOUS = ("none", "parts_below", "parts_above")
 
 
 def _check_n(n: int) -> None:
@@ -49,27 +68,59 @@ def validate_partition(parts: Iterable[int], strict: bool = False) -> tuple[int,
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all partitions of n in descending lexicographic order.
+    """Return an iterator over all partitions of n, descending lexicographic.
 
     enumerate_partitions(4) gives (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
+    n is checked when this is called, not when iteration starts.
     """
     _check_n(n)
-    yield from _descend(n, n)
+    if n == 0:
+        return iter([()])
+    return (tuple(x[:m]) for x, m in _zs1(n))
 
 
-def _descend(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
-        return
-    for first in range(min(remaining, cap), 0, -1):
-        for rest in _descend(remaining - first, first):
-            yield (first,) + rest
+def _zs1(n: int) -> Iterator[tuple[list[int], int]]:
+    """Walk the partitions of n >= 1 in descending lexicographic order (ZS1).
+
+    Yields (x, m): the partition is x[:m]. x is one buffer, rewritten in place
+    by the next step. Every x[i] past h, the index of the last part above 1,
+    is 1.
+    """
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield x, m
+    while x[0] != 1:
+        if x[h] == 2:
+            # ..., 2, 1^j -> ..., 1, 1, 1^j
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            # lower x[h] to r and refill the rest (x[h:m] summed to t + r)
+            # with copies of r and a remainder below r
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield x, m
 
 
 def enumerate_strict(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all partitions of n into distinct parts, descending lexicographic."""
+    """Return an iterator over the partitions of n into distinct parts,
+    descending lexicographic; n is checked when this is called."""
     _check_n(n)
-    yield from _descend_strict(n, n)
+    return _descend_strict(n, n)
 
 
 def _descend_strict(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -81,20 +132,19 @@ def _descend_strict(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _matches(parts: tuple[int, ...], constraint: str, k: int | None) -> bool:
-    if constraint == "none":
-        return True
-    if k is None:
-        raise ValueError(f"constraint {constraint!r} needs k")
-    if constraint == "parts_below":
-        return not parts or parts[0] < k
-    if constraint == "parts_above":
-        return not parts or parts[-1] > k
-    if constraint == "max_part":
-        return bool(parts) and parts[0] == k
-    if constraint == "min_part":
-        return bool(parts) and parts[-1] == k
-    raise ValueError(f"unknown constraint {constraint!r}")
+def _walk(n: int, family: str) -> Iterator[tuple[Sequence[int], int]]:
+    """Yield (x, m) for each nonempty partition x[:m] of n in family.
+
+    x may be a buffer reused by the next step; read it before advancing.
+    """
+    if family not in ("P", "S"):
+        raise ValueError(f"family must be 'P' or 'S', got {family!r}")
+    _check_n(n)
+    if n == 0:
+        return iter(())
+    if family == "P":
+        return _zs1(n)
+    return ((parts, len(parts)) for parts in _descend_strict(n, n))
 
 
 def count_constrained(
@@ -105,15 +155,14 @@ def count_constrained(
     The empty partition of 0 satisfies "none", "parts_below" and "parts_above"
     vacuously, and never satisfies "max_part" or "min_part".
     """
-    if family == "P":
-        source = enumerate_partitions(n)
-    elif family == "S":
-        source = enumerate_strict(n)
-    else:
-        raise ValueError(f"family must be 'P' or 'S', got {family!r}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    return sum(1 for parts in source if _matches(parts, constraint, k))
+    walk = _walk(n, family)
+    if k is None and constraint != "none":
+        raise ValueError(f"constraint {constraint!r} needs k")
+    holds = _HOLDS[constraint]
+    empty = int(n == 0 and constraint in _VACUOUS)
+    return empty + sum(1 for x, m in walk if holds(x[0], x[m - 1], k))
 
 
 def p_oracle(n: int) -> int:
@@ -130,11 +179,9 @@ def max_part_histogram(n: int, family: str = "P") -> dict[int, int]:
     """Map largest part -> count, over all nonempty partitions of n.
 
     One enumeration pass; cheaper than calling count_constrained per k when a
-    whole profile is needed.
+    whole profile is needed. Keys run from the largest part down.
     """
-    source = enumerate_partitions(n) if family == "P" else enumerate_strict(n)
     hist: dict[int, int] = {}
-    for parts in source:
-        if parts:
-            hist[parts[0]] = hist.get(parts[0], 0) + 1
+    for x, _ in _walk(n, family):
+        hist[x[0]] = hist.get(x[0], 0) + 1
     return hist

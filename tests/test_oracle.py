@@ -1,6 +1,8 @@
-"""The enumeration oracle itself, against hand-countable cases."""
+"""The enumeration oracle itself, against hand-countable cases and a
+minimal recursive reference that shares no code with partlab."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from partlab import (
     InvalidPartition,
@@ -17,6 +19,34 @@ from partlab import (
 
 KNOWN_P = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 KNOWN_S = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+CONSTRAINTS = ("none", "parts_below", "parts_above", "max_part", "min_part")
+
+
+def reference(n, strict=False, cap=None):
+    """Every partition of n (into distinct parts if strict) with parts <= cap,
+    descending lexicographic, by plain recursion."""
+    if cap is None:
+        cap = n
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, cap), 0, -1)
+        for rest in reference(n - first, strict, first - 1 if strict else first)
+    ]
+
+
+def reference_holds(parts, constraint, k):
+    if constraint == "none":
+        return True
+    if constraint == "parts_below":
+        return all(p < k for p in parts)
+    if constraint == "parts_above":
+        return all(p > k for p in parts)
+    if constraint == "max_part":
+        return bool(parts) and max(parts) == k
+    assert constraint == "min_part"
+    return bool(parts) and min(parts) == k
 
 
 def test_small_counts():
@@ -47,9 +77,41 @@ def test_strict_enumeration():
     assert all(len(set(parts)) == len(parts) for parts in enumerate_strict(10))
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", range(26))
+def test_listing_matches_reference(n, strict):
+    got = list((enumerate_strict if strict else enumerate_partitions)(n))
+    assert got == reference(n, strict)  # same partitions, same order
+    assert all(type(parts) is tuple for parts in got)
+    assert len({id(parts) for parts in got}) == len(got)  # no shared buffer
+
+
+@given(st.data())
+def test_counts_match_reference_filter(data):
+    n = data.draw(st.integers(min_value=0, max_value=22), label="n")
+    family = data.draw(st.sampled_from("PS"), label="family")
+    constraint = data.draw(st.sampled_from(CONSTRAINTS), label="constraint")
+    k = data.draw(st.integers(min_value=0, max_value=n + 1), label="k")
+    listing = reference(n, strict=family == "S")
+    want = sum(1 for parts in listing if reference_holds(parts, constraint, k))
+    assert count_constrained(n, family, constraint, k) == want
+    hist = max_part_histogram(n, family)
+    assert sum(hist.values()) == sum(1 for parts in listing if parts)
+    want_hist = {}
+    for parts in listing:
+        if parts:
+            want_hist[parts[0]] = want_hist.get(parts[0], 0) + 1
+    assert list(hist.items()) == list(want_hist.items())  # key order too
+
+
 def test_empty_partition():
     assert list(enumerate_partitions(0)) == [()]
     assert list(enumerate_strict(0)) == [()]
+    for family in "PS":
+        assert max_part_histogram(0, family) == {}
+        for constraint in CONSTRAINTS:
+            vacuous = constraint in ("none", "parts_below", "parts_above")
+            assert count_constrained(0, family, constraint, 1) == vacuous
 
 
 def test_validate_partition():
@@ -84,8 +146,10 @@ def test_max_part_histogram_totals():
 
 
 def test_constraint_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="family must be 'P' or 'S'"):
         count_constrained(5, "Q")
+    with pytest.raises(ValueError, match="family must be 'P' or 'S'"):
+        max_part_histogram(5, "Q")
     with pytest.raises(ValueError):
         count_constrained(5, "P", "weird")
     with pytest.raises(ValueError):
@@ -97,3 +161,11 @@ def test_caps():
         p_oracle(-1)
     with pytest.raises(OracleLimitError):
         p_oracle(ORACLE_CAP + 1)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_partitions, enumerate_strict])
+def test_caps_checked_before_iteration(enumerate_):
+    with pytest.raises(ValueError):
+        enumerate_(-1)
+    with pytest.raises(OracleLimitError):
+        enumerate_(ORACLE_CAP + 1)
