@@ -46,7 +46,7 @@ class PathCode:
     bits: str
 
     def __post_init__(self) -> None:
-        if any(ch not in "01" for ch in self.bits):
+        if self.bits.strip("01"):
             raise InvalidCode(f"code must be over 0/1, got {self.bits!r}")
 
     @property
@@ -64,8 +64,8 @@ class PathCode:
 
     @property
     def rightmost_one(self) -> int | None:
-        ones = self.one_indices()
-        return ones[-1] if ones else None
+        last = self.bits.rfind("1")
+        return None if last < 0 else len(self.bits) + 1 - last
 
     def bit(self, index: int) -> int:
         """Bit at position index, 2 <= index <= length + 1."""
@@ -137,16 +137,17 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
         raise InvalidCode(f"cannot decode all-zero code {c.bits!r}")
     n, k = n_tilde, k0
     walk = [(n, k)]
-    for index in range(k0 + 1, c.length + 2):
-        if c.bit(index):
+    # the step bits, indices k0 + 1 up to l + 1, read right to left
+    for ch in reversed(c.bits[: len(c.bits) + 1 - k0]):
+        if ch == "1":
             n, k = n - k, k + 1
         else:
             n, k = n + 1, k + 1
         walk.append((n, k))
-    hits = [i for i, (wn, wk) in enumerate(walk) if _in_wedge(wn, wk)]
-    if not hits:
+    first = next((i for i, (wn, wk) in enumerate(walk) if _in_wedge(wn, wk)), None)
+    if first is None:
         cls = Classification.NONTERMINATING
-    elif hits[0] < len(walk) - 1:
+    elif first < len(walk) - 1:
         cls = Classification.ENTERS_EARLY
     elif n == 2 * k:
         cls = Classification.TERMINATING_AT

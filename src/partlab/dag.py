@@ -21,6 +21,11 @@ coefficient sequence f with constant 1; for minpart it reproduces the
 pentagonal sign sequence e with constant 0. The bounded system builds and
 extracts fine but its all-positive fans make path counts explode, so nothing
 here asserts anything about it beyond structural sanity.
+
+build_dag fires atoms through the rewrite layer's grounding helper, counts
+in-degrees while it adds edges, and keeps the topological order its
+acyclicity check computes; topological_order, and so signed_multiplicities,
+reuses that order and sorts again only for a graph assembled by hand.
 """
 
 from __future__ import annotations
@@ -31,14 +36,7 @@ from typing import Callable, Union
 
 from . import budget
 from .errors import BudgetExceeded, CyclicReduction, NoRuleApplies
-from .rewrite import (
-    Auxiliary,
-    GroundRule,
-    Primary,
-    RewriteSystem,
-    RuleKind,
-    ground_rule,
-)
+from .rewrite import Auxiliary, Primary, RewriteSystem, RuleKind, _fire
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,7 @@ class Dag:
         self.edges: list[DagEdge] = []
         self.out: dict[Vertex, list[DagEdge]] = {self.root: []}
         self.aux_sinks: set[AuxVertex] = set()  # empty-fan termination vertices
+        self._order: list[Vertex] | None = None  # kept by build_dag
 
     def aux_vertices(self) -> list[AuxVertex]:
         return [v for v in self.vertices if isinstance(v, AuxVertex)]
@@ -103,26 +102,43 @@ class Dag:
     def _add_edge(self, edge: DagEdge) -> None:
         self.edges.append(edge)
         self.out.setdefault(edge.source, []).append(edge)
+        self._order = None
 
     def topological_order(self) -> list[Vertex]:
-        """Kahn order from the root; raises CyclicReduction on a cycle."""
-        indeg: dict[Vertex, int] = {v: 0 for v in self.vertices}
+        """Kahn order from the root; raises CyclicReduction on a cycle.
+
+        A graph from build_dag returns the order its acyclicity check kept;
+        one assembled by hand is sorted on every call.
+        """
+        if self._order is not None:
+            return list(self._order)
+        position = {v: i for i, v in enumerate(self.vertices)}
+        succ: list[list[int]] = [[] for _ in self.vertices]
+        indeg = [0] * len(self.vertices)
         for e in self.edges:
-            indeg[e.target] += 1
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
+            t = position[e.target]
+            succ[position[e.source]].append(t)
+            indeg[t] += 1
+        return self._kahn(succ, indeg)
+
+    def _kahn(self, succ: list[list[int]], indeg: list[int]) -> list[Vertex]:
+        """Kahn's sort of the graph by vertex position: successor lists in
+        edge order, and in-degrees, which the sort consumes."""
+        queue = deque(i for i, d in enumerate(indeg) if not d)
         order = []
         while queue:
             v = queue.popleft()
             order.append(v)
-            for e in self.out.get(v, ()):
-                indeg[e.target] -= 1
-                if indeg[e.target] == 0:
-                    queue.append(e.target)
+            for t in succ[v]:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    queue.append(t)
         if len(order) != len(self.vertices):
             raise CyclicReduction(
                 f"{self.system_name} reduction from {self.n_tilde} is cyclic"
             )
-        return order
+        vertices = self.vertices
+        return [vertices[i] for i in order]
 
 
 def build_dag(
@@ -133,62 +149,77 @@ def build_dag(
     Raises NoRuleApplies when a reachable atom has no rule, BudgetExceeded
     when the reachable set outgrows the budget (default one million vertices,
     PLAB_BUDGET overrides), and propagates AmbiguousRule from grounding.
-    Acyclicity is verified structurally before returning.
+    Acyclicity is verified structurally before returning, by a topological
+    sort whose order the graph keeps.
     """
     limit = budget.resolve(vertex_budget, budget.DAG_VERTEX_BUDGET)
     dag = Dag(system.name, n_tilde)
 
-    ground = ground_rule(system, Primary(n_tilde))
-    if ground is None:
+    fired = _fire(system, Primary(n_tilde))
+    if fired is None:
         raise NoRuleApplies(f"{system.name}: no rule applies at P({n_tilde})")
-    dag.constants[dag.root] = ground.constant
+    dag.constants[dag.root] = fired[1]
 
-    seen: dict[Auxiliary, AuxVertex] = {}
-    terminals: dict[int, TerminalVertex] = {}
-    work: deque[tuple[AuxVertex, Auxiliary]] = deque()
+    # vertices with their positions in dag.vertices, auxiliaries keyed by (n, k)
+    seen: dict[tuple[int, int], tuple[AuxVertex, int]] = {}
+    terminals: dict[int, tuple[TerminalVertex, int]] = {}
+    # the graph by position, counted as edges are added, for the final sort
+    succ: list[list[int]] = [[]]
+    indeg: list[int] = [0]
+    work: deque[tuple[tuple[AuxVertex, int], Auxiliary]] = deque()
 
-    def terminal_for(u: int) -> TerminalVertex:
-        j = n_tilde - u
-        if j not in terminals:
-            terminals[j] = TerminalVertex(j)
-            dag.vertices.append(terminals[j])
-        return terminals[j]
+    def place(vertex: Vertex) -> int:
+        dag.vertices.append(vertex)
+        succ.append([])
+        indeg.append(0)
+        return len(indeg) - 1
 
-    def aux_for(atom: Auxiliary) -> AuxVertex:
-        if atom not in seen:
-            vertex = AuxVertex(atom.n, atom.k)
-            seen[atom] = vertex
-            dag.vertices.append(vertex)
-            work.append((vertex, atom))
-            if len(dag.vertices) > limit:
-                raise BudgetExceeded(
-                    f"{system.name} reduction from {n_tilde} exceeded "
-                    f"{limit} vertices"
-                )
-        return seen[atom]
-
-    def add_fan(source: Vertex, g: GroundRule) -> None:
-        for i, (sign, target) in enumerate(g.fan):
+    def add_fan(source: Vertex, s: int, rule_name: str, fan) -> None:
+        if not fan:
+            return
+        out = dag.out.setdefault(source, [])
+        targets = succ[s]
+        for i, (sign, target) in enumerate(fan):
             if isinstance(target, Primary):
-                tv = terminal_for(target.n)
-                dag._add_edge(DagEdge(source, tv, sign, g.rule_name, i))
+                j = n_tilde - target.n
+                hit = terminals.get(j)
+                if hit is None:
+                    vertex = TerminalVertex(j)
+                    hit = terminals[j] = (vertex, place(vertex))
             else:
-                dag._add_edge(DagEdge(source, aux_for(target), sign, g.rule_name, i))
+                key = (target.n, target.k)
+                hit = seen.get(key)
+                if hit is None:
+                    vertex = AuxVertex(*key)
+                    hit = seen[key] = (vertex, place(vertex))
+                    work.append((hit, target))
+                    if len(dag.vertices) > limit:
+                        raise BudgetExceeded(
+                            f"{system.name} reduction from {n_tilde} exceeded "
+                            f"{limit} vertices"
+                        )
+            vertex, t = hit
+            edge = DagEdge(source, vertex, sign, rule_name, i)
+            dag.edges.append(edge)
+            out.append(edge)
+            targets.append(t)
+            indeg[t] += 1
 
-    add_fan(dag.root, ground)
+    add_fan(dag.root, 0, fired[0].name, fired[2])
 
     while work:
-        vertex, atom = work.popleft()
-        g = ground_rule(system, atom)
-        if g is None:
+        (vertex, s), atom = work.popleft()
+        fired = _fire(system, atom)
+        if fired is None:
             raise NoRuleApplies(f"{system.name}: no rule applies at {atom!r}")
-        if g.constant:
-            dag.constants[vertex] = g.constant
-        if g.kind == RuleKind.TERMINATION and not g.fan:
+        rule, constant, fan = fired
+        if constant:
+            dag.constants[vertex] = constant
+        if rule.kind == RuleKind.TERMINATION and not fan:
             dag.aux_sinks.add(vertex)
-        add_fan(vertex, g)
+        add_fan(vertex, s, rule.name, fan)
 
-    dag.topological_order()  # acyclicity check on every build
+    dag._order = dag._kahn(succ, indeg)  # acyclicity check on every build, kept
     return dag
 
 
@@ -222,7 +253,7 @@ def signed_multiplicities(dag: Dag) -> dict[Vertex, int]:
 
 def extract_from_dag(dag: Dag) -> ExtractedRecurrence:
     mult = signed_multiplicities(dag)
-    constant = sum(dag.constant_at(v) * mult[v] for v in dag.vertices)
+    constant = sum(c * mult.get(v, 0) for v, c in dag.constants.items())
     coeffs = {j: 0 for j in range(1, dag.n_tilde + 1)}
     for v in dag.terminal_vertices():
         coeffs[v.j] = mult[v]

@@ -18,6 +18,13 @@ coefficients in {-1, 0, 1} with pairwise distinct targets. check_orthogonal
 and check_unitary report violations as data; eval_atom and the DAG builder
 assume both properties and raise AmbiguousRule when orthogonality breaks.
 
+A system indexes its rules into R1 and R2 once, when it is built. Grounding
+goes through one path: _fire picks the unique rule of the owning group at an
+atom and _ground instantiates it, checking the family of every fan target.
+ground_rule, eval_atom and the DAG builder all fire through _fire;
+check_unitary grounds every applicable rule through _ground, so that it can
+report on atoms where several rules apply.
+
 A startup rule may degenerate at particular arguments to an empty fan; such a
 ground instance behaves exactly like a primary one (constant only).
 
@@ -110,19 +117,34 @@ class GroundRule:
 class RewriteSystem:
     name: str
     rules: tuple[Rule, ...]
+    # R1 and R2, split once at construction
+    _r1: tuple[Rule, ...] = field(init=False, repr=False, compare=False)
+    _r2: tuple[Rule, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_r1", tuple(r for r in self.rules if r.lhs_primary))
+        object.__setattr__(self, "_r2", tuple(r for r in self.rules if not r.lhs_primary))
 
     def group(self, atom: Atom) -> tuple[Rule, ...]:
         """The rules whose group owns this atom family (R1 or R2)."""
-        primary = isinstance(atom, Primary)
-        return tuple(r for r in self.rules if r.lhs_primary == primary)
+        return self._r1 if isinstance(atom, Primary) else self._r2
 
     def rules_of_kind(self, kind: RuleKind) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.kind == kind)
 
 
-def _ground(rule: Rule, atom: Atom) -> GroundRule:
-    args = (atom.n,) if isinstance(atom, Primary) else (atom.n, atom.k)
+def _owning(system: RewriteSystem, atom: Atom) -> tuple[tuple[Rule, ...], tuple[int, ...]]:
+    """The owning group of atom and the arguments its rules receive."""
+    if isinstance(atom, Primary):
+        return system._r1, (atom.n,)
+    return system._r2, (atom.n, atom.k)
+
+
+def _ground(rule: Rule, args: tuple[int, ...], atom: Atom) -> tuple[int, Fan]:
+    """(constant, fan) of rule at atom; every fan target must belong to the
+    family the rule kind rewrites into."""
     constant, fan = rule.body(*args)
+    fan = tuple(fan)
     family = _RHS_FAMILY[rule.kind]
     for sign, target in fan:
         if not isinstance(target, family):
@@ -130,7 +152,28 @@ def _ground(rule: Rule, atom: Atom) -> GroundRule:
                 f"rule {rule.name!r} ({rule.kind.value}) produced a "
                 f"{type(target).__name__} target at {atom!r}"
             )
-    return GroundRule(rule.name, rule.kind, atom, constant, tuple(fan))
+    return constant, fan
+
+
+def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan] | None:
+    """(rule, constant, fan) of the unique applicable rule at atom, or None.
+
+    Scans the whole owning group, so AmbiguousRule names every rule that
+    applies, in rule order.
+    """
+    rules, args = _owning(system, atom)
+    fired = None
+    for rule in rules:
+        if rule.domain(*args):
+            if fired is not None:
+                names = ", ".join(r.name for r in rules if r.domain(*args))
+                raise AmbiguousRule(
+                    f"{system.name}: rules [{names}] all apply at {atom!r}"
+                )
+            fired = rule
+    if fired is None:
+        return None
+    return (fired, *_ground(fired, args, atom))
 
 
 def ground_rule(system: RewriteSystem, atom: Atom) -> GroundRule | None:
@@ -138,13 +181,11 @@ def ground_rule(system: RewriteSystem, atom: Atom) -> GroundRule | None:
 
     Raises AmbiguousRule when several rules of the owning group apply.
     """
-    matching = [r for r in system.group(atom) if r.matches(atom)]
-    if len(matching) > 1:
-        names = ", ".join(r.name for r in matching)
-        raise AmbiguousRule(f"{system.name}: rules [{names}] all apply at {atom!r}")
-    if not matching:
+    fired = _fire(system, atom)
+    if fired is None:
         return None
-    return _ground(matching[0], atom)
+    rule, constant, fan = fired
+    return GroundRule(rule.name, rule.kind, atom, constant, fan)
 
 
 @dataclass(frozen=True)
@@ -197,12 +238,13 @@ def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
     and repeated fan targets."""
     report = UnitarityReport(system.name, region)
     for atom in region.atoms():
-        for rule in system.group(atom):
-            if not rule.matches(atom):
+        rules, args = _owning(system, atom)
+        for rule in rules:
+            if not rule.domain(*args):
                 continue
-            ground = _ground(rule, atom)
+            _, fan = _ground(rule, args, atom)
             seen: set[Atom] = set()
-            for sign, target in ground.fan:
+            for sign, target in fan:
                 if sign not in (-1, 0, 1):
                     report.violations.append(
                         (atom, rule.name, f"coefficient {sign} for {target!r}")
@@ -219,7 +261,8 @@ def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityRepo
     """Flag ground atoms where more than one rule of the owning group applies."""
     report = OrthogonalityReport(system.name, region)
     for atom in region.atoms():
-        names = tuple(r.name for r in system.group(atom) if r.matches(atom))
+        rules, args = _owning(system, atom)
+        names = tuple(r.name for r in rules if r.domain(*args))
         if len(names) > 1:
             report.overlaps.append((atom, names))
     return report
@@ -228,6 +271,9 @@ def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityRepo
 def _default_chain_limit(atom: Atom) -> int:
     k = atom.k if isinstance(atom, Auxiliary) else 0
     return 10 * (abs(atom.n) + abs(k) + 1)
+
+
+_MISSING = object()
 
 
 def eval_atom(
@@ -245,15 +291,20 @@ def eval_atom(
     unless chain_budget or PLAB_BUDGET overrides the bound. Exceeding it, or
     revisiting an atom already under evaluation, raises BudgetExceeded; the
     built-in systems never come near the default bound.
+
+    Rule groups are indexed once per system, and each atom is grounded by the
+    helpers that ground_rule, check_unitary and build_dag share; the fan stays
+    on the atom's stack frame, and no GroundRule is made.
     """
     if memo is None:
         memo = {}
-    if atom in memo:
-        return memo[atom]
+    value = memo.get(atom, _MISSING)
+    if value is not _MISSING:
+        return value
 
     chain_limit = budget.resolver(chain_budget)
     in_progress: set[Atom] = set()
-    stack: list[list] = []  # [atom, ground, fan index, acc, depth, limit]
+    stack: list[list] = []  # [atom, fan, fan index, acc, depth, limit]
 
     def push(target: Atom, depth: int, limit: int) -> None:
         if target in in_progress:
@@ -266,27 +317,38 @@ def eval_atom(
             raise BudgetExceeded(
                 f"{system.name}: chain exceeded {limit} applications at {target!r}"
             )
-        ground = ground_rule(system, target)
-        if ground is None:
+        fired = _fire(system, target)
+        if fired is None:
             raise NoRuleApplies(f"{system.name}: no rule applies at {target!r}")
         in_progress.add(target)
-        stack.append([target, ground, 0, ground.constant, depth, limit])
+        stack.append([target, fired[2], 0, fired[1], depth, limit])
 
     push(atom, 0, chain_limit(_default_chain_limit(atom)))
+    get = memo.get
     while stack:
         frame = stack[-1]
-        ground: GroundRule = frame[1]
-        if frame[2] == len(ground.fan):
-            memo[frame[0]] = frame[3]
-            in_progress.discard(frame[0])
-            stack.pop()
+        _, fan, i, acc, depth, limit = frame
+        end = len(fan)
+        while i < end:
+            sign, target = fan[i]
+            value = get(target, _MISSING)
+            if value is _MISSING:
+                break
+            acc += sign * value
+            i += 1
+        if i < end:
+            frame[2], frame[3] = i, acc
+            push(target, depth, limit)
             continue
-        sign, target = ground.fan[frame[2]]
-        if target in memo:
-            frame[2] += 1
-            frame[3] += sign * memo[target]
-        else:
-            push(target, frame[4], frame[5])
+        done = frame[0]
+        memo[done] = acc
+        in_progress.discard(done)
+        stack.pop()
+        if stack:
+            # fold the finished value into the frame that pushed it
+            parent = stack[-1]
+            parent[3] += parent[1][parent[2]][0] * acc
+            parent[2] += 1
     return memo[atom]
 
 

@@ -6,6 +6,8 @@ from partlab import (
     AuxVertex,
     BudgetExceeded,
     CyclicReduction,
+    Dag,
+    DagEdge,
     NoRuleApplies,
     RootVertex,
     Rule,
@@ -207,6 +209,28 @@ def test_cyclic_graph_rejected():
     )
     with pytest.raises(CyclicReduction):
         build_dag(bouncing, 4)
+
+
+@pytest.mark.parametrize("name", ["minpart", "bounded", "maxpart"])
+def test_kept_order_is_topological(name):
+    dag = build_dag(builtin_system(name), 12)
+    for order in (dag._order, dag.topological_order()):
+        assert sorted(order, key=dag.vertices.index) == dag.vertices
+        position = {v: i for i, v in enumerate(order)}
+        assert all(position[e.source] < position[e.target] for e in dag.edges)
+
+
+def test_hand_built_dag_is_sorted_on_demand():
+    dag = Dag("hand", 3)
+    a, b, t = AuxVertex(1, 1), AuxVertex(2, 2), TerminalVertex(1)
+    dag.vertices += [t, a, b]  # listed against the edge direction
+    edges = [(dag.root, a, 1), (dag.root, b, 1), (b, a, 1), (a, t, -1)]
+    for i, (source, target, sign) in enumerate(edges):
+        dag._add_edge(DagEdge(source, target, sign, "hand", i))
+    assert signed_multiplicities(dag) == {dag.root: 1, t: -2, a: 2, b: 1}
+    dag._add_edge(DagEdge(t, b, 1, "hand", 4))  # closes a cycle
+    with pytest.raises(CyclicReduction):
+        signed_multiplicities(dag)
 
 
 def test_terminal_vertices_shared():

@@ -12,6 +12,7 @@ from partlab import (
     Rule,
     RuleKind,
     RewriteSystem,
+    build_dag,
     builtin_system,
     check_orthogonal,
     check_unitary,
@@ -41,6 +42,16 @@ def test_eval_with_completion_rules():
     # the completion rules open up atoms the core system leaves undefined
     assert eval_atom(system, Auxiliary(1, 5)) == 0
     assert eval_atom(system, Auxiliary(3, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "name, atoms", [("minpart", 17_101), ("bounded", 7_650), ("maxpart", 16_651)]
+)
+def test_atoms_evaluated_pinned(name, atoms):
+    # the set of atoms evaluated is fixed by the system, not by how it is grounded
+    memo = {}
+    eval_atom(builtin_system(name), Primary(150), memo)
+    assert len(memo) == atoms
 
 
 def test_memo_reuse():
@@ -95,9 +106,10 @@ def test_overlap_detected():
     report = check_orthogonal(naive, REGION)
     assert not report.ok
     assert (Auxiliary(5, 2), ("removal", "split")) in report.overlaps
-    with pytest.raises(AmbiguousRule):
+    # both name every rule that applies, in rule order
+    with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\]"):
         ground_rule(naive, Auxiliary(5, 2))
-    with pytest.raises(AmbiguousRule):
+    with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\]"):
         eval_atom(naive, Auxiliary(5, 2))
 
 
@@ -140,6 +152,21 @@ def test_rhs_family_enforced():
     )
     with pytest.raises(ValueError):
         ground_rule(wrong, Auxiliary(1, 1))
+    with pytest.raises(ValueError):
+        eval_atom(wrong, Auxiliary(1, 1))
+    leaky_startup = RewriteSystem(
+        "leaky-startup",
+        (
+            Rule(
+                "start",
+                RuleKind.STARTUP,
+                lambda n: True,
+                lambda n: (0, ((1, Primary(n - 1)),)),
+            ),
+        ),
+    )
+    with pytest.raises(ValueError):
+        build_dag(leaky_startup, 3)
 
 
 def test_runaway_chain_hits_budget():
