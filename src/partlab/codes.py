@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .dag import AuxVertex, TerminatingPath
 from .errors import InvalidCode, InvalidPartition, NotInDomain, PartlabError
@@ -81,9 +82,15 @@ def as_code(code: "PathCode | str") -> PathCode:
     return code if isinstance(code, PathCode) else PathCode(code)
 
 
+# maps the byte "0" to NUL, so only the 1-bits of an encoded word are truthy
+_ZERO_TO_NUL = bytes.maketrans(b"0", b"\0")
+
+
 def valuation(code: "PathCode | str") -> int:
     """Sum of 1-bit indices; 0 for all-zero or empty words."""
-    return sum(as_code(code).one_indices())
+    bits = as_code(code).bits
+    indices = range(len(bits) + 1, 1, -1)
+    return sum(compress(indices, bits.encode().translate(_ZERO_TO_NUL)))
 
 
 def polarity(code: "PathCode | str") -> int:
@@ -233,9 +240,16 @@ def from_strict_partition(parts) -> PathCode:
         raise InvalidPartition("empty partition has no code")
     if t[-1] < 2:
         raise InvalidPartition(f"parts must be >= 2, got {t!r}")
-    top = t[0]
-    members = set(t)
-    return PathCode("".join("1" if i in members else "0" for i in range(top, 1, -1)))
+    return _code_of_parts(t)
+
+
+def _code_of_parts(parts: tuple[int, ...]) -> PathCode:
+    # parts: nonempty, strictly descending, all >= 2
+    top = parts[0]
+    word = bytearray(b"0" * (top - 1))
+    for part in parts:
+        word[top - part] = 49  # ord("1")
+    return PathCode(word.decode())
 
 
 def enumerate_Bj(j: int) -> tuple[PathCode, ...]:
@@ -243,11 +257,9 @@ def enumerate_Bj(j: int) -> tuple[PathCode, ...]:
     parts >= 2, in the oracle's descending-lexicographic order."""
     if j < 0:
         raise ValueError(f"valuation must be nonnegative, got {j}")
-    out = []
-    for parts in enumerate_strict(j):
-        if parts and parts[-1] >= 2:
-            out.append(from_strict_partition(parts))
-    return tuple(out)
+    return tuple(
+        _code_of_parts(parts) for parts in enumerate_strict(j) if parts and parts[-1] >= 2
+    )
 
 
 def _leading_ones(bits: str) -> int:

@@ -10,12 +10,22 @@ Three sequences share the vocabulary of this package:
 Each sequence is also computable through an independent second route (product
 expansion or a divisor-sum recurrence with exact division), which the test
 suite plays against the definitions.
+
+The O(N^2) inner loops of those routes run as C-level exact integer dot
+products (slice assignment and sum over map(mul, ...)) instead of Python
+loops. The kernels change only how the loops run, not which terms are summed:
+the product route still multiplies by every factor (1 - x^j), each recurrence
+still reads only its own sigma table and its own earlier values and checks
+every division, and e_from_recurrence skips only the terms whose e_i it has
+itself computed as zero. So no route reads another route or the closed form,
+and the routes stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul, sub
 from typing import Iterator
 
 from .errors import NonIntegralDivision
@@ -91,8 +101,14 @@ def pentagonal_pairs() -> Iterator[tuple[int, int]]:
         k += 1
 
 
+def _check_upto(upto: int) -> None:
+    if upto < 0:
+        raise ValueError(f"upto must be nonnegative, got {upto}")
+
+
 def euler_seq(upto: int) -> CoeffSeq:
     """e_0 .. e_upto."""
+    _check_upto(upto)
     values = [0] * (upto + 1)
     values[0] = -1
     for m, sign in pentagonal_pairs():
@@ -104,7 +120,7 @@ def euler_seq(upto: int) -> CoeffSeq:
 
 def integrated_f(upto: int) -> CoeffSeq:
     """f_0 .. f_upto, the running sums of e."""
-    e = euler_seq(upto)
+    e = euler_seq(upto)  # checks upto
     values = []
     acc = 0
     for v in e.values:
@@ -129,6 +145,7 @@ def sigma(k: int) -> int:
 
 def sigma_table(upto: int) -> list[int]:
     """sigma(1..upto) by a divisor sieve; index 0 is a 0 filler."""
+    _check_upto(upto)
     table = [0] * (upto + 1)
     for d in range(1, upto + 1):
         for m in range(d, upto + 1, d):
@@ -137,9 +154,9 @@ def sigma_table(upto: int) -> list[int]:
 
 
 def _shrink_by_factor(coeffs: list[int], j: int) -> None:
-    # multiply a truncated series by (1 - x^j), in place
-    for d in range(len(coeffs) - 1, j - 1, -1):
-        coeffs[d] -= coeffs[d - j]
+    # multiply a truncated series by (1 - x^j), in place: coeffs[d] -= coeffs[d - j]
+    # for every d >= j, each reading the old value as a descending loop would
+    coeffs[j:] = map(sub, coeffs[j:], coeffs[: len(coeffs) - j])
 
 
 def euler_product(upto: int) -> CoeffSeq:
@@ -148,6 +165,7 @@ def euler_product(upto: int) -> CoeffSeq:
     Equals -e_n termwise; returned with kind "e" since the same value range
     applies. Degree 0 coefficient is +1.
     """
+    _check_upto(upto)
     coeffs = [0] * (upto + 1)
     coeffs[0] = 1
     for j in range(1, upto + 1):
@@ -157,6 +175,7 @@ def euler_product(upto: int) -> CoeffSeq:
 
 def c_from_product(upto: int) -> CoeffSeq:
     """Coefficients of -prod_{2<=j<=upto} (1 - x^j), truncated at degree upto."""
+    _check_upto(upto)
     coeffs = [0] * (upto + 1)
     coeffs[0] = 1
     for j in range(2, upto + 1):
@@ -178,12 +197,14 @@ def c_from_recurrence(upto: int) -> CoeffSeq:
         c_n = -(1/n) * sum_{0<=i<=n-2} (sigma(n-i) - 1) * c_i
     with the division required to be exact.
     """
-    sig = sigma_table(upto)
+    _check_upto(upto)
+    sig1 = [s - 1 for s in sigma_table(upto)]
     values = [-1]
     for n in range(1, upto + 1):
-        total = sum((sig[n - i] - 1) * values[i] for i in range(0, n - 1))
+        # sig1[n], ..., sig1[2] against c_0, ..., c_{n-2}
+        total = sum(map(mul, sig1[n:1:-1], values))
         values.append(_exact_div(-total, n, f"c_{n}"))
-    return CoeffSeq("c", tuple(values[: upto + 1]))
+    return CoeffSeq("c", tuple(values))
 
 
 def e_from_recurrence(upto: int) -> CoeffSeq:
@@ -191,14 +212,20 @@ def e_from_recurrence(upto: int) -> CoeffSeq:
 
     e_0 = -1 and, for n >= 1,
         e_n = -(1/n) * sum_{0<=i<=n-1} sigma(n-i) * e_i
-    with the division required to be exact.
+    with the division required to be exact. Only the terms whose e_i this
+    loop has itself computed as nonzero are summed.
     """
+    _check_upto(upto)
     sig = sigma_table(upto)
     values = [-1]
+    nonzero = [(0, -1)]  # (i, e_i) for every computed e_i != 0
     for n in range(1, upto + 1):
-        total = sum(sig[n - i] * values[i] for i in range(0, n))
-        values.append(_exact_div(-total, n, f"e_{n}"))
-    return CoeffSeq("e", tuple(values[: upto + 1]))
+        total = sum(sig[n - i] * e for i, e in nonzero)
+        e_n = _exact_div(-total, n, f"e_{n}")
+        values.append(e_n)
+        if e_n:
+            nonzero.append((n, e_n))
+    return CoeffSeq("e", tuple(values))
 
 
 def f_equals_e_predicate(n: int) -> bool:

@@ -29,6 +29,7 @@ threads.
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 
 from . import budget
 from .coefficients import integrated_f, pentagonal_pairs, sigma_table
@@ -84,7 +85,7 @@ class EulerEngine(Engine):
 
 
 class IntegralEngine(Engine):
-    """Integrated recurrence p(n) = 1 + sum f_k p(n-k); skips zero f_k."""
+    """Integrated recurrence p(n) = 1 + sum f_k p(n-k); counts only nonzero f_k."""
 
     kind = EngineKind.INTEGRAL
 
@@ -95,13 +96,10 @@ class IntegralEngine(Engine):
     def _next(self, m: int) -> int:
         if len(self._f) <= m:
             self._f = integrated_f(2 * m).values
-        f, p = self._f, self._p
-        total = 1
-        for k in range(1, m + 1):
-            if f[k] != 0:
-                total += f[k] * p[m - k]
-                self.recurrent_terms += 1
-        return total
+        f = self._f[1 : m + 1]
+        # f_1..f_m against p(m-1)..p(0); a zero f_k adds nothing and reads no p
+        self.recurrent_terms += m - f.count(0)
+        return 1 + sum(map(mul, f, reversed(self._p)))
 
 
 class SigmaEngine(Engine):
@@ -116,10 +114,8 @@ class SigmaEngine(Engine):
     def _next(self, m: int) -> int:
         if len(self._sigma) <= m:
             self._sigma = sigma_table(2 * m)
-        sig, p = self._sigma, self._p
-        total = 0
-        for k in range(1, m + 1):
-            total += sig[k] * p[m - k]
+        # sigma(1..m) against p(m-1)..p(0)
+        total = sum(map(mul, self._sigma[1 : m + 1], reversed(self._p)))
         self.recurrent_terms += m
         q, r = divmod(total, m)
         if r != 0:

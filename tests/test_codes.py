@@ -1,7 +1,7 @@
 """Path codes: arithmetic, decoding, the partition view, and the pairing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from partlab import (
     Classification,
@@ -154,6 +154,27 @@ def test_enumerate_Bj_small():
     assert enumerate_Bj(0) == () and enumerate_Bj(1) == ()
     with pytest.raises(ValueError):
         enumerate_Bj(-1)
+
+
+def test_enumerate_Bj_matches_from_strict_partition():
+    # enumerate_Bj builds its codes without from_strict_partition's checks;
+    # one_indices reads each code back independently of how it was built
+    for j in range(41):
+        parts_list = [parts for parts in enumerate_strict(j) if parts and parts[-1] >= 2]
+        codes = enumerate_Bj(j)
+        assert list(codes) == [from_strict_partition(parts) for parts in parts_list]
+        assert [(c.one_indices(), c.length + 1) for c in codes] == [
+            (parts, parts[0]) for parts in parts_list
+        ]
+
+
+@given(st.text(alphabet="01", max_size=60))
+@example("")
+@example("0")
+@example("0000000")
+def test_valuation_is_sum_of_one_indices(bits):
+    assert valuation(bits) == sum(PathCode(bits).one_indices())
+    assert valuation(PathCode(bits)) == valuation(bits)
 
 
 def test_enumerate_Bj_counts():

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import partlab.coefficients
 from partlab import (
     CoeffSeq,
+    NonIntegralDivision,
     c_from_product,
     c_from_recurrence,
     e_from_recurrence,
@@ -114,3 +116,91 @@ def test_coeffseq_validation():
         CoeffSeq("q", (0,))
     seq = CoeffSeq("f", (-1, 0, 1))
     assert len(seq) == 3 and seq[2] == 1
+
+
+@pytest.mark.parametrize(
+    "route",
+    [euler_seq, integrated_f, sigma_table, euler_product, c_from_product,
+     c_from_recurrence, e_from_recurrence],
+)
+def test_negative_size_rejected(route):
+    with pytest.raises(ValueError, match="upto must be nonnegative, got -1"):
+        route(-1)
+
+
+# The routes as plain Python loops, kept as the reference for their C-level
+# kernels: the same terms, summed one at a time.
+
+
+def _ref_product(upto, first):
+    coeffs = [0] * (upto + 1)
+    coeffs[0] = 1
+    for j in range(first, upto + 1):
+        for d in range(upto, j - 1, -1):
+            coeffs[d] -= coeffs[d - j]
+    return coeffs
+
+
+def _ref_c_recurrence(upto):
+    sig = sigma_table(upto)
+    values = [-1]
+    for n in range(1, upto + 1):
+        total = sum((sig[n - i] - 1) * values[i] for i in range(0, n - 1))
+        q, r = divmod(-total, n)
+        assert r == 0
+        values.append(q)
+    return values
+
+
+def _ref_e_recurrence(upto):
+    sig = sigma_table(upto)
+    values = [-1]
+    for n in range(1, upto + 1):
+        total = sum(sig[n - i] * values[i] for i in range(0, n))
+        q, r = divmod(-total, n)
+        assert r == 0
+        values.append(q)
+    return values
+
+
+REF_TOP = 250
+
+
+def _refs(upto):
+    return {
+        euler_product: _ref_product(upto, 1),
+        c_from_product: [-v for v in _ref_product(upto, 2)],
+        c_from_recurrence: _ref_c_recurrence(upto),
+        e_from_recurrence: _ref_e_recurrence(upto),
+    }
+
+
+def test_kernels_match_plain_loops():
+    # no reference's value at index n depends on upto (factors x^j with j > n
+    # and sigma(k) with k > n never reach index n), so the run to REF_TOP holds
+    # the run to every N <= REF_TOP, spot-checked below; the kernels run at
+    # every N
+    refs = _refs(REF_TOP)
+    for n in (0, 1, 2, 3, 50, 149):
+        assert _refs(n) == {route: ref[: n + 1] for route, ref in refs.items()}
+    for route, ref in refs.items():
+        for n in range(REF_TOP + 1):
+            assert list(route(n).values) == ref[: n + 1], (route.__name__, n)
+
+
+@pytest.mark.parametrize("at", [2, 7, 40])
+def test_recurrences_check_every_division(monkeypatch, at):
+    # sigma(at) off by one moves the i = 0 term of index at by one, so that
+    # division, and no earlier one, must fail
+    real = sigma_table
+
+    def perturbed(upto):
+        table = real(upto)
+        if upto >= at:
+            table[at] += 1
+        return table
+
+    monkeypatch.setattr(partlab.coefficients, "sigma_table", perturbed)
+    for route, name in ((c_from_recurrence, "c"), (e_from_recurrence, "e")):
+        with pytest.raises(NonIntegralDivision, match=f"^{name}_{at}:"):
+            route(60)

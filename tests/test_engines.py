@@ -2,12 +2,16 @@
 
 import pytest
 
+import partlab.engines
 from partlab import (
     BudgetExceeded,
     EngineKind,
     MaxPartEngine,
+    NonIntegralDivision,
+    integrated_f,
     make_engine,
     p_all,
+    sigma_table,
 )
 
 KNOWN = {0: 1, 1: 1, 4: 5, 10: 42, 30: 5604, 50: 204226, 100: 190569292}
@@ -117,3 +121,60 @@ def test_make_engine_accepts_strings():
         assert make_engine(str(kind)).kind == kind
     with pytest.raises(ValueError):
         make_engine("fibonacci")
+
+
+# The integral and sigma recurrences as plain Python loops, kept as the
+# reference for the engines' C-level dot products: (p(0..n), recurrent_terms)
+# of a sweep.
+
+
+def _ref_integral(n):
+    f = integrated_f(n).values
+    p, terms = [1], 0
+    for m in range(1, n + 1):
+        total = 1
+        for k in range(1, m + 1):
+            if f[k] != 0:
+                total += f[k] * p[m - k]
+                terms += 1
+        p.append(total)
+    return p, terms
+
+
+def _ref_sigma(n):
+    sig = sigma_table(n)
+    p, terms = [1], 0
+    for m in range(1, n + 1):
+        total = 0
+        for k in range(1, m + 1):
+            total += sig[k] * p[m - k]
+        terms += m
+        q, r = divmod(total, m)
+        assert r == 0
+        p.append(q)
+    return p, terms
+
+
+@pytest.mark.parametrize("kind, ref", [("integral", _ref_integral), ("sigma", _ref_sigma)])
+def test_dense_engines_match_plain_loops(kind, ref):
+    want_p, want_terms = ref(250)
+    engine = make_engine(kind)
+    assert [engine.p(n) for n in range(251)] == want_p
+    assert engine.recurrent_terms == want_terms
+
+
+@pytest.mark.parametrize("at", [2, 7, 40])
+def test_sigma_engine_checks_every_division(monkeypatch, at):
+    # sigma(at) off by one moves the p(0) term of p(at) by one
+    real = sigma_table
+
+    def perturbed(upto):
+        table = real(upto)
+        if upto >= at:
+            table[at] += 1
+        return table
+
+    monkeypatch.setattr(partlab.engines, "sigma_table", perturbed)
+    engine = make_engine("sigma")
+    with pytest.raises(NonIntegralDivision, match=rf"^p\({at}\):"):
+        engine.p(60)
