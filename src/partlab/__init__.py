@@ -8,7 +8,8 @@ Everything is exact integer arithmetic end to end; any division is checked
 and raises if it would truncate.
 """
 
-from .budget import ENV_VAR as BUDGET_ENV_VAR
+from types import ModuleType as _ModuleType
+
 from .coefficients import (
     CoeffSeq,
     c_from_product,
@@ -59,18 +60,7 @@ from .dag import (
     grouped_path_sums,
     signed_multiplicities,
 )
-from .engines import (
-    BoundedEngine,
-    EngineKind,
-    EulerEngine,
-    IntegralEngine,
-    MaxPartEngine,
-    MinPartEngine,
-    SigmaEngine,
-    make_engine,
-    p_all,
-    p_euler,
-)
+from .engines import EngineKind, make_engine, p_all, p_euler
 from .errors import (
     AmbiguousRule,
     BudgetExceeded,
@@ -114,97 +104,10 @@ from .verify import Check, SUITES, VerifyConfig, VerifyReport, run as run_verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousRule",
-    "Auxiliary",
-    "AuxVertex",
-    "BUILTIN_NAMES",
-    "BoundedEngine",
-    "BudgetExceeded",
-    "BUDGET_ENV_VAR",
-    "Check",
-    "Classification",
-    "CoeffSeq",
-    "CyclicReduction",
-    "Dag",
-    "DagEdge",
-    "DecodedWalk",
-    "EngineKind",
-    "EulerEngine",
-    "ExtractedRecurrence",
-    "IntegralEngine",
-    "InvalidCode",
-    "InvalidPartition",
-    "Lemma51Report",
-    "MaxPartEngine",
-    "MinPartEngine",
-    "NoRuleApplies",
-    "NonIntegralDivision",
-    "NotInDomain",
-    "ORACLE_CAP",
-    "OracleLimitError",
-    "OrthogonalityReport",
-    "PartlabError",
-    "PathCode",
-    "Primary",
-    "Region",
-    "RootVertex",
-    "Rule",
-    "RuleKind",
-    "RewriteSystem",
-    "SUITES",
-    "SigmaEngine",
-    "TerminalVertex",
-    "TerminatingPath",
-    "UnitarityReport",
-    "VerifyConfig",
-    "VerifyReport",
-    "build_dag",
-    "builtin_system",
-    "c_from_product",
-    "c_from_recurrence",
-    "check_orthogonal",
-    "check_unitary",
-    "classify",
-    "code_of_path",
-    "count_constrained",
-    "decode_path",
-    "e_from_recurrence",
-    "edge_count",
-    "emit_dot",
-    "enumerate_Bj",
-    "enumerate_partitions",
-    "enumerate_strict",
-    "enumerate_terminating_paths",
-    "euler_e",
-    "euler_product",
-    "euler_seq",
-    "eval_atom",
-    "extract_coefficients",
-    "extract_from_dag",
-    "f_equals_e_predicate",
-    "from_strict_partition",
-    "ground_rule",
-    "grouped_path_sums",
-    "integrated_f",
-    "involution",
-    "lemma51",
-    "make_engine",
-    "max_part_histogram",
-    "overlapping_minpart_rules",
-    "p_all",
-    "p_euler",
-    "p_oracle",
-    "pentagonal_codes",
-    "pentagonal_index",
-    "pentagonal_pairs",
-    "polarity",
-    "run_verify",
-    "s_oracle",
-    "sigma",
-    "sigma_table",
-    "split_valuation",
-    "to_strict_partition",
-    "validate_partition",
-    "valuation",
-]
+# Every name imported above, once: the submodules the imports bind are not
+# part of the list.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

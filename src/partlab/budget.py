@@ -1,11 +1,11 @@
-"""Budget plumbing shared by the evaluators.
+"""Budget plumbing shared by the rewrite evaluator and the DAG builders.
 
 Budgets exist to turn accidental nontermination into a loud BudgetExceeded
 instead of a hang. PLAB_BUDGET, when set, must be a positive integer; it
-overrides every default budget in the package (recursion chains,
-reachable-set growth, path enumeration). This module is the only place that
-reads it or knows the order: explicit argument, then PLAB_BUDGET, then the
-default.
+overrides every default budget in the package: rewrite chains, reachable-set
+growth and path enumeration. The engines' loops are bounded by n, so they
+take no budget. This module is the only place that reads PLAB_BUDGET or
+knows the order: explicit argument, then PLAB_BUDGET, then the default.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ ENV_VAR = "PLAB_BUDGET"
 
 DAG_VERTEX_BUDGET = 1_000_000
 PATH_BUDGET = 1_000_000
-MAXPART_CHAIN_SLACK = 4
 
 
 def env_budget() -> int | None:

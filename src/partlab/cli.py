@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import signal
 import sys
 import time
 
@@ -25,7 +26,6 @@ from .coefficients import (
     integrated_f,
 )
 from .codes import (
-    code_of_path,
     decode_path,
     enumerate_Bj,
     from_strict_partition,
@@ -62,6 +62,25 @@ def _positive(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+class _UsageError(Exception):
+    """A misuse argparse cannot see; main prints it and exits 2."""
+
+
+def _once(args, name: str, what: str, flag: str):
+    """The value given positionally as `name` or as flag (dest name_opt)."""
+    positional, flagged = getattr(args, name), getattr(args, f"{name}_opt")
+    if (positional is None) == (flagged is None):
+        raise _UsageError(f"give the {what} exactly once, positionally or as {flag}")
+    return flagged if positional is None else positional
+
+
+def _check_budget_setting() -> None:
+    try:
+        budget.env_budget()
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
 def _emit_json(obj) -> None:
@@ -123,11 +142,7 @@ COEFF_KINDS = tuple(_SERIES_KINDS) + tuple(_DAG_KINDS)
 
 
 def _cmd_coeffs(args) -> int:
-    if (args.upto is None) == (args.upto_opt is None):
-        print("error: give the bound exactly once, positionally or as --upto",
-              file=sys.stderr)
-        return 2
-    upto = args.upto if args.upto is not None else args.upto_opt
+    upto = _once(args, "upto", "bound", "--upto")
     if args.kind in _SERIES_KINDS:
         seq = _SERIES_KINDS[args.kind](upto)
         indexed = list(enumerate(seq.values))
@@ -145,8 +160,7 @@ def _cmd_coeffs(args) -> int:
         for i, v in indexed:
             print(f"{i} {v}")
     else:
-        payload = {"kind": args.kind, "upto": upto, "values": dict()}
-        payload["values"] = {str(i): v for i, v in indexed}
+        payload = {"kind": args.kind, "upto": upto, "values": {str(i): v for i, v in indexed}}
         if constant is not None:
             payload["constant"] = constant
         _emit_json(payload)
@@ -211,19 +225,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- dag
 
 def _cmd_dag(args) -> int:
-    if (args.system is None) == (args.system_opt is None):
-        print("error: give the system exactly once, positionally or as --system",
-              file=sys.stderr)
-        return 2
-    if (args.n_tilde is None) == (args.n_opt is None):
-        print("error: give the root index exactly once, positionally or as --n",
-              file=sys.stderr)
-        return 2
-    system_name = args.system if args.system is not None else args.system_opt
-    n_tilde = args.n_tilde if args.n_tilde is not None else args.n_opt
+    system_name = _once(args, "system", "system", "--system")
+    n_tilde = _once(args, "n_tilde", "root index", "--n")
     if args.completion and system_name != "maxpart":
-        print("error: --completion applies to the maxpart system only", file=sys.stderr)
-        return 2
+        raise _UsageError("--completion applies to the maxpart system only")
     system = builtin_system(system_name, completion=args.completion)
     dag = build_dag(system, n_tilde)
     if args.format == "dot":
@@ -408,11 +413,7 @@ def _cmd_codes_bj(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def _cmd_bench(args) -> int:
-    if (args.max is None) == (args.upto is None):
-        print("error: give the sweep bound exactly once, positionally or as --upto",
-              file=sys.stderr)
-        return 2
-    max_n = args.max if args.max is not None else args.upto
+    max_n = _once(args, "max", "sweep bound", "--upto")
     names = list(args.engine or [])
     for chunk in args.methods or []:
         names.extend(part.strip() for part in chunk.split(",") if part.strip())
@@ -422,8 +423,7 @@ def _cmd_bench(args) -> int:
         try:
             kinds = [EngineKind(name) for name in names]
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(exc) from None
     rows = []
     for kind in kinds:
         engine = make_engine(kind)
@@ -481,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="coefficient series, exact")
     p.add_argument("kind", choices=COEFF_KINDS)
-    p.add_argument("upto", nargs="?", type=_positive, default=None)
-    p.add_argument("--upto", dest="upto_opt", type=_positive, default=None)
+    p.add_argument("upto", nargs="?", type=_positive)
+    p.add_argument("--upto", dest="upto_opt", type=_positive)
     p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     p.set_defaults(func=_cmd_coeffs)
 
@@ -504,12 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dag", help="reduction graph of a built-in system")
-    p.add_argument("system", nargs="?", choices=sorted(BUILTIN_NAMES), default=None)
-    p.add_argument(
-        "--system", dest="system_opt", choices=sorted(BUILTIN_NAMES), default=None
-    )
-    p.add_argument("n_tilde", nargs="?", type=_nonneg, default=None)
-    p.add_argument("--n", "--n-tilde", dest="n_opt", type=_nonneg, default=None)
+    p.add_argument("system", nargs="?", choices=sorted(BUILTIN_NAMES))
+    p.add_argument("--system", dest="system_opt", choices=sorted(BUILTIN_NAMES))
+    p.add_argument("n_tilde", nargs="?", type=_nonneg)
+    p.add_argument("--n", "--n-tilde", dest="n_tilde_opt", metavar="N_OPT", type=_nonneg)
     p.add_argument("--format", choices=["dot", "json", "plain"], default="dot")
     p.add_argument("--paths", action="store_true", help="include terminating paths (json)")
     p.add_argument(
@@ -549,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_codes_bj)
 
     p = sub.add_parser("bench", help="work counters and wall time per engine")
-    p.add_argument("max", nargs="?", type=_nonneg, default=None)
-    p.add_argument("--upto", dest="upto", type=_nonneg, default=None)
+    p.add_argument("max", nargs="?", type=_nonneg)
+    p.add_argument("--upto", dest="max_opt", metavar="UPTO", type=_nonneg)
     p.add_argument(
         "--engine",
         action="append",
@@ -578,16 +576,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        budget.env_budget()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        _check_budget_setting()
         return args.func(args)
-    except (PartlabError, ValueError) as exc:
+    except (_UsageError, PartlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _UsageError) else 3
 
 
 def console_main() -> None:
+    # plab ... | head: die of SIGPIPE like any filter, not with a traceback and exit 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

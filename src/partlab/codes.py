@@ -262,24 +262,6 @@ def enumerate_Bj(j: int) -> tuple[PathCode, ...]:
     )
 
 
-def _leading_ones(bits: str) -> int:
-    n = 0
-    for ch in bits:
-        if ch != "1":
-            break
-        n += 1
-    return n
-
-
-def _trailing_zeros(bits: str) -> int:
-    n = 0
-    for ch in reversed(bits):
-        if ch != "0":
-            break
-        n += 1
-    return n
-
-
 def involution(j: int, code: "PathCode | str") -> PathCode:
     """The pairing on B_j + B_{j-1}; returns the partner, or the code itself
     at a fixed point.
@@ -301,8 +283,8 @@ def involution(j: int, code: "PathCode | str") -> PathCode:
     if v == j - 1:
         matches.append(("rule1-backward", "10" + w[1:]))
     if v == j:
-        ones = _leading_ones(w)
-        zeros = _trailing_zeros(w)
+        ones = len(w) - len(w.lstrip("1"))
+        zeros = len(w) - len(w.rstrip("0"))
         if ones >= 2 and zeros >= ones - 1 and len(w) >= 2 * ones:
             x = w[ones + 1 : len(w) - (ones - 1)]
             matches.append(("rule2-forward", "1" * ones + x + "1" + "0" * (ones - 2)))

@@ -22,8 +22,9 @@ Engines:
             steps increase both arguments and terminate within n - 2k steps
 
 All engines agree with each other and with the enumeration oracle; the test
-suite enforces this. Instances are single-threaded; share nothing between
-threads.
+suite enforces this. Every engine loop is bounded by n, so engines take no
+budget and ignore PLAB_BUDGET. Instances are single-threaded; share nothing
+between threads.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from __future__ import annotations
 from enum import Enum
 from operator import mul
 
-from . import budget
 from .coefficients import integrated_f, pentagonal_pairs, sigma_table
-from .errors import BudgetExceeded, NonIntegralDivision
+from .errors import NonIntegralDivision
 
 
 class EngineKind(str, Enum):
@@ -187,8 +187,7 @@ class MaxPartEngine(Engine):
     terminal wedge (n <= 2k) aux(n, k) = p(n - k). Outside it the step
     aux(n, k) = aux(n+1, k+1) - aux(n-k, k+1) grows both arguments; n - 2k
     shrinks every step, so a chain from (n0, k0) terminates within n0 - 2k0
-    steps. The budget guard allows that plus a small slack and raises
-    BudgetExceeded instead of looping.
+    steps.
 
     The first step stays on the diagonal n - k = d; the second, aux(d, k+1),
     lies in row d < n, which an earlier call already filled. So the table is
@@ -200,11 +199,10 @@ class MaxPartEngine(Engine):
 
     kind = EngineKind.MAXPART
 
-    def __init__(self, chain_slack: int = budget.MAXPART_CHAIN_SLACK) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._p.append(1)
         self._diag: list[list[int]] = []  # row m appends diagonal m - 2
-        self.chain_slack = chain_slack
 
     def _aux(self, n: int, k: int) -> int:
         d = n - k
@@ -212,10 +210,6 @@ class MaxPartEngine(Engine):
 
     def _next(self, m: int) -> int:
         d = m - 2
-        steps = max(0, m - 4)
-        limit = budget.resolve(None, steps + self.chain_slack)
-        if steps > limit:
-            raise BudgetExceeded(f"maxpart chain from ({m},2) exceeded {limit} steps")
         diag = [0] * (d + 1)
         if d >= 2:
             diag[d] = self._p[d]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from partlab import BudgetExceeded, Primary, build_dag, builtin_system, eval_atom, make_engine
+from partlab import BudgetExceeded, Primary, build_dag, builtin_system, eval_atom
 from partlab.budget import env_budget, resolve
 
 
@@ -12,7 +12,7 @@ def test_malformed_value_raises(monkeypatch, raw):
     with pytest.raises(ValueError, match=f"PLAB_BUDGET.*{raw!r}"):
         env_budget()
     with pytest.raises(ValueError, match="PLAB_BUDGET"):
-        make_engine("maxpart").p(10)
+        eval_atom(builtin_system("minpart"), Primary(12))
 
 
 def test_precedence(monkeypatch):
@@ -26,9 +26,9 @@ def test_precedence(monkeypatch):
 def test_valid_value_bounds_work(monkeypatch):
     monkeypatch.setenv("PLAB_BUDGET", "2")
     with pytest.raises(BudgetExceeded):
-        make_engine("maxpart").p(10)
-    with pytest.raises(BudgetExceeded):
         eval_atom(builtin_system("minpart"), Primary(12))
     with pytest.raises(BudgetExceeded):
+        eval_atom(builtin_system("maxpart"), Primary(5))
+    with pytest.raises(BudgetExceeded):
         build_dag(builtin_system("maxpart"), 10)
-    assert make_engine("maxpart").p(6) == 11  # its longest chain takes 2 steps
+    assert eval_atom(builtin_system("maxpart"), Primary(4)) == 5  # chains of at most 2 steps

@@ -1,6 +1,11 @@
 """The plab command line: output formats and exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,7 +270,7 @@ def test_bench_bound_given_twice(capsys):
 
 def test_budget_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PLAB_BUDGET", "1")
-    code, _, err = run(capsys, "count", "30", "--engine", "maxpart")
+    code, _, err = run(capsys, "count", "30", "--engine", "rewrite:minpart")
     assert code == 3
     assert "error:" in err
 
@@ -301,10 +306,30 @@ def test_help_exits_zero(capsys):
 
 def test_console_main(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["plab", "count", "4"])
+    # console_main would reset SIGPIPE for the whole test process
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
     with pytest.raises(SystemExit) as exc:
         console_main()
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "5"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_pipe_ends_quietly():
+    # about 149 KB of CSV, well past a pipe buffer: plab is still writing
+    # when the reader goes away, as under `plab coeffs e 20000 | head -1`
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-c", "from partlab.cli import console_main; console_main()",
+            "coeffs", "e", "20000", "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"index,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == -signal.SIGPIPE
 
 
 def test_parser_is_buildable():
