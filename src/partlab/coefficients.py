@@ -231,6 +231,8 @@ def e_from_recurrence(upto: int) -> CoeffSeq:
 def f_equals_e_predicate(n: int) -> bool:
     """True exactly when f_n = e_n: at n = 0 and on the closed-open bands
     k(3k-1)/2 < n <= k(3k+1)/2 for positive k."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return True
     k = 1

@@ -170,6 +170,10 @@ def build_dag(
 
     def place(vertex: Vertex) -> int:
         dag.vertices.append(vertex)
+        if len(dag.vertices) > limit:
+            raise BudgetExceeded(
+                f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
+            )
         succ.append([])
         indeg.append(0)
         return len(indeg) - 1
@@ -193,11 +197,6 @@ def build_dag(
                     vertex = AuxVertex(*key)
                     hit = seen[key] = (vertex, place(vertex))
                     work.append((hit, target))
-                    if len(dag.vertices) > limit:
-                        raise BudgetExceeded(
-                            f"{system.name} reduction from {n_tilde} exceeded "
-                            f"{limit} vertices"
-                        )
             vertex, t = hit
             edge = DagEdge(source, vertex, sign, rule_name, i)
             dag.edges.append(edge)

@@ -3,8 +3,8 @@
 Each suite returns a flat list of named checks; ``run`` collects them into a
 report. Suites re-derive everything they compare (no frozen tables here), so
 they stay honest under refactoring. Default caps in VerifyConfig are sized
-for an interactive run of a few seconds; the acceptance tests sweep the same
-ground with larger bounds.
+for an interactive run of a few seconds; the acceptance tests run these
+suites at their larger ``ACCEPTANCE`` bounds.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .coefficients import (
     euler_seq,
     f_equals_e_predicate,
     integrated_f,
+    pentagonal_index,
 )
 from .codes import (
     Classification,
@@ -160,7 +161,8 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
 
 
 def _codes_of_length(length: int):
-    for mask in range(1 << length):
+    """Every nonzero binary word of the given length."""
+    for mask in range(1, 1 << length):
         yield format(mask, f"0{length}b")
 
 
@@ -174,8 +176,6 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
     for n_tilde in range(2, cfg.walk_limit + 1):
         for length in range(1, cfg.code_length_limit + 1):
             for bits in _codes_of_length(length):
-                if "1" not in bits:
-                    continue
                 cls = decode_path(n_tilde, bits).classification
                 if cls is Classification.ENTERS_EARLY:
                     continue
@@ -189,6 +189,8 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
                 if rep.at_boundary != (cls is Classification.TERMINATING_AT):
                     agree = False
                 if rep.strictly_below != (cls is Classification.TERMINATING_BELOW):
+                    agree = False
+                if rep.strictly_below and not rep.leftmost_one:
                     agree = False
     checks.append(
         Check(
@@ -294,14 +296,14 @@ def involution_suite(cfg: VerifyConfig) -> list[Check]:
                 if polarity(image) != -polarity(c):
                     bookkeeping = False
         # Every valuation-(j-1) code is paired by rule one, so fixed points
-        # sit at valuation j only: exactly one when the pentagonal
-        # coefficient there is nonzero, carrying that coefficient as sign.
-        if any(valuation(c) != j for c in fixed):
-            fixed_points = False
-        if euler_e(j) == 0:
-            if fixed:
-                fixed_points = False
-        elif len(fixed) != 1 or polarity(fixed[0]) != euler_e(j):
+        # sit at valuation j only: exactly one when j = k(3k-1)/2, the run
+        # 1^k 0^(k-2) for k > 0 and 1^|k| 0^(|k|-1) for k < 0, carrying the
+        # pentagonal coefficient as sign.
+        k = pentagonal_index(j)
+        shape = [] if k is None else ["1" * abs(k) + "0" * (k - 2 if k > 0 else -k - 1)]
+        if [c.bits for c in fixed] != shape or any(
+            valuation(c) != j or polarity(c) != euler_e(j) for c in fixed
+        ):
             fixed_points = False
         total = sum(polarity(c) for c in b_here) - sum(polarity(c) for c in b_prev)
         if total != euler_e(j):
@@ -335,50 +337,32 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
                 f"bound {cfg.region_bound}",
             )
         )
-    naive = overlapping_minpart_rules()
-    o = check_orthogonal(naive, region)
+    # Every overlap of the naive variant is between its two rules.
+    o = check_orthogonal(overlapping_minpart_rules(), region)
+    flagged = not o.ok and all(names == ("removal", "split") for _, names in o.overlaps)
     checks.append(
         Check(
             "rewrite",
             "overlapping-variant-flagged",
-            not o.ok,
+            flagged,
             f"{len(o.overlaps)} overlapping atoms",
         )
     )
 
     euler = make_engine(EngineKind.EULER)
-    e = euler_seq(cfg.dag_limit)
-    f = integrated_f(cfg.dag_limit)
-    max_ok = True
-    min_ok = True
-    for n_tilde in range(1, cfg.dag_limit + 1):
-        span = range(1, n_tilde + 1)
-        got = extract_coefficients(builtin_system("maxpart"), n_tilde)
-        if got.constant != 1 or [got.coeffs[j] for j in span] != [f[j] for j in span]:
-            max_ok = False
-        if got.reconstruct(euler.p) != euler.p(n_tilde):
-            max_ok = False
-        got = extract_coefficients(builtin_system("minpart"), n_tilde)
-        if got.constant != 0 or [got.coeffs[j] for j in span] != [e[j] for j in span]:
-            min_ok = False
-        if got.reconstruct(euler.p) != euler.p(n_tilde):
-            min_ok = False
-    checks.append(
-        Check(
-            "rewrite",
-            "maxpart-extraction-integrated",
-            max_ok,
-            f"n~<={cfg.dag_limit}",
-        )
-    )
-    checks.append(
-        Check(
-            "rewrite",
-            "minpart-extraction-pentagonal",
-            min_ok,
-            f"n~<={cfg.dag_limit}",
-        )
-    )
+    for name, constant, want, check in (
+        ("maxpart", 1, integrated_f(cfg.dag_limit), "maxpart-extraction-integrated"),
+        ("minpart", 0, euler_seq(cfg.dag_limit), "minpart-extraction-pentagonal"),
+    ):
+        ok = True
+        for n_tilde in range(1, cfg.dag_limit + 1):
+            span = range(1, n_tilde + 1)
+            got = extract_coefficients(builtin_system(name), n_tilde)
+            if got.constant != constant or any(got.coeffs[j] != want[j] for j in span):
+                ok = False
+            if got.reconstruct(euler.p) != euler.p(n_tilde):
+                ok = False
+        checks.append(Check("rewrite", check, ok, f"n~<={cfg.dag_limit}"))
     return checks
 
 

@@ -3,43 +3,42 @@
 Eleven numbered criteria, one test each, in order. Every test prints a
 single PASS/FAIL line past the capture plugin, so a plain ``pytest -v`` run
 shows the scorecard inline; the assert carries the same message.
+
+Criteria 01-09 read named checks from the verify suites, each run once at
+the ``ACCEPTANCE`` bounds: 01 and 02 from ``engines``, 03 from ``claim``, 04,
+05 and 09 from ``rewrite``, 06 from ``involution``, 07 and 08 from
+``lemmas``. What no suite checks is asserted here: the integral engine
+against Euler's to 2000 (01), path-code completeness (07) and the signed
+sums over B_j (08). Criteria 10 and 11 stand alone.
 """
 
-import random
 import time
 
 import pytest
 
 from partlab import (
+    SUITES,
     Classification,
-    Region,
     VerifyConfig,
     builtin_system,
-    c_from_product,
-    c_from_recurrence,
-    check_orthogonal,
-    check_unitary,
     classify,
     code_of_path,
     decode_path,
-    e_from_recurrence,
     enumerate_Bj,
     enumerate_terminating_paths,
-    euler_seq,
-    involution,
-    extract_coefficients,
-    f_equals_e_predicate,
     integrated_f,
-    lemma51,
     make_engine,
-    overlapping_minpart_rules,
-    p_oracle,
-    pentagonal_index,
     polarity,
-    split_valuation,
+    run_verify,
     valuation,
 )
-from partlab.verify import involution_suite
+from partlab.verify import _codes_of_length
+
+ACCEPTANCE = VerifyConfig(
+    oracle_limit=60, engine_limit=200, series_limit=200, dag_limit=30, walk_limit=24,
+    code_length_limit=12, involution_limit=40, region_bound=60, pair_samples=10_000,
+    pair_length_limit=20, seed=462801,
+)
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -48,6 +47,22 @@ def report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
     with capsys.disabled():
         print(f"[{tag}] acceptance {number:02d} {name}{tail}")
     assert ok, f"acceptance {number:02d} {name}{tail}"
+
+
+@pytest.fixture(scope="module")
+def suites():
+    """Each verify suite run once at ACCEPTANCE: name -> (report, seconds)."""
+    runs = {}
+    for name in SUITES:
+        start = time.perf_counter()
+        runs[name] = (run_verify(name, ACCEPTANCE), time.perf_counter() - start)
+    return runs
+
+
+def passed(suites, suite: str, *names: str) -> bool:
+    """Whether every named check of one suite passed; an unreported name fails."""
+    outcome = {c.name: c.passed for c in suites[suite][0].checks}
+    return all(outcome.get(name, False) for name in names)
 
 
 @pytest.fixture(scope="module")
@@ -65,191 +80,78 @@ def counted_to_2000():
     return euler, integral, euler_terms, integral_terms
 
 
-@pytest.fixture(scope="module")
-def oracle_to_60():
-    return [p_oracle(n) for n in range(61)]
-
-
-def test_c01_exact_counts(capsys, counted_to_2000, oracle_to_60):
+def test_c01_exact_counts(capsys, suites, counted_to_2000):
     euler, integral, _, _ = counted_to_2000
-    ok = all(integral.p(n) == oracle_to_60[n] for n in range(61))
+    ok = passed(suites, "engines", "integral-matches-exhaustive")
     ok = ok and all(integral.p(n) == euler.p(n) for n in range(2001))
     report(capsys, 1, "exact-counts", ok, "enumeration to 60, cross-check to 2000")
 
 
-def test_c02_engine_agreement(capsys):
-    engines = [make_engine(kind) for kind in
-               ("euler", "integral", "sigma", "minpart", "bounded", "maxpart")]
-    ok = all(
-        len({engine.p(n) for engine in engines}) == 1 for n in range(201)
-    )
+def test_c02_engine_agreement(capsys, suites):
+    kinds = ("integral", "sigma", "minpart", "bounded", "maxpart")
+    ok = passed(suites, "engines", *(f"{kind}-matches-euler" for kind in kinds))
     report(capsys, 2, "engine-agreement", ok, "six engines, n<=200")
 
 
-def test_c03_coefficient_routes(capsys):
-    lim = 200
-    e = euler_seq(lim)
-    f = integrated_f(lim)
-    ok = all(f[n] == sum(e[i] for i in range(n + 1)) for n in range(lim + 1))
-    ok = ok and c_from_product(lim).values == f.values
-    ok = ok and c_from_recurrence(lim).values == f.values
-    ok = ok and e_from_recurrence(lim).values == e.values
-    ok = ok and all((f[n] == e[n]) == f_equals_e_predicate(n) for n in range(lim + 1))
+def test_c03_coefficient_routes(capsys, suites):
+    ok = passed(
+        suites, "claim", "integrated-is-prefix-sum", "truncated-product-equals-integrated",
+        "divisor-recurrence-rebuilds-truncated-product", "divisor-recurrence-rebuilds-pentagonal",
+        "equality-predicate-marks-agreement",
+    )
     report(capsys, 3, "coefficient-routes", ok, "four routes + predicate, n<=200")
 
 
-def test_c04_maxpart_reduction(capsys):
-    f = integrated_f(30)
-    euler = make_engine("euler")
-    start = time.perf_counter()
-    ok = True
-    previous = None
-    for n_tilde in range(1, 31):
-        got = extract_coefficients(builtin_system("maxpart"), n_tilde)
-        ok = ok and got.constant == 1
-        ok = ok and all(got.coeffs[j] == f[j] for j in range(1, n_tilde + 1))
-        ok = ok and got.reconstruct(euler.p) == euler.p(n_tilde)
-        if previous is not None:  # coefficients are stable as n~ grows
-            ok = ok and all(got.coeffs[j] == previous[j] for j in previous)
-        previous = got.coeffs
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 10.0
-    report(
-        capsys,
-        4,
-        "maxpart-reduction",
-        ok,
-        f"constant 1, integrated coefficients, stable, n~<=30, {elapsed:.2f}s",
-    )
+def test_c04_maxpart_reduction(capsys, suites):
+    # coeffs[j] = f_j at every n~ means the coefficients are stable as n~ grows
+    elapsed = suites["rewrite"][1]
+    ok = passed(suites, "rewrite", "maxpart-extraction-integrated") and elapsed < 10.0
+    detail = f"constant 1, integrated coefficients, stable, n~<=30, {elapsed:.2f}s"
+    report(capsys, 4, "maxpart-reduction", ok, detail)
 
 
-def test_c05_minpart_reduction(capsys):
-    e = euler_seq(30)
-    euler = make_engine("euler")
-    ok = True
-    for n_tilde in range(1, 31):
-        got = extract_coefficients(builtin_system("minpart"), n_tilde)
-        ok = ok and got.constant == 0
-        ok = ok and all(got.coeffs[j] == e[j] for j in range(1, n_tilde + 1))
-        ok = ok and got.reconstruct(euler.p) == euler.p(n_tilde)
+def test_c05_minpart_reduction(capsys, suites):
+    ok = passed(suites, "rewrite", "minpart-extraction-pentagonal")
     report(capsys, 5, "minpart-reduction", ok, "constant 0, pentagonal coefficients, n~<=30")
 
 
-def test_c06_sign_pairing(capsys):
-    checks = involution_suite(VerifyConfig(involution_limit=40))
-    ok = all(c.passed for c in checks)
-    # fixed points are exactly the two runs-of-ones families (including the
-    # one-letter code), pinned to pentagonal valuations
-    for j in range(2, 41):
-        fixed = {
-            c.bits
-            for c in enumerate_Bj(j) + enumerate_Bj(j - 1)
-            if involution(j, c) == c
-        }
-        k = pentagonal_index(j)
-        if k is None:
-            expected = set()
-        elif k > 0:
-            expected = {"1" * k + "0" * (k - 2)}
-        else:
-            expected = {"1" * (-k) + "0" * (-k - 1)}
-        ok = ok and fixed == expected
+def test_c06_sign_pairing(capsys, suites):
+    ok = passed(
+        suites, "involution", "images-stay-in-domain", "self-inverse", "rule-sign-bookkeeping",
+        "fixed-points-pentagonal", "signed-sums-telescope",
+    )
     report(capsys, 6, "sign-pairing", ok, "pairing properties + fixed-point shapes, 2<=j<=40")
 
 
-def _codes_up_to(length_max):
-    for length in range(1, length_max + 1):
-        for mask in range(1, 1 << length):  # skip all-zero
-            yield format(mask, f"0{length}b")
-
-
-def test_c07_termination_formula(capsys):
-    ok = True
-    # replayed walks versus the arithmetic bounds, every code with l <= 12
-    for n_tilde in range(2, 25):
-        for bits in _codes_up_to(12):
-            walked = decode_path(n_tilde, bits)
-            cls = walked.classification
-            if cls is Classification.ENTERS_EARLY:
-                continue  # not a reduction path; the bounds say nothing
-            rep = lemma51(n_tilde, bits)
-            terminating = cls in (
-                Classification.TERMINATING_BELOW,
-                Classification.TERMINATING_AT,
-            )
-            ok = ok and rep.terminating == terminating
-            ok = ok and rep.at_boundary == (cls is Classification.TERMINATING_AT)
-            ok = ok and rep.strictly_below == (cls is Classification.TERMINATING_BELOW)
-            if rep.strictly_below:
-                ok = ok and rep.leftmost_one
-
-    # genuine reduction paths never show the excluded early-entry pattern,
-    # and their codes are exactly the terminating ones
+def test_c07_termination_formula(capsys, suites):
+    ok = passed(
+        suites, "lemmas", "termination-bounds-match-replay", "reduction-path-codes-terminate"
+    )
+    # the codes of genuine reduction paths are exactly the terminating ones
     system = builtin_system("maxpart")
-    for n_tilde in range(2, 25):
-        path_codes = {
-            code_of_path(p).bits
-            for p in enumerate_terminating_paths(system, n_tilde)
-            if p.j is not None
-        }
-        ok = ok and all(
-            classify(n_tilde, bits)
-            is not Classification.ENTERS_EARLY
-            for bits in path_codes
-        )
-        if n_tilde <= 16:
-            terminating_codes = {
-                bits
-                for bits in _codes_up_to(10)
-                if classify(n_tilde, bits)
-                in (Classification.TERMINATING_BELOW, Classification.TERMINATING_AT)
-            }
-            ok = ok and {b for b in path_codes if len(b) <= 10} == terminating_codes
-    report(
-        capsys,
-        7,
-        "termination-formula",
-        ok,
-        "bounds = replay on all codes l<=12, n~<=24; path codes complete to l<=10",
-    )
+    terminating = (Classification.TERMINATING_BELOW, Classification.TERMINATING_AT)
+    for n_tilde in range(2, 17):
+        paths = enumerate_terminating_paths(system, n_tilde)
+        path_codes = {code_of_path(p).bits for p in paths if p.j is not None}
+        codes = (bits for length in range(1, 11) for bits in _codes_of_length(length))
+        terminating_codes = {bits for bits in codes if classify(n_tilde, bits) in terminating}
+        ok = ok and {b for b in path_codes if len(b) <= 10} == terminating_codes
+    detail = "bounds = replay on all codes l<=12, n~<=24; path codes complete to l<=10"
+    report(capsys, 7, "termination-formula", ok, detail)
 
 
-def test_c08_valuation_identities(capsys):
-    # signed sums over the valuation classes reproduce the integrated
-    # coefficient sequence
+def test_c08_valuation_identities(capsys, suites):
+    ok = passed(suites, "lemmas", "concatenation-valuation-additive")
+    # signed sums over the valuation classes are the integrated coefficients
     f = integrated_f(40)
-    ok = all(
-        sum(polarity(b) for b in enumerate_Bj(j)) == f[j] for j in range(2, 41)
-    )
-
-    # concatenation valuation from the two halves alone
-    rng = random.Random(462801)
-    for _ in range(10_000):
-        p = "".join(rng.choice("01") for _ in range(rng.randint(0, 20)))
-        s = "".join(rng.choice("01") for _ in range(rng.randint(0, 20)))
-        ok = ok and split_valuation(p, s) == valuation(p + s)
-    report(
-        capsys,
-        8,
-        "valuation-identities",
-        ok,
-        "signed sums j<=40; 10000 concatenation samples",
-    )
+    ok = ok and all(sum(polarity(b) for b in enumerate_Bj(j)) == f[j] for j in range(2, 41))
+    report(capsys, 8, "valuation-identities", ok, "signed sums j<=40; 10000 concatenation samples")
 
 
-def test_c09_rule_hygiene(capsys):
-    region = Region(n_max=60, k_max=60)
-    ok = True
-    for name in ("minpart", "bounded", "maxpart"):
-        system = builtin_system(name)
-        ok = ok and check_unitary(system, region).ok
-        ok = ok and check_orthogonal(system, region).ok
-    completed = builtin_system("maxpart", completion=True)
-    ok = ok and check_unitary(completed, region).ok
-    ok = ok and check_orthogonal(completed, region).ok
-    naive = check_orthogonal(overlapping_minpart_rules(), region)
-    ok = ok and not naive.ok
-    ok = ok and all(names == ("removal", "split") for _, names in naive.overlaps)
+def test_c09_rule_hygiene(capsys, suites):
+    systems = ("minpart", "bounded", "maxpart", "maxpart-completed")
+    hygiene = (f"{name}-{prop}" for name in systems for prop in ("unitary", "orthogonal"))
+    ok = passed(suites, "rewrite", *hygiene, "overlapping-variant-flagged")
     report(capsys, 9, "rule-hygiene", ok, "three systems clean at 60; overlap flagged")
 
 

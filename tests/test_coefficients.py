@@ -94,6 +94,8 @@ def test_equality_predicate():
     f = integrated_f(300)
     for n in range(301):
         assert f_equals_e_predicate(n) == (f[n] == e[n])
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        f_equals_e_predicate(-1)
 
 
 def test_sigma():

@@ -151,6 +151,12 @@ def test_bare_root_has_no_paths():
 def test_vertex_budget():
     with pytest.raises(BudgetExceeded):
         build_dag(builtin_system("minpart"), 30, vertex_budget=10)
+    # the root and terminal vertices count too
+    with pytest.raises(BudgetExceeded):
+        build_dag(builtin_system("maxpart"), 2, vertex_budget=2)
+    with pytest.raises(BudgetExceeded):
+        build_dag(builtin_system("minpart"), 1, vertex_budget=2)
+    assert len(build_dag(builtin_system("maxpart"), 2, vertex_budget=3).vertices) == 3
 
 
 def test_path_budget():

@@ -1,8 +1,23 @@
 """The self-check suites and their report plumbing."""
 
+import dataclasses
+
 import pytest
 
+import partlab.verify
 from partlab import Check, SUITES, VerifyConfig, VerifyReport, run_verify
+
+SMALL = VerifyConfig(
+    oracle_limit=20,
+    engine_limit=60,
+    series_limit=80,
+    dag_limit=10,
+    walk_limit=10,
+    code_length_limit=6,
+    involution_limit=12,
+    region_bound=12,
+    pair_samples=40,
+)
 
 
 def test_all_suites_pass():
@@ -15,20 +30,43 @@ def test_all_suites_pass():
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_single_suite(name):
-    small = VerifyConfig(
-        oracle_limit=20,
-        engine_limit=60,
-        series_limit=80,
-        dag_limit=10,
-        walk_limit=10,
-        code_length_limit=6,
-        involution_limit=12,
-        region_bound=12,
-        pair_samples=40,
-    )
-    report = run_verify(name, small)
+    report = run_verify(name, SMALL)
     assert report.ok
     assert all(c.suite == name for c in report.checks)
+
+
+def failing(suite: str) -> set[str]:
+    return {c.name for c in run_verify(suite, SMALL).failures}
+
+
+def test_termination_check_needs_leftmost_one(monkeypatch):
+    real = partlab.verify.lemma51
+    monkeypatch.setattr(
+        partlab.verify,
+        "lemma51",
+        lambda n_tilde, code: dataclasses.replace(real(n_tilde, code), leftmost_one=False),
+    )
+    assert failing("lemmas") == {"termination-bounds-match-replay"}
+
+
+def test_fixed_point_check_needs_pentagonal_shape(monkeypatch):
+    real = partlab.verify.pentagonal_index
+    monkeypatch.setattr(
+        partlab.verify, "pentagonal_index", lambda n: None if real(n) is None else real(n) + 1
+    )
+    assert failing("involution") == {"fixed-points-pentagonal"}
+
+
+def test_overlap_check_needs_both_rule_names(monkeypatch):
+    real = partlab.verify.overlapping_minpart_rules
+
+    def renamed():
+        system = real()
+        split = dataclasses.replace(system.rules[1], name="two-term")
+        return dataclasses.replace(system, rules=(system.rules[0], split))
+
+    monkeypatch.setattr(partlab.verify, "overlapping_minpart_rules", renamed)
+    assert failing("rewrite") == {"overlapping-variant-flagged"}
 
 
 def test_unknown_suite():
