@@ -224,7 +224,23 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- dag
 
+class _SystemSlot(tuple):
+    """The choices of dag's first positional: the system names, or a decimal.
+
+    argparse fills positionals in order, so `dag --system minpart 6` puts the
+    6 in the system's slot, and _cmd_dag moves it to the root index. Help and
+    the invalid-choice message list the names only.
+    """
+
+    def __contains__(self, value) -> bool:
+        return tuple.__contains__(self, value) or value.isdecimal()
+
+
 def _cmd_dag(args) -> int:
+    if args.system is not None and args.system.isdecimal():
+        if args.n_tilde is not None:
+            raise _UsageError("give the root index exactly once, positionally or as --n")
+        args.system, args.n_tilde = None, int(args.system)
     system_name = _once(args, "system", "system", "--system")
     n_tilde = _once(args, "n_tilde", "root index", "--n")
     if args.completion and system_name != "maxpart":
@@ -504,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dag", help="reduction graph of a built-in system")
-    p.add_argument("system", nargs="?", choices=sorted(BUILTIN_NAMES))
+    p.add_argument("system", nargs="?", choices=_SystemSlot(sorted(BUILTIN_NAMES)))
     p.add_argument("--system", dest="system_opt", choices=sorted(BUILTIN_NAMES))
     p.add_argument("n_tilde", nargs="?", type=_nonneg)
     p.add_argument("--n", "--n-tilde", dest="n_tilde_opt", metavar="N_OPT", type=_nonneg)

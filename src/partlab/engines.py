@@ -11,6 +11,12 @@ touches O(sqrt n) terms per step, the integral engine Theta(n), so euler's
 cumulative counter stays strictly below integral's from n = 20 on. A sweep
 p(0..n) and a cold p(n) build the same tables and read the same terms.
 
+euler and integral sum exactly the terms they count, through C-level sums
+with no multiplications: euler over two lists of pentagonal offsets, one per
+sign of e_k, and integral through byte masks of the k with f_k = 1 and with
+f_k = -1. The masks rely on |f_k| <= 1, which integral checks as it builds
+them.
+
 Engines:
 
   euler     p(n) = sum_{k>0} e_k p(n-k)
@@ -30,6 +36,7 @@ between threads.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
 from operator import mul
 
 from .coefficients import integrated_f, pentagonal_pairs, sigma_table
@@ -70,36 +77,62 @@ class Engine:
 
 
 class EulerEngine(Engine):
-    """Pentagonal recurrence; only pentagonal offsets contribute."""
+    """Pentagonal recurrence; only pentagonal offsets contribute.
+
+    The offsets g <= m are kept negated in two lists, by the sign of e_g; each
+    step appends at most one, since the generalized pentagonal numbers are
+    distinct.
+    """
 
     kind = EngineKind.EULER
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._plus: list[int] = []
+        self._minus: list[int] = []
+        self._pairs = pentagonal_pairs()
+        self._g, self._sign = next(self._pairs)  # the next offset, not yet listed
+
     def _next(self, m: int) -> int:
-        total = 0
-        for g, sign in pentagonal_pairs():
-            if g > m:
-                break
-            total += sign * self._p[m - g]
-            self.recurrent_terms += 1
-        return total
+        if m == self._g:
+            (self._plus if self._sign > 0 else self._minus).append(-m)
+            self._g, self._sign = next(self._pairs)
+        plus, minus = self._plus, self._minus
+        self.recurrent_terms += len(plus) + len(minus)
+        # the table holds p(0..m-1), so its item -g is p(m - g)
+        get = self._p.__getitem__
+        return sum(map(get, plus)) - sum(map(get, minus))
 
 
 class IntegralEngine(Engine):
-    """Integrated recurrence p(n) = 1 + sum f_k p(n-k); counts only nonzero f_k."""
+    """Integrated recurrence p(n) = 1 + sum f_k p(n-k); counts only nonzero f_k.
+
+    Every f_k is -1, 0 or 1, so the sum is that of the p(n-k) with f_k = 1
+    less that of those with f_k = -1. _pos and _neg mark those k, one byte per
+    k, and are rebuilt with _f; the rebuild checks that they cover every
+    nonzero f_k.
+    """
 
     kind = EngineKind.INTEGRAL
 
     def __init__(self) -> None:
         super().__init__()
         self._f: tuple[int, ...] = (-1,)
+        self._pos = self._neg = b""
 
     def _next(self, m: int) -> int:
         if len(self._f) <= m:
-            self._f = integrated_f(2 * m).values
-        f = self._f[1 : m + 1]
+            f = integrated_f(2 * m).values
+            pos, neg = bytes(v == 1 for v in f), bytes(v == -1 for v in f)
+            if pos.count(1) + neg.count(1) != len(f) - f.count(0):
+                k, v = next((k, v) for k, v in enumerate(f) if v not in (-1, 0, 1))
+                raise ValueError(f"f-sequence value f_{k} = {v} outside -1..1")
+            self._f, self._pos, self._neg = f, pos, neg
         # f_1..f_m against p(m-1)..p(0); a zero f_k adds nothing and reads no p
-        self.recurrent_terms += m - f.count(0)
-        return 1 + sum(map(mul, f, reversed(self._p)))
+        pos, neg = self._pos[1 : m + 1], self._neg[1 : m + 1]
+        self.recurrent_terms += pos.count(1) + neg.count(1)
+        p = self._p
+        return 1 + sum(compress(reversed(p), pos)) - sum(compress(reversed(p), neg))
 
 
 class SigmaEngine(Engine):

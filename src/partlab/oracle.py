@@ -8,10 +8,10 @@ All partitions are walked by ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for
 generating integer partitions", 1998): one mutable buffer, rewritten in place
 in descending lexicographic order at constant amortised cost per partition.
 Counting reads only the largest and smallest part of each step and builds no
-tuple; listing copies the buffer once per partition. Strict partitions, far
-fewer, keep a plain recursive enumerator. The cost is still one step per
-partition, and p(80) is about 1.6e7 partitions, so enumeration refuses
-n > ORACLE_CAP.
+tuple; listing copies the buffer once per partition. Strict partitions are
+walked in the same order over one list of parts, with a fresh tuple per
+partition. The cost is still one step per partition, and p(80) is about 1.6e7
+partitions, so enumeration refuses n > ORACLE_CAP.
 
 Constraint vocabulary for count_constrained:
 
@@ -120,16 +120,41 @@ def enumerate_strict(n: int) -> Iterator[tuple[int, ...]]:
     """Return an iterator over the partitions of n into distinct parts,
     descending lexicographic; n is checked when this is called."""
     _check_n(n)
-    return _descend_strict(n, n)
+    if n == 0:
+        return iter([()])
+    return _strict(n)
 
 
-def _descend_strict(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
-        return
-    for first in range(min(remaining, cap), 0, -1):
-        for rest in _descend_strict(remaining - first, first - 1):
-            yield (first,) + rest
+def _strict(n: int) -> Iterator[tuple[int, ...]]:
+    """Walk the strict partitions of n >= 1 in descending lexicographic order.
+
+    x holds the parts placed so far, rest what is left to place and cap the
+    largest part that may come next. Each step fills greedily, then lowers by
+    one the last part that can be lowered: the new part nxt and the parts
+    after it must sum to rest, the sum from that part on, which distinct
+    parts up to nxt can do exactly when nxt(nxt+1)/2 >= rest. A part that
+    cannot be lowered by one cannot be lowered further.
+    """
+    x: list[int] = []
+    rest = cap = n
+    while True:
+        while rest:
+            part = min(rest, cap)
+            x.append(part)
+            rest -= part
+            cap = part - 1
+        yield tuple(x)
+        while x:
+            part = x.pop()
+            rest += part
+            nxt = part - 1
+            if nxt * (nxt + 1) // 2 >= rest:
+                x.append(nxt)
+                rest -= nxt
+                cap = nxt - 1
+                break
+        else:
+            return
 
 
 def _walk(n: int, family: str) -> Iterator[tuple[Sequence[int], int]]:
@@ -144,7 +169,7 @@ def _walk(n: int, family: str) -> Iterator[tuple[Sequence[int], int]]:
         return iter(())
     if family == "P":
         return _zs1(n)
-    return ((parts, len(parts)) for parts in _descend_strict(n, n))
+    return ((parts, len(parts)) for parts in _strict(n))
 
 
 def count_constrained(

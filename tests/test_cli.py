@@ -164,6 +164,15 @@ def test_dag_flag_spelling(capsys):
     assert out == positional_out
 
 
+@pytest.mark.parametrize("argv", [("--system", "minpart", "2"), ("2", "--system", "minpart")])
+def test_dag_mixed_spelling(capsys, argv):
+    # argparse puts the 2 in the system's slot; it is read as the root index
+    code, out, _ = run(capsys, "dag", *argv)
+    positional_code, positional_out, _ = run(capsys, "dag", "minpart", "2")
+    assert code == positional_code == 0
+    assert out == positional_out
+
+
 def test_dag_single_root_at_zero(capsys):
     code, out, _ = run(capsys, "dag", "--system", "maxpart", "--n", "0",
                        "--format", "plain")

@@ -1,6 +1,10 @@
 """The six counting engines: values, work counters, and failure modes."""
 
+from functools import cache
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import partlab.engines
 from partlab import (
@@ -9,6 +13,7 @@ from partlab import (
     integrated_f,
     make_engine,
     p_all,
+    pentagonal_pairs,
     sigma_table,
 )
 
@@ -116,9 +121,22 @@ def test_make_engine_accepts_strings():
         make_engine("fibonacci")
 
 
-# The integral and sigma recurrences as plain Python loops, kept as the
-# reference for the engines' C-level dot products: (p(0..n), recurrent_terms)
-# of a sweep.
+# The euler, integral and sigma recurrences as plain Python loops, kept as the
+# reference for the engines' C-level sums: (p(0..n), recurrent_terms) of a
+# sweep.
+
+
+def _ref_euler(n):
+    p, terms = [1], 0
+    for m in range(1, n + 1):
+        total = 0
+        for g, sign in pentagonal_pairs():
+            if g > m:
+                break
+            total += sign * p[m - g]
+            terms += 1
+        p.append(total)
+    return p, terms
 
 
 def _ref_integral(n):
@@ -148,7 +166,9 @@ def _ref_sigma(n):
     return p, terms
 
 
-@pytest.mark.parametrize("kind, ref", [("integral", _ref_integral), ("sigma", _ref_sigma)])
+@pytest.mark.parametrize(
+    "kind, ref", [("euler", _ref_euler), ("integral", _ref_integral), ("sigma", _ref_sigma)]
+)
 def test_dense_engines_match_plain_loops(kind, ref):
     want_p, want_terms = ref(250)
     engine = make_engine(kind)
@@ -171,3 +191,40 @@ def test_sigma_engine_checks_every_division(monkeypatch, at):
     engine = make_engine("sigma")
     with pytest.raises(NonIntegralDivision, match=rf"^p\({at}\):"):
         engine.p(60)
+
+
+@pytest.mark.parametrize("at", [2, 7, 40])
+def test_integral_engine_checks_f_range(monkeypatch, at):
+    # a CoeffSeq refuses a 2, so the perturbed table bypasses it
+    real = integrated_f
+
+    def perturbed(upto):
+        values = list(real(upto).values)
+        if upto >= at:
+            values[at] = 2
+        return SimpleNamespace(values=tuple(values))
+
+    monkeypatch.setattr(partlab.engines, "integrated_f", perturbed)
+    engine = make_engine("integral")
+    with pytest.raises(ValueError, match=rf"f_{at} = 2 outside -1\.\.1"):
+        engine.p(60)
+
+
+@cache
+def _sweep(kind):
+    engine = make_engine(kind)
+    return [engine.p(n) for n in range(201)]
+
+
+# Tables and side tables (euler's offset lists, integral's masks, sigma's
+# divisor sums) grow at boundaries that depend on the call order; any order
+# must give a sweep's values and a cold call's counter.
+@pytest.mark.parametrize("kind", list(EngineKind))
+@settings(max_examples=20)
+@given(ns=st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=6))
+def test_any_call_order_matches_sweep(kind, ns):
+    engine = make_engine(kind)
+    assert [engine.p(n) for n in ns] == [_sweep(kind)[n] for n in ns]
+    cold = make_engine(kind)
+    cold.p(max(ns))
+    assert engine.recurrent_terms == cold.recurrent_terms

@@ -77,8 +77,9 @@ def test_strict_enumeration():
     assert all(len(set(parts)) == len(parts) for parts in enumerate_strict(10))
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("n", range(26))
+@pytest.mark.parametrize(
+    "n, strict", [(n, False) for n in range(26)] + [(n, True) for n in range(41)]
+)
 def test_listing_matches_reference(n, strict):
     got = list((enumerate_strict if strict else enumerate_partitions)(n))
     assert got == reference(n, strict)  # same partitions, same order
