@@ -118,10 +118,6 @@ class Classification(str, Enum):
     INVALID = "invalid_all_zero"
 
 
-def _in_wedge(n: int, k: int) -> bool:
-    return k >= 2 and k <= n <= 2 * k
-
-
 @dataclass(frozen=True)
 class DecodedWalk:
     n_tilde: int
@@ -144,14 +140,17 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
         raise InvalidCode(f"cannot decode all-zero code {c.bits!r}")
     n, k = n_tilde, k0
     walk = [(n, k)]
+    # index of the first wedge vertex; k >= k0 >= 2 holds all along the walk
+    first = 0 if k <= n <= 2 * k else None
     # the step bits, indices k0 + 1 up to l + 1, read right to left
-    for ch in reversed(c.bits[: len(c.bits) + 1 - k0]):
+    for i, ch in enumerate(reversed(c.bits[: len(c.bits) + 1 - k0]), 1):
         if ch == "1":
             n, k = n - k, k + 1
         else:
             n, k = n + 1, k + 1
         walk.append((n, k))
-    first = next((i for i, (wn, wk) in enumerate(walk) if _in_wedge(wn, wk)), None)
+        if first is None and k <= n <= 2 * k:
+            first = i
     if first is None:
         cls = Classification.NONTERMINATING
     elif first < len(walk) - 1:

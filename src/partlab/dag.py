@@ -26,13 +26,20 @@ build_dag fires atoms through the rewrite layer's grounding helper, counts
 in-degrees while it adds edges, and keeps the topological order its
 acyclicity check computes; topological_order, and so signed_multiplicities,
 reuses that order and sorts again only for a graph assembled by hand.
+
+AuxVertex, TerminalVertex and DagEdge are NamedTuples, like the atoms, so the
+vertex keys hash and compare in C; a vertex equals the plain tuple of its
+fields, and AuxVertex(n, k) == Auxiliary(n, k). RootVertex is deliberately
+not a tuple: as a 1-tuple, RootVertex(n~) would equal TerminalVertex(n~),
+and both occur in one graph (maxpart at n~ = 6 reaches P(0), terminal j = 6),
+so Dag.out, Dag.constants and signed_multiplicities would merge them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import budget
 from .errors import BudgetExceeded, CyclicReduction, NoRuleApplies
@@ -47,8 +54,7 @@ class RootVertex:
         return f"R_{self.n_tilde}"
 
 
-@dataclass(frozen=True)
-class AuxVertex:
+class AuxVertex(NamedTuple):
     n: int
     k: int
 
@@ -56,8 +62,7 @@ class AuxVertex:
         return f"A_{self.n}_{self.k}"
 
 
-@dataclass(frozen=True)
-class TerminalVertex:
+class TerminalVertex(NamedTuple):
     j: int
 
     def dot_name(self) -> str:
@@ -67,8 +72,7 @@ class TerminalVertex:
 Vertex = Union[RootVertex, AuxVertex, TerminalVertex]
 
 
-@dataclass(frozen=True)
-class DagEdge:
+class DagEdge(NamedTuple):
     source: Vertex
     target: Vertex
     sign: int
@@ -160,17 +164,18 @@ def build_dag(
         raise NoRuleApplies(f"{system.name}: no rule applies at P({n_tilde})")
     dag.constants[dag.root] = fired[1]
 
-    # vertices with their positions in dag.vertices, auxiliaries keyed by (n, k)
-    seen: dict[tuple[int, int], tuple[AuxVertex, int]] = {}
-    terminals: dict[int, tuple[TerminalVertex, int]] = {}
+    # positions in dag.vertices: auxiliaries keyed by their atom, terminals by j
+    seen: dict[Auxiliary, int] = {}
+    terminals: dict[int, int] = {}
+    vertices = dag.vertices
     # the graph by position, counted as edges are added, for the final sort
     succ: list[list[int]] = [[]]
     indeg: list[int] = [0]
-    work: deque[tuple[tuple[AuxVertex, int], Auxiliary]] = deque()
+    work: deque[tuple[int, Auxiliary]] = deque()
 
     def place(vertex: Vertex) -> int:
-        dag.vertices.append(vertex)
-        if len(dag.vertices) > limit:
+        vertices.append(vertex)
+        if len(vertices) > limit:
             raise BudgetExceeded(
                 f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
             )
@@ -186,19 +191,15 @@ def build_dag(
         for i, (sign, target) in enumerate(fan):
             if isinstance(target, Primary):
                 j = n_tilde - target.n
-                hit = terminals.get(j)
-                if hit is None:
-                    vertex = TerminalVertex(j)
-                    hit = terminals[j] = (vertex, place(vertex))
+                t = terminals.get(j)
+                if t is None:
+                    t = terminals[j] = place(TerminalVertex(j))
             else:
-                key = (target.n, target.k)
-                hit = seen.get(key)
-                if hit is None:
-                    vertex = AuxVertex(*key)
-                    hit = seen[key] = (vertex, place(vertex))
-                    work.append((hit, target))
-            vertex, t = hit
-            edge = DagEdge(source, vertex, sign, rule_name, i)
+                t = seen.get(target)
+                if t is None:
+                    t = seen[target] = place(AuxVertex(*target))
+                    work.append((t, target))
+            edge = DagEdge(source, vertices[t], sign, rule_name, i)
             dag.edges.append(edge)
             out.append(edge)
             targets.append(t)
@@ -207,11 +208,12 @@ def build_dag(
     add_fan(dag.root, 0, fired[0].name, fired[2])
 
     while work:
-        (vertex, s), atom = work.popleft()
+        s, atom = work.popleft()
         fired = _fire(system, atom)
         if fired is None:
             raise NoRuleApplies(f"{system.name}: no rule applies at {atom!r}")
         rule, constant, fan = fired
+        vertex = vertices[s]
         if constant:
             dag.constants[vertex] = constant
         if rule.kind == RuleKind.TERMINATION and not fan:

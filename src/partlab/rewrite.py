@@ -31,28 +31,34 @@ ground instance behaves exactly like a primary one (constant only).
 Domain predicates and fan bodies are plain Python callables taking n (for
 primary-family rules) or n, k (for auxiliary-family ones). There is no
 pattern language; a rule family is one callable pair.
+
+Atoms are NamedTuples, so the memo lookups, cycle checks and DAG keys that
+evaluation makes for every atom hash and compare in C, and an atom is its own
+argument tuple: rules receive *atom. The price is tuple equality. An atom
+equals the plain tuple of its fields, Auxiliary(n, k) == (n, k), and so equals
+the DAG vertex AuxVertex(n, k); Primary(n) and Auxiliary(n, k) never compare
+equal, since their lengths differ. Grounding still checks every fan target
+with isinstance, so a body that returns a plain tuple is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from . import budget
 from .errors import AmbiguousRule, BudgetExceeded, NoRuleApplies
 
 
-@dataclass(frozen=True)
-class Primary:
+class Primary(NamedTuple):
     n: int
 
     def __repr__(self) -> str:
         return f"P({self.n})"
 
 
-@dataclass(frozen=True)
-class Auxiliary:
+class Auxiliary(NamedTuple):
     n: int
     k: int
 
@@ -99,9 +105,7 @@ class Rule:
         return self.kind in _LHS_PRIMARY
 
     def matches(self, atom: Atom) -> bool:
-        if isinstance(atom, Primary):
-            return self.lhs_primary and bool(self.domain(atom.n))
-        return not self.lhs_primary and bool(self.domain(atom.n, atom.k))
+        return isinstance(atom, Primary) == self.lhs_primary and bool(self.domain(*atom))
 
 
 @dataclass(frozen=True)
@@ -133,17 +137,10 @@ class RewriteSystem:
         return tuple(r for r in self.rules if r.kind == kind)
 
 
-def _owning(system: RewriteSystem, atom: Atom) -> tuple[tuple[Rule, ...], tuple[int, ...]]:
-    """The owning group of atom and the arguments its rules receive."""
-    if isinstance(atom, Primary):
-        return system._r1, (atom.n,)
-    return system._r2, (atom.n, atom.k)
-
-
-def _ground(rule: Rule, args: tuple[int, ...], atom: Atom) -> tuple[int, Fan]:
+def _ground(rule: Rule, atom: Atom) -> tuple[int, Fan]:
     """(constant, fan) of rule at atom; every fan target must belong to the
     family the rule kind rewrites into."""
-    constant, fan = rule.body(*args)
+    constant, fan = rule.body(*atom)
     fan = tuple(fan)
     family = _RHS_FAMILY[rule.kind]
     for sign, target in fan:
@@ -161,19 +158,19 @@ def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan] | None:
     Scans the whole owning group, so AmbiguousRule names every rule that
     applies, in rule order.
     """
-    rules, args = _owning(system, atom)
+    rules = system.group(atom)
     fired = None
     for rule in rules:
-        if rule.domain(*args):
+        if rule.domain(*atom):
             if fired is not None:
-                names = ", ".join(r.name for r in rules if r.domain(*args))
+                names = ", ".join(r.name for r in rules if r.domain(*atom))
                 raise AmbiguousRule(
                     f"{system.name}: rules [{names}] all apply at {atom!r}"
                 )
             fired = rule
     if fired is None:
         return None
-    return (fired, *_ground(fired, args, atom))
+    return (fired, *_ground(fired, atom))
 
 
 def ground_rule(system: RewriteSystem, atom: Atom) -> GroundRule | None:
@@ -238,11 +235,10 @@ def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
     and repeated fan targets."""
     report = UnitarityReport(system.name, region)
     for atom in region.atoms():
-        rules, args = _owning(system, atom)
-        for rule in rules:
-            if not rule.domain(*args):
+        for rule in system.group(atom):
+            if not rule.domain(*atom):
                 continue
-            _, fan = _ground(rule, args, atom)
+            _, fan = _ground(rule, atom)
             seen: set[Atom] = set()
             for sign, target in fan:
                 if sign not in (-1, 0, 1):
@@ -261,16 +257,14 @@ def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityRepo
     """Flag ground atoms where more than one rule of the owning group applies."""
     report = OrthogonalityReport(system.name, region)
     for atom in region.atoms():
-        rules, args = _owning(system, atom)
-        names = tuple(r.name for r in rules if r.domain(*args))
+        names = tuple(r.name for r in system.group(atom) if r.domain(*atom))
         if len(names) > 1:
             report.overlaps.append((atom, names))
     return report
 
 
 def _default_chain_limit(atom: Atom) -> int:
-    k = atom.k if isinstance(atom, Auxiliary) else 0
-    return 10 * (abs(atom.n) + abs(k) + 1)
+    return 10 * (sum(map(abs, atom)) + 1)
 
 
 _MISSING = object()

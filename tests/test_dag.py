@@ -255,3 +255,13 @@ def test_paths_are_edge_connected():
         assert isinstance(path, TerminatingPath)
         for a, b in zip(path.vertices, path.vertices[1:]):
             assert (a, b) in edge_set
+
+
+def test_root_and_terminal_with_equal_index_stay_apart():
+    # maxpart at n~ = 6 reaches P(0), whose terminal vertex has j = 6 = n~
+    dag = build_dag(builtin_system("maxpart"), 6)
+    assert dag.root != TerminalVertex(6)
+    assert TerminalVertex(6) in dag.vertices
+    mult = signed_multiplicities(dag)
+    assert len(mult) == len(dag.vertices)
+    assert mult[dag.root] == 1

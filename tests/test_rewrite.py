@@ -1,8 +1,10 @@
 """Rewrite systems: grounding, hygiene checks, and the atom evaluator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partlab import (
+    BUILTIN_NAMES,
     AmbiguousRule,
     Auxiliary,
     BudgetExceeded,
@@ -52,6 +54,26 @@ def test_atoms_evaluated_pinned(name, atoms):
     memo = {}
     eval_atom(builtin_system(name), Primary(150), memo)
     assert len(memo) == atoms
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(ns=st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=6))
+def test_any_call_order_on_one_memo(name, ns):
+    system = builtin_system(name)
+    euler = make_engine("euler")
+    memo = {}
+    assert [eval_atom(system, Primary(n), memo) for n in ns] == [euler.p(n) for n in ns]
+
+
+def test_atom_contract():
+    assert repr(Primary(5)) == "P(5)"
+    assert repr(Auxiliary(5, 2)) == "A(5,2)"
+    with pytest.raises(AttributeError):
+        Primary(5).n = 6
+    with pytest.raises(AttributeError):
+        Auxiliary(5, 2).n = 6
+    assert Primary(3) != Auxiliary(3, 0)
 
 
 def test_memo_reuse():
@@ -154,6 +176,22 @@ def test_rhs_family_enforced():
         ground_rule(wrong, Auxiliary(1, 1))
     with pytest.raises(ValueError):
         eval_atom(wrong, Auxiliary(1, 1))
+    # a plain tuple equals an atom but belongs to no family
+    bare = RewriteSystem(
+        "bare",
+        (
+            Rule(
+                "bare",
+                RuleKind.TERMINATION,
+                lambda n, k: True,
+                lambda n, k: (0, ((1, (3,)),)),
+            ),
+        ),
+    )
+    with pytest.raises(ValueError):
+        ground_rule(bare, Auxiliary(1, 1))
+    with pytest.raises(ValueError):
+        eval_atom(bare, Auxiliary(1, 1))
     leaky_startup = RewriteSystem(
         "leaky-startup",
         (
