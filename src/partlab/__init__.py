@@ -6,108 +6,143 @@ combinatorics underneath.
 
 Everything is exact integer arithmetic end to end; any division is checked
 and raises if it would truncate.
+
+The package loads lazily (PEP 562): `import partlab` imports no submodule,
+and the first access to a public name imports the submodule that owns it,
+so a caller pays only for the layers it uses.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .coefficients import (
-    CoeffSeq,
-    c_from_product,
-    c_from_recurrence,
-    e_from_recurrence,
-    euler_e,
-    euler_product,
-    euler_seq,
-    f_equals_e_predicate,
-    integrated_f,
-    pentagonal_index,
-    pentagonal_pairs,
-    sigma,
-    sigma_table,
-)
-from .codes import (
-    Classification,
-    DecodedWalk,
-    Lemma51Report,
-    PathCode,
-    classify,
-    code_of_path,
-    decode_path,
-    edge_count,
-    enumerate_Bj,
-    from_strict_partition,
-    involution,
-    lemma51,
-    pentagonal_codes,
-    polarity,
-    split_valuation,
-    to_strict_partition,
-    valuation,
-)
-from .dag import (
-    AuxVertex,
-    Dag,
-    DagEdge,
-    ExtractedRecurrence,
-    RootVertex,
-    TerminalVertex,
-    TerminatingPath,
-    build_dag,
-    emit_dot,
-    enumerate_terminating_paths,
-    extract_coefficients,
-    extract_from_dag,
-    grouped_path_sums,
-    signed_multiplicities,
-)
-from .engines import EngineKind, make_engine, p_all, p_euler
-from .errors import (
-    AmbiguousRule,
-    BudgetExceeded,
-    CyclicReduction,
-    InvalidCode,
-    InvalidPartition,
-    NoRuleApplies,
-    NonIntegralDivision,
-    NotInDomain,
-    OracleLimitError,
-    PartlabError,
-)
-from .oracle import (
-    ORACLE_CAP,
-    count_constrained,
-    enumerate_partitions,
-    enumerate_strict,
-    max_part_histogram,
-    p_oracle,
-    s_oracle,
-    validate_partition,
-)
-from .rewrite import (
-    Auxiliary,
-    BUILTIN_NAMES,
-    OrthogonalityReport,
-    Primary,
-    Region,
-    Rule,
-    RuleKind,
-    RewriteSystem,
-    UnitarityReport,
-    builtin_system,
-    check_orthogonal,
-    check_unitary,
-    eval_atom,
-    ground_rule,
-    overlapping_minpart_rules,
-)
-from .verify import Check, SUITES, VerifyConfig, VerifyReport, run as run_verify
+
+def _owned_by(module: str, *names: str) -> dict[str, str]:
+    return dict.fromkeys(names, module)
+
+
+# Every public name, once, with the submodule that defines it; a value
+# "module.attr" exports that attribute under another name.
+_EXPORTS = {
+    **_owned_by(
+        "coefficients",
+        "CoeffSeq",
+        "c_from_product",
+        "c_from_recurrence",
+        "e_from_recurrence",
+        "euler_e",
+        "euler_product",
+        "euler_seq",
+        "f_equals_e_predicate",
+        "integrated_f",
+        "pentagonal_index",
+        "pentagonal_pairs",
+        "sigma",
+        "sigma_table",
+    ),
+    **_owned_by(
+        "codes",
+        "Classification",
+        "DecodedWalk",
+        "Lemma51Report",
+        "PathCode",
+        "classify",
+        "code_of_path",
+        "decode_path",
+        "edge_count",
+        "enumerate_Bj",
+        "from_strict_partition",
+        "involution",
+        "lemma51",
+        "pentagonal_codes",
+        "polarity",
+        "split_valuation",
+        "to_strict_partition",
+        "valuation",
+    ),
+    **_owned_by(
+        "dag",
+        "AuxVertex",
+        "Dag",
+        "DagEdge",
+        "ExtractedRecurrence",
+        "RootVertex",
+        "TerminalVertex",
+        "TerminatingPath",
+        "build_dag",
+        "emit_dot",
+        "enumerate_terminating_paths",
+        "extract_coefficients",
+        "extract_from_dag",
+        "grouped_path_sums",
+        "signed_multiplicities",
+        "terminating_paths",
+    ),
+    **_owned_by("engines", "EngineKind", "make_engine", "p_all", "p_euler"),
+    **_owned_by(
+        "errors",
+        "AmbiguousRule",
+        "BudgetExceeded",
+        "CyclicReduction",
+        "InvalidCode",
+        "InvalidPartition",
+        "NoRuleApplies",
+        "NonIntegralDivision",
+        "NotInDomain",
+        "OracleLimitError",
+        "PartlabError",
+    ),
+    **_owned_by(
+        "oracle",
+        "ORACLE_CAP",
+        "count_constrained",
+        "enumerate_partitions",
+        "enumerate_strict",
+        "max_part_histogram",
+        "p_oracle",
+        "s_oracle",
+        "validate_partition",
+    ),
+    **_owned_by(
+        "rewrite",
+        "Auxiliary",
+        "BUILTIN_NAMES",
+        "OrthogonalityReport",
+        "Primary",
+        "Region",
+        "Rule",
+        "RuleKind",
+        "RewriteSystem",
+        "UnitarityReport",
+        "builtin_system",
+        "check_orthogonal",
+        "check_unitary",
+        "eval_atom",
+        "ground_rule",
+        "overlapping_minpart_rules",
+    ),
+    **_owned_by("verify", "Check", "SUITES", "VerifyConfig", "VerifyReport"),
+    "run_verify": "verify.run",
+}
+
+# Submodules load on first access too, as partlab.dag and the like.
+_SUBMODULES = {target.partition(".")[0] for target in _EXPORTS.values()} | {"budget"}
 
 __version__ = "0.1.0"
 
-# Every name imported above, once: the submodules the imports bind are not
-# part of the list.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns a public name, on its first access."""
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    try:
+        module, _, attr = _EXPORTS[name].partition(".")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f".{module}", __name__), attr or name)
+    globals()[name] = value  # later accesses skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

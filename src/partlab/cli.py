@@ -5,49 +5,28 @@ computation error (bad input ranges, exhausted budgets, and the like).
 
 Large counts are printed as decimal strings in JSON output so nothing
 downstream has to parse big integers.
+
+Each subcommand imports the layers it runs inside its handler, and the
+parser's choices are literal names, so `plab count` never loads the rewrite,
+DAG, code or verify layers. The tests check the literals against the
+package's own lists.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import signal
 import sys
 import time
 
 from . import budget
-from . import verify as verify_mod
-from .coefficients import (
-    c_from_product,
-    c_from_recurrence,
-    e_from_recurrence,
-    euler_seq,
-    integrated_f,
-)
-from .codes import (
-    decode_path,
-    enumerate_Bj,
-    from_strict_partition,
-    involution,
-    lemma51,
-    pentagonal_codes,
-    polarity,
-    to_strict_partition,
-    valuation,
-)
-from .dag import (
-    build_dag,
-    emit_dot,
-    enumerate_terminating_paths,
-    extract_from_dag,
-    signed_multiplicities,
-)
-from .engines import EngineKind, make_engine
 from .errors import PartlabError
-from .oracle import p_oracle
-from .rewrite import BUILTIN_NAMES, Primary, builtin_system, eval_atom
-from .verify import VerifyConfig
+
+# str(kind) for kind in EngineKind, rewrite.BUILTIN_NAMES and sorted(verify.SUITES)
+ENGINE_NAMES = ("euler", "integral", "sigma", "minpart", "bounded", "maxpart")
+SYSTEM_NAMES = ("minpart", "bounded", "maxpart")
+SUITE_NAMES = ("claim", "engines", "involution", "lemmas", "rewrite")
 
 
 def _nonneg(text: str) -> int:
@@ -96,23 +75,26 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------- count
 
 COUNT_METHODS = (
-    tuple(str(k) for k in EngineKind)
-    + ("all", "oracle")
-    + tuple(f"rewrite:{name}" for name in BUILTIN_NAMES)
+    ENGINE_NAMES + ("all", "oracle") + tuple(f"rewrite:{name}" for name in SYSTEM_NAMES)
 )
 
 
 def _cmd_count(args) -> int:
     method = args.method
-    if method == "all":
-        results = [(str(kind), make_engine(kind).p(args.n)) for kind in EngineKind]
-    elif method == "oracle":
+    if method == "oracle":
+        from .oracle import p_oracle
+
         results = [("oracle", p_oracle(args.n))]
     elif method.startswith("rewrite:"):
+        from .rewrite import Primary, builtin_system, eval_atom
+
         system = builtin_system(method.removeprefix("rewrite:"))
         results = [(method, eval_atom(system, Primary(args.n)))]
     else:
-        results = [(method, make_engine(method).p(args.n))]
+        from .engines import make_engine
+
+        names = ENGINE_NAMES if method == "all" else (method,)
+        results = [(name, make_engine(name).p(args.n)) for name in names]
     if args.format == "json":
         _emit_json(
             {
@@ -130,12 +112,13 @@ def _cmd_count(args) -> int:
 
 # ---------------------------------------------------------------- coeffs
 
+# series kind -> the coefficients function that computes it
 _SERIES_KINDS = {
-    "e": euler_seq,
-    "f": integrated_f,
-    "c-product": c_from_product,
-    "c-recurrence": c_from_recurrence,
-    "e-recurrence": e_from_recurrence,
+    "e": "euler_seq",
+    "f": "integrated_f",
+    "c-product": "c_from_product",
+    "c-recurrence": "c_from_recurrence",
+    "e-recurrence": "e_from_recurrence",
 }
 _DAG_KINDS = {"dag-minpart": "minpart", "dag-maxpart": "maxpart"}
 COEFF_KINDS = tuple(_SERIES_KINDS) + tuple(_DAG_KINDS)
@@ -144,10 +127,15 @@ COEFF_KINDS = tuple(_SERIES_KINDS) + tuple(_DAG_KINDS)
 def _cmd_coeffs(args) -> int:
     upto = _once(args, "upto", "bound", "--upto")
     if args.kind in _SERIES_KINDS:
-        seq = _SERIES_KINDS[args.kind](upto)
+        from . import coefficients
+
+        seq = getattr(coefficients, _SERIES_KINDS[args.kind])(upto)
         indexed = list(enumerate(seq.values))
         constant = None
     else:
+        from .dag import build_dag, extract_from_dag
+        from .rewrite import builtin_system
+
         system = builtin_system(_DAG_KINDS[args.kind])
         extracted = extract_from_dag(build_dag(system, upto))
         indexed = [(j, extracted.coeffs[j]) for j in range(1, upto + 1)]
@@ -186,9 +174,13 @@ _UPTO_CAPS = {
 
 
 def _cmd_verify(args) -> int:
+    import dataclasses
+
+    from . import verify as verify_mod
+
     config = None
     if args.upto is not None:
-        defaults = VerifyConfig()
+        defaults = verify_mod.VerifyConfig()
         bounds = {
             field: args.upto if cap is None else min(args.upto, cap)
             for field, cap in _UPTO_CAPS.items()
@@ -245,6 +237,15 @@ def _cmd_dag(args) -> int:
     n_tilde = _once(args, "n_tilde", "root index", "--n")
     if args.completion and system_name != "maxpart":
         raise _UsageError("--completion applies to the maxpart system only")
+    from .dag import (
+        build_dag,
+        emit_dot,
+        extract_from_dag,
+        signed_multiplicities,
+        terminating_paths,
+    )
+    from .rewrite import builtin_system
+
     system = builtin_system(system_name, completion=args.completion)
     dag = build_dag(system, n_tilde)
     if args.format == "dot":
@@ -292,7 +293,7 @@ def _cmd_dag(args) -> int:
                 "sign": path.sign,
                 "j": path.j,
             }
-            for path in enumerate_terminating_paths(system, n_tilde)
+            for path in terminating_paths(dag)
         ]
     _emit_json(payload)
     return 0
@@ -300,26 +301,27 @@ def _cmd_dag(args) -> int:
 
 # ---------------------------------------------------------------- involution
 
-def _relation(code, image) -> str:
-    if image == code:
-        return "fixed"
-    if valuation(image) != valuation(code):
-        return "same-sign-pair"
-    return "opposite-sign-pair"
-
-
 def _cmd_involution(args) -> int:
+    from .codes import enumerate_Bj, involution, polarity, valuation
+
     j = args.j
     rows = []
     for code in enumerate_Bj(j) + enumerate_Bj(j - 1):
         image = involution(j, code)
+        v = valuation(code)
+        if image == code:
+            relation = "fixed"
+        elif valuation(image) != v:
+            relation = "same-sign-pair"
+        else:
+            relation = "opposite-sign-pair"
         rows.append(
             {
                 "code": code.bits,
-                "valuation": valuation(code),
+                "valuation": v,
                 "polarity": polarity(code),
                 "image": image.bits,
-                "relation": _relation(code, image),
+                "relation": relation,
             }
         )
     sum_here = sum(r["polarity"] for r in rows if r["valuation"] == j)
@@ -351,6 +353,8 @@ def _cmd_involution(args) -> int:
 # ---------------------------------------------------------------- codes
 
 def _cmd_codes_pentagonal(args) -> int:
+    from .codes import pentagonal_codes, polarity, valuation
+
     codes = pentagonal_codes(args.count)
     if args.format == "json":
         _emit_json(
@@ -366,6 +370,8 @@ def _cmd_codes_pentagonal(args) -> int:
 
 
 def _cmd_codes_decode(args) -> int:
+    from .codes import decode_path, lemma51, polarity, to_strict_partition, valuation
+
     walked = decode_path(args.n_tilde, args.bits)
     report = lemma51(args.n_tilde, args.bits)
     payload = {
@@ -399,6 +405,8 @@ def _cmd_codes_decode(args) -> int:
 
 
 def _cmd_codes_encode(args) -> int:
+    from .codes import from_strict_partition, valuation
+
     code = from_strict_partition(args.parts)
     if args.format == "json":
         _emit_json({"parts": args.parts, "code": code.bits, "valuation": valuation(code)})
@@ -408,6 +416,8 @@ def _cmd_codes_encode(args) -> int:
 
 
 def _cmd_codes_bj(args) -> int:
+    from .codes import enumerate_Bj, polarity, to_strict_partition
+
     codes = enumerate_Bj(args.j)
     if args.format == "json":
         _emit_json(
@@ -429,6 +439,8 @@ def _cmd_codes_bj(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def _cmd_bench(args) -> int:
+    from .engines import EngineKind, make_engine
+
     max_n = _once(args, "max", "sweep bound", "--upto")
     names = list(args.engine or [])
     for chunk in args.methods or []:
@@ -507,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=sorted(verify_mod.SUITES) + ["all"],
+        choices=list(SUITE_NAMES) + ["all"],
     )
     p.add_argument(
         "--upto",
@@ -520,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dag", help="reduction graph of a built-in system")
-    p.add_argument("system", nargs="?", choices=_SystemSlot(sorted(BUILTIN_NAMES)))
-    p.add_argument("--system", dest="system_opt", choices=sorted(BUILTIN_NAMES))
+    p.add_argument("system", nargs="?", choices=_SystemSlot(sorted(SYSTEM_NAMES)))
+    p.add_argument("--system", dest="system_opt", choices=sorted(SYSTEM_NAMES))
     p.add_argument("n_tilde", nargs="?", type=_nonneg)
     p.add_argument("--n", "--n-tilde", dest="n_tilde_opt", metavar="N_OPT", type=_nonneg)
     p.add_argument("--format", choices=["dot", "json", "plain"], default="dot")
@@ -568,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         action="append",
-        choices=[str(k) for k in EngineKind] + ["all"],
+        choices=list(ENGINE_NAMES) + ["all"],
         default=None,
     )
     p.add_argument(

@@ -31,13 +31,22 @@ argument behind the integrated coefficients.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from typing import TYPE_CHECKING
 
-from .dag import AuxVertex, TerminatingPath
 from .errors import InvalidCode, InvalidPartition, NotInDomain, PartlabError
 from .oracle import enumerate_strict, validate_partition
+
+if TYPE_CHECKING:
+    from .dag import TerminatingPath
+
+# Paths come from the dag module, which is loaded whenever a path exists;
+# code_of_path reads AuxVertex from it there, so that loading this module
+# does not load dag and the rewrite layer beneath it.
+_DAG_MODULE = f"{__package__}.dag"
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,8 @@ def lemma51(n_tilde: int, code: "PathCode | str") -> Lemma51Report:
 
 def code_of_path(path: TerminatingPath) -> PathCode:
     """Binary code of a maxpart reduction path (root, aux..., terminal)."""
-    aux = [v for v in path.vertices if isinstance(v, AuxVertex)]
+    aux_vertex = sys.modules[_DAG_MODULE].AuxVertex
+    aux = [v for v in path.vertices if isinstance(v, aux_vertex)]
     if not aux:
         raise ValueError("path has no auxiliary vertices, nothing to encode")
     k0 = aux[0].k

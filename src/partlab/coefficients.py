@@ -23,7 +23,6 @@ and the routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul, sub
 from typing import Iterator
@@ -33,28 +32,55 @@ from .errors import NonIntegralDivision
 _KIND_NAMES = ("e", "f", "c")
 
 
-@dataclass(frozen=True)
 class CoeffSeq:
     """Finite prefix of one of the coefficient sequences.
 
     values[i] is the coefficient at index i. Kind "e" and "f" enforce values
     in {-1, 0, 1}; kind "c" additionally pins c_0 = -1 and c_1 = 0.
+
+    Immutable, compared and hashed by (kind, values). A slotted class rather
+    than a frozen dataclass, so that loading this module, and every engine
+    with it, does not import dataclasses.
     """
+
+    __slots__ = ("kind", "values")
 
     kind: str
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_NAMES:
-            raise ValueError(f"kind must be one of {_KIND_NAMES}, got {self.kind!r}")
-        bad = [v for v in self.values if v not in (-1, 0, 1)]
+    def __init__(self, kind: str, values: tuple[int, ...]) -> None:
+        if kind not in _KIND_NAMES:
+            raise ValueError(f"kind must be one of {_KIND_NAMES}, got {kind!r}")
+        bad = [v for v in values if v not in (-1, 0, 1)]
         if bad:
-            raise ValueError(f"{self.kind}-sequence values outside -1..1: {bad[:4]}")
-        if self.kind == "c":
-            if self.values and self.values[0] != -1:
+            raise ValueError(f"{kind}-sequence values outside -1..1: {bad[:4]}")
+        if kind == "c":
+            if values and values[0] != -1:
                 raise ValueError("c-sequence must start with -1")
-            if len(self.values) > 1 and self.values[1] != 0:
+            if len(values) > 1 and values[1] != 0:
                 raise ValueError("c-sequence must have 0 at index 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: CoeffSeq is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: CoeffSeq is immutable")
+
+    def __reduce__(self):
+        return CoeffSeq, (self.kind, self.values)
+
+    def __repr__(self) -> str:
+        return f"CoeffSeq(kind={self.kind!r}, values={self.values!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CoeffSeq:
+            return NotImplemented
+        return self.kind == other.kind and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.values))
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]

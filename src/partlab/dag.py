@@ -291,7 +291,11 @@ def enumerate_terminating_paths(
     PLAB_BUDGET overrides). Grouping signs by j reproduces the extracted
     coefficients, which the test suite checks.
     """
-    dag = build_dag(system, n_tilde)
+    return terminating_paths(build_dag(system, n_tilde), path_budget)
+
+
+def terminating_paths(dag: Dag, path_budget: int | None = None) -> list[TerminatingPath]:
+    """enumerate_terminating_paths over a graph already built."""
     limit = budget.resolve(path_budget, budget.PATH_BUDGET)
     paths: list[TerminatingPath] = []
     stack: list[tuple[Vertex, tuple[Vertex, ...], int]] = [
@@ -308,7 +312,8 @@ def enumerate_terminating_paths(
             # a bare root (primary ground instance) yields no paths
             if len(paths) > limit:
                 raise BudgetExceeded(
-                    f"{system.name} path enumeration from {n_tilde} exceeded {limit}"
+                    f"{dag.system_name} path enumeration from {dag.n_tilde} "
+                    f"exceeded {limit}"
                 )
             continue
         # reversed keeps first fan branches on top of the stack

@@ -275,6 +275,7 @@ def eval_atom(
     atom: Atom,
     memo: MemoTable | None = None,
     chain_budget: int | None = None,
+    atom_budget: int | None = None,
 ) -> int:
     """Exact value of an atom under the system, memoized into memo.
 
@@ -285,6 +286,12 @@ def eval_atom(
     unless chain_budget or PLAB_BUDGET overrides the bound. Exceeding it, or
     revisiting an atom already under evaluation, raises BudgetExceeded; the
     built-in systems never come near the default bound.
+
+    The whole evaluation may reach at most budget.ATOM_BUDGET atoms: the one
+    it starts from and every fan entry of every atom it grounds. Each entry
+    costs one memo lookup, so this bounds the time as well as the memo, which
+    for P(n) grows like n^2 / 3. An explicit atom_budget sets the limit;
+    otherwise PLAB_BUDGET may raise the default but not lower it.
 
     Rule groups are indexed once per system, and each atom is grounded by the
     helpers that ground_rule, check_unitary and build_dag share; the fan stays
@@ -297,10 +304,13 @@ def eval_atom(
         return value
 
     chain_limit = budget.resolver(chain_budget)
+    atom_limit = budget.resolve_total(atom_budget, budget.ATOM_BUDGET)
+    reached = 1  # atoms reached: the root, then the fan of every atom pushed
     in_progress: set[Atom] = set()
     stack: list[list] = []  # [atom, fan, fan index, acc, depth, limit]
 
     def push(target: Atom, depth: int, limit: int) -> None:
+        nonlocal reached
         if target in in_progress:
             raise BudgetExceeded(f"{system.name}: cyclic reduction through {target!r}")
         if isinstance(target, Primary):
@@ -314,6 +324,12 @@ def eval_atom(
         fired = _fire(system, target)
         if fired is None:
             raise NoRuleApplies(f"{system.name}: no rule applies at {target!r}")
+        reached += len(fired[2])
+        if reached > atom_limit:
+            raise BudgetExceeded(
+                f"{system.name}: evaluating {atom!r} reached {reached} atoms, past "
+                f"the atom budget of {atom_limit} ({budget.ENV_VAR} can raise it)"
+            )
         in_progress.add(target)
         stack.append([target, fired[2], 0, fired[1], depth, limit])
 

@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from partlab import verify
-from partlab.cli import VERIFY_ORACLE_CAP, build_parser, console_main, main
+from partlab import BUILTIN_NAMES, SUITES, EngineKind, dag, verify
+from partlab.cli import (
+    ENGINE_NAMES,
+    SUITE_NAMES,
+    SYSTEM_NAMES,
+    VERIFY_ORACLE_CAP,
+    build_parser,
+    console_main,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -157,6 +165,20 @@ def test_dag_json_with_paths(capsys):
     assert all(set(p) == {"vertices", "sign", "j"} for p in payload["paths"])
 
 
+def test_dag_paths_build_the_graph_once(capsys, monkeypatch):
+    calls = []
+    real = dag.build_dag
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dag, "build_dag", counting)
+    code, out, _ = run(capsys, "dag", "maxpart", "30", "--format", "json", "--paths")
+    assert code == 0 and json.loads(out)["paths"]
+    assert len(calls) == 1
+
+
 def test_dag_flag_spelling(capsys):
     code, out, _ = run(capsys, "dag", "--system", "minpart", "--n", "2")
     positional_code, positional_out, _ = run(capsys, "dag", "minpart", "2")
@@ -284,6 +306,13 @@ def test_budget_failure_exit_code(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_rewrite_count_stops_at_the_default_atom_budget(capsys, monkeypatch):
+    monkeypatch.delenv("PLAB_BUDGET", raising=False)
+    code, out, err = run(capsys, "count", "3000", "--method", "rewrite:bounded")
+    assert (code, out) == (3, "")
+    assert "atom budget of 400000" in err and "PLAB_BUDGET" in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
 def test_malformed_budget_is_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("PLAB_BUDGET", raw)
@@ -339,6 +368,13 @@ def test_closed_pipe_ends_quietly():
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == -signal.SIGPIPE
+
+
+def test_parser_choices_match_the_package():
+    # the parser lists names literally, so that building it imports no layer
+    assert list(ENGINE_NAMES) == [str(k) for k in EngineKind]
+    assert SYSTEM_NAMES == BUILTIN_NAMES
+    assert list(SUITE_NAMES) == sorted(SUITES)
 
 
 def test_parser_is_buildable():

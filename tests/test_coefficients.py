@@ -1,5 +1,8 @@
 """Coefficient sequences: definitions against their independent routes."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +121,34 @@ def test_coeffseq_validation():
         CoeffSeq("q", (0,))
     seq = CoeffSeq("f", (-1, 0, 1))
     assert len(seq) == 3 and seq[2] == 1
+
+
+def test_coeffseq_contract():
+    seq = CoeffSeq("e", (-1, 1, 1, 0))
+    same = CoeffSeq(kind="e", values=(-1, 1, 1, 0))
+    assert seq == same and hash(seq) == hash(same)
+    assert seq != CoeffSeq("f", (-1, 1, 1, 0))  # same values, another kind
+    assert seq != CoeffSeq("e", (-1, 1, 1))
+    assert seq != (-1, 1, 1, 0) and seq != ("e", (-1, 1, 1, 0))
+    assert len({seq, same, CoeffSeq("f", seq.values)}) == 2
+    assert repr(seq) == "CoeffSeq(kind='e', values=(-1, 1, 1, 0))"
+    assert (seq.kind, seq.values, list(seq)) == ("e", (-1, 1, 1, 0), [-1, 1, 1, 0])
+    for field, value in (("kind", "f"), ("values", ()), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(seq, field, value)
+    with pytest.raises(AttributeError):
+        del seq.values
+    assert seq == same
+    assert copy.copy(seq) == pickle.loads(pickle.dumps(seq)) == seq
+    assert euler_seq(3) == seq
+    with pytest.raises(ValueError, match="outside -1..1"):
+        CoeffSeq("f", (0, 2))
+    with pytest.raises(ValueError, match="start with -1"):
+        CoeffSeq("c", (0,))
+    with pytest.raises(ValueError, match="0 at index 1"):
+        CoeffSeq("c", (-1, -1))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        CoeffSeq("x", ())
 
 
 @pytest.mark.parametrize(
