@@ -116,7 +116,6 @@ _EXPORTS = {
         "check_orthogonal",
         "check_unitary",
         "eval_atom",
-        "ground_rule",
         "overlapping_minpart_rules",
     ),
     **_owned_by("verify", "Check", "SUITES", "VerifyConfig", "VerifyReport"),

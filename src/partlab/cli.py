@@ -9,13 +9,16 @@ downstream has to parse big integers.
 Each subcommand imports the layers it runs inside its handler, and the
 parser's choices are literal names, so `plab count` never loads the rewrite,
 DAG, code or verify layers. The tests check the literals against the
-package's own lists.
+package's own lists. json loads only when a command prints JSON, and no
+subcommand loads dataclasses.
+
+`plab ...`, `python -m partlab ...` and `python -m partlab.cli ...` run the
+same command line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 import time
@@ -63,6 +66,8 @@ def _check_budget_setting() -> None:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
@@ -174,8 +179,6 @@ _UPTO_CAPS = {
 
 
 def _cmd_verify(args) -> int:
-    import dataclasses
-
     from . import verify as verify_mod
 
     config = None
@@ -185,7 +188,7 @@ def _cmd_verify(args) -> int:
             field: args.upto if cap is None else min(args.upto, cap)
             for field, cap in _UPTO_CAPS.items()
         }
-        config = dataclasses.replace(defaults, **bounds)
+        config = defaults._replace(**bounds)
         if any(value > getattr(defaults, field) for field, value in bounds.items()):
             print(
                 "warning: bound raised above its default; this may take a while",
@@ -616,3 +619,7 @@ def console_main() -> None:
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

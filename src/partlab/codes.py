@@ -27,15 +27,20 @@ B_j + B_{j-1} pairs codes of equal polarity across the two sets (rule one)
 or of opposite polarity within B_j (rule two), leaving fixed points only at
 pentagonal valuations; it is the executable core of the cancellation
 argument behind the integrated coefficients.
+
+DecodedWalk and Lemma51Report are NamedTuples, so loading this module never
+loads dataclasses (and inspect with it), and each equals the plain tuple of
+its fields. PathCode is a slotted class instead, because it checks on
+construction that its word is over 0/1; it is compared and hashed by its bits
+and equals no string or tuple.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidCode, InvalidPartition, NotInDomain, PartlabError
 from .oracle import enumerate_strict, validate_partition
@@ -49,15 +54,40 @@ if TYPE_CHECKING:
 _DAG_MODULE = f"{__package__}.dag"
 
 
-@dataclass(frozen=True)
 class PathCode:
-    """Binary word; may be empty. bits[0] is the highest index, len(bits)+1."""
+    """Binary word; may be empty. bits[0] is the highest index, len(bits)+1.
+
+    Immutable, compared and hashed by bits.
+    """
+
+    __slots__ = ("bits",)
 
     bits: str
 
-    def __post_init__(self) -> None:
-        if self.bits.strip("01"):
-            raise InvalidCode(f"code must be over 0/1, got {self.bits!r}")
+    def __init__(self, bits: str) -> None:
+        if bits.strip("01"):
+            raise InvalidCode(f"code must be over 0/1, got {bits!r}")
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: PathCode is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: PathCode is immutable")
+
+    def __reduce__(self):
+        return PathCode, (self.bits,)
+
+    def __repr__(self) -> str:
+        return f"PathCode(bits={self.bits!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PathCode:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
 
     @property
     def length(self) -> int:
@@ -127,8 +157,7 @@ class Classification(str, Enum):
     INVALID = "invalid_all_zero"
 
 
-@dataclass(frozen=True)
-class DecodedWalk:
+class DecodedWalk(NamedTuple):
     n_tilde: int
     code: PathCode
     walk: tuple[tuple[int, int], ...]
@@ -179,8 +208,7 @@ def classify(n_tilde: int, code: "PathCode | str") -> Classification:
     return decode_path(n_tilde, c).classification
 
 
-@dataclass(frozen=True)
-class Lemma51Report:
+class Lemma51Report(NamedTuple):
     """Arithmetic path-termination predicates for a code against one n~.
 
     For codes of genuine reduction paths (walks that never touch the wedge

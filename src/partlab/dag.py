@@ -29,16 +29,18 @@ reuses that order and sorts again only for a graph assembled by hand.
 
 AuxVertex, TerminalVertex and DagEdge are NamedTuples, like the atoms, so the
 vertex keys hash and compare in C; a vertex equals the plain tuple of its
-fields, and AuxVertex(n, k) == Auxiliary(n, k). RootVertex is deliberately
-not a tuple: as a 1-tuple, RootVertex(n~) would equal TerminalVertex(n~),
-and both occur in one graph (maxpart at n~ = 6 reaches P(0), terminal j = 6),
-so Dag.out, Dag.constants and signed_multiplicities would merge them.
+fields, and AuxVertex(n, k) == Auxiliary(n, k). The records
+ExtractedRecurrence and TerminatingPath are NamedTuples as well, equal to the
+plain tuples of their fields, so loading this module never loads dataclasses.
+RootVertex is deliberately not a tuple but a slotted class: as a 1-tuple,
+RootVertex(n~) would equal TerminalVertex(n~), and both occur in one graph
+(maxpart at n~ = 6 reaches P(0), terminal j = 6), so Dag.out, Dag.constants
+and signed_multiplicities would merge them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from . import budget
@@ -46,9 +48,38 @@ from .errors import BudgetExceeded, CyclicReduction, NoRuleApplies
 from .rewrite import Auxiliary, Primary, RewriteSystem, RuleKind, _fire
 
 
-@dataclass(frozen=True)
 class RootVertex:
+    """The root of a reduction graph, p(n~) in the primary plane.
+
+    Immutable, compared and hashed by n_tilde, and equal to no other vertex.
+    """
+
+    __slots__ = ("n_tilde",)
+
     n_tilde: int
+
+    def __init__(self, n_tilde: int) -> None:
+        object.__setattr__(self, "n_tilde", n_tilde)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: RootVertex is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: RootVertex is immutable")
+
+    def __reduce__(self):
+        return RootVertex, (self.n_tilde,)
+
+    def __repr__(self) -> str:
+        return f"RootVertex(n_tilde={self.n_tilde!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RootVertex:
+            return NotImplemented
+        return self.n_tilde == other.n_tilde
+
+    def __hash__(self) -> int:
+        return hash((self.n_tilde,))
 
     def dot_name(self) -> str:
         return f"R_{self.n_tilde}"
@@ -224,8 +255,7 @@ def build_dag(
     return dag
 
 
-@dataclass(frozen=True)
-class ExtractedRecurrence:
+class ExtractedRecurrence(NamedTuple):
     """Direct recurrence p(n~) = constant + sum_j coeffs[j] p(n~ - j)."""
 
     n_tilde: int
@@ -268,8 +298,7 @@ def extract_coefficients(
     return extract_from_dag(build_dag(system, n_tilde, vertex_budget))
 
 
-@dataclass(frozen=True)
-class TerminatingPath:
+class TerminatingPath(NamedTuple):
     """One root-to-terminal path.
 
     j is the terminal coefficient index, or None when the path ends at an

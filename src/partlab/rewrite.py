@@ -21,9 +21,9 @@ assume both properties and raise AmbiguousRule when orthogonality breaks.
 A system indexes its rules into R1 and R2 once, when it is built. Grounding
 goes through one path: _fire picks the unique rule of the owning group at an
 atom and _ground instantiates it, checking the family of every fan target.
-ground_rule, eval_atom and the DAG builder all fire through _fire;
-check_unitary grounds every applicable rule through _ground, so that it can
-report on atoms where several rules apply.
+eval_atom and the DAG builder both fire through _fire; check_unitary grounds
+every applicable rule through _ground, so that it can report on atoms where
+several rules apply.
 
 A startup rule may degenerate at particular arguments to an empty fan; such a
 ground instance behaves exactly like a primary one (constant only).
@@ -39,11 +39,18 @@ equals the plain tuple of its fields, Auxiliary(n, k) == (n, k), and so equals
 the DAG vertex AuxVertex(n, k); Primary(n) and Auxiliary(n, k) never compare
 equal, since their lengths differ. Grounding still checks every fan target
 with isinstance, so a body that returns a plain tuple is rejected.
+
+The record types Rule, Region, UnitarityReport and OrthogonalityReport are
+NamedTuples too, so loading this module never loads dataclasses (and inspect
+with it), and each record equals the plain tuple of its fields. Each report
+gets a fresh list when none is given, rather than one default list shared by
+every report. RewriteSystem is a slotted class instead, because it indexes
+its rules into R1 and R2 once, at construction, and those indexes stay
+outside its equality and repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -87,8 +94,7 @@ _RHS_FAMILY = {
 }
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One parameterized rule family.
 
     domain and body receive the atom arguments: (n,) when the left side is a
@@ -108,26 +114,43 @@ class Rule:
         return isinstance(atom, Primary) == self.lhs_primary and bool(self.domain(*atom))
 
 
-@dataclass(frozen=True)
-class GroundRule:
-    rule_name: str
-    kind: RuleKind
-    source: Atom
-    constant: int
-    fan: Fan
-
-
-@dataclass(frozen=True)
 class RewriteSystem:
+    """A named rule tuple, with R1 and R2 split out once at construction.
+
+    Immutable, compared and hashed by (name, rules); the split stays out of
+    equality and repr.
+    """
+
+    __slots__ = ("name", "rules", "_r1", "_r2")
+
     name: str
     rules: tuple[Rule, ...]
-    # R1 and R2, split once at construction
-    _r1: tuple[Rule, ...] = field(init=False, repr=False, compare=False)
-    _r2: tuple[Rule, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_r1", tuple(r for r in self.rules if r.lhs_primary))
-        object.__setattr__(self, "_r2", tuple(r for r in self.rules if not r.lhs_primary))
+    def __init__(self, name: str, rules: tuple[Rule, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_r1", tuple(r for r in rules if r.lhs_primary))
+        object.__setattr__(self, "_r2", tuple(r for r in rules if not r.lhs_primary))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: RewriteSystem is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: RewriteSystem is immutable")
+
+    def __reduce__(self):
+        return RewriteSystem, (self.name, self.rules)
+
+    def __repr__(self) -> str:
+        return f"RewriteSystem(name={self.name!r}, rules={self.rules!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RewriteSystem:
+            return NotImplemented
+        return self.name == other.name and self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.rules))
 
     def group(self, atom: Atom) -> tuple[Rule, ...]:
         """The rules whose group owns this atom family (R1 or R2)."""
@@ -173,20 +196,7 @@ def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan] | None:
     return (fired, *_ground(fired, atom))
 
 
-def ground_rule(system: RewriteSystem, atom: Atom) -> GroundRule | None:
-    """Instantiate the unique applicable rule at atom, or None.
-
-    Raises AmbiguousRule when several rules of the owning group apply.
-    """
-    fired = _fire(system, atom)
-    if fired is None:
-        return None
-    rule, constant, fan = fired
-    return GroundRule(rule.name, rule.kind, atom, constant, fan)
-
-
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Inclusive argument bounds for the hygiene checks."""
 
     n_max: int
@@ -208,22 +218,35 @@ class Region:
         yield from self.auxiliaries()
 
 
-@dataclass
-class UnitarityReport:
+class _UnitarityFields(NamedTuple):
     system: str
     region: Region
-    violations: list[tuple[Atom, str, str]] = field(default_factory=list)
+    violations: list[tuple[Atom, str, str]]
+
+
+class UnitarityReport(_UnitarityFields):
+    __slots__ = ()
+
+    def __new__(cls, system: str, region: Region, violations=None):
+        # a fresh list per report, where a NamedTuple default would share one
+        return super().__new__(cls, system, region, [] if violations is None else violations)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass
-class OrthogonalityReport:
+class _OrthogonalityFields(NamedTuple):
     system: str
     region: Region
-    overlaps: list[tuple[Atom, tuple[str, ...]]] = field(default_factory=list)
+    overlaps: list[tuple[Atom, tuple[str, ...]]]
+
+
+class OrthogonalityReport(_OrthogonalityFields):
+    __slots__ = ()
+
+    def __new__(cls, system: str, region: Region, overlaps=None):
+        return super().__new__(cls, system, region, [] if overlaps is None else overlaps)
 
     @property
     def ok(self) -> bool:
@@ -294,8 +317,8 @@ def eval_atom(
     otherwise PLAB_BUDGET may raise the default but not lower it.
 
     Rule groups are indexed once per system, and each atom is grounded by the
-    helpers that ground_rule, check_unitary and build_dag share; the fan stays
-    on the atom's stack frame, and no GroundRule is made.
+    helpers that check_unitary and build_dag share; the fan stays on the
+    atom's stack frame.
     """
     if memo is None:
         memo = {}

@@ -5,12 +5,16 @@ report. Suites re-derive everything they compare (no frozen tables here), so
 they stay honest under refactoring. Default caps in VerifyConfig are sized
 for an interactive run of a few seconds; the acceptance tests run these
 suites at their larger ``ACCEPTANCE`` bounds.
+
+VerifyConfig, Check and VerifyReport are NamedTuples, so loading this module
+never loads dataclasses (and inspect with it); each equals the plain tuple of
+its fields, and a config with other bounds is made with VerifyConfig._replace.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import (
     c_from_product,
@@ -47,8 +51,7 @@ from .rewrite import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     """Sweep bounds for the suites; every field is an inclusive cap."""
 
     oracle_limit: int = 40
@@ -64,8 +67,7 @@ class VerifyConfig:
     seed: int = 7
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     suite: str
     name: str
     passed: bool
@@ -77,8 +79,7 @@ class Check:
         return f"{mark} {self.suite}:{self.name}{tail}"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property
@@ -337,8 +338,13 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
                 f"bound {cfg.region_bound}",
             )
         )
-    # Every overlap of the naive variant is between its two rules.
-    o = check_orthogonal(overlapping_minpart_rules(), region)
+    # Every overlap of the naive variant is between its two rules. The first
+    # overlap is A(3, 2), since one needs 2 <= k < n, so the region scanned
+    # has bound at least 3.
+    naive_bound = max(cfg.region_bound, 3)
+    o = check_orthogonal(
+        overlapping_minpart_rules(), Region(n_max=naive_bound, k_max=naive_bound)
+    )
     flagged = not o.ok and all(names == ("removal", "split") for _, names in o.overlaps)
     checks.append(
         Check(

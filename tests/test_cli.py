@@ -133,6 +133,14 @@ def test_verify_upto_override(capsys):
     assert "warning" in err  # 60 exceeds a default bound
 
 
+@pytest.mark.parametrize("upto", ["1", "2"])
+def test_verify_small_upto_passes(capsys, upto):
+    # the naive variant's first overlap, A(3, 2), lies outside bound 2
+    code, out, _ = run(capsys, "verify", "--upto", upto)
+    assert code == 0, out
+    assert "ok   rewrite:overlapping-variant-flagged  (1 overlapping atoms)" in out
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "claim", "--format", "json")
     assert code == 0
@@ -368,6 +376,21 @@ def test_closed_pipe_ends_quietly():
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == -signal.SIGPIPE
+
+
+@pytest.mark.parametrize(
+    "module, argv, code, out",
+    [
+        ("partlab", ["count", "100"], 0, "190569292\n"),
+        ("partlab", ["count", "90", "--method", "oracle"], 3, ""),
+        ("partlab.cli", ["count", "10"], 0, "42\n"),
+    ],
+)
+def test_python_dash_m(module, argv, code, out):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
 def test_parser_choices_match_the_package():

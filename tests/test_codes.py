@@ -1,5 +1,8 @@
 """Path codes: arithmetic, decoding, the partition view, and the pairing."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -43,6 +46,18 @@ def test_code_basics():
         code.bit(6)
     with pytest.raises(InvalidCode):
         PathCode("10x1")
+
+
+def test_path_code_contract():
+    code = PathCode("1011")
+    assert code == PathCode(bits="1011") and hash(code) == hash(PathCode("1011"))
+    assert code != PathCode("101") and code != "1011" and code != ("1011",)
+    assert repr(code) == "PathCode(bits='1011')"
+    with pytest.raises(AttributeError):
+        code.bits = "1"
+    with pytest.raises(AttributeError):
+        del code.bits
+    assert copy.copy(code) == pickle.loads(pickle.dumps(code)) == code
 
 
 def test_valuation_and_polarity():

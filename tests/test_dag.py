@@ -1,5 +1,8 @@
 """Reduction graphs: structure, extraction, paths, and DOT output."""
 
+import copy
+import pickle
+
 import pytest
 
 from partlab import (
@@ -265,3 +268,16 @@ def test_root_and_terminal_with_equal_index_stay_apart():
     mult = signed_multiplicities(dag)
     assert len(mult) == len(dag.vertices)
     assert mult[dag.root] == 1
+
+
+def test_root_vertex_contract():
+    root = RootVertex(6)
+    assert root == RootVertex(n_tilde=6) and hash(root) == hash(RootVertex(6))
+    assert root != RootVertex(7) and root != (6,) and root != TerminalVertex(6)
+    assert len({root, TerminalVertex(6), AuxVertex(6, 6)}) == 3
+    assert repr(root) == "RootVertex(n_tilde=6)"
+    with pytest.raises(AttributeError):
+        root.n_tilde = 7
+    with pytest.raises(AttributeError):
+        del root.n_tilde
+    assert copy.copy(root) == pickle.loads(pickle.dumps(root)) == root

@@ -50,19 +50,57 @@ def test_import_loads_no_submodule():
 
 def test_count_loads_only_what_it_runs():
     got = _fresh(
-        "import contextlib, io, json, sys\n"
-        "before = 'dataclasses' in sys.modules\n"
+        "import contextlib, io, sys\n"
+        "before = {m: m in sys.modules for m in ('dataclasses', 'json')}\n"
         "from partlab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    code = main(['count', '10'])\n"
+        "after = {m: m in sys.modules for m in before}\n"
+        "import json\n"
         "print(json.dumps({'code': code, 'out': out.getvalue(), 'loaded': " + LOADED + ",\n"
-        "    'dataclasses': 'dataclasses' in sys.modules, 'before': before}))"
+        "    'after': after, 'before': before}))"
     )
     assert (got["code"], got["out"]) == (0, "42\n")
     assert not {"partlab.verify", "partlab.dag", "partlab.rewrite", "partlab.codes"} & set(
         got["loaded"]
     )
-    assert got["before"] or not got["dataclasses"]
+    assert got["before"]["dataclasses"] or not got["after"]["dataclasses"]
+    assert got["before"]["json"] or not got["after"]["json"]
+
+
+# One argument list for each subcommand shape that perfbench's cli workload runs.
+CLI_SHAPES = (
+    *(["count", "12", "--method", f"rewrite:{name}"] for name in ("minpart", "bounded", "maxpart")),
+    ["coeffs", "dag-maxpart", "10"],
+    ["coeffs", "dag-minpart", "10"],
+    ["dag", "maxpart", "8", "--format", "json", "--paths"],
+    ["involution", "10", "--format", "csv"],
+    ["codes", "pentagonal", "5", "--format", "json"],
+    ["codes", "decode", "10", "1011", "--format", "json"],
+    ["codes", "encode", "5", "3", "2", "--format", "json"],
+    ["codes", "bj", "10", "--format", "json"],
+    ["verify", "claim"],
+    ["verify", "rewrite"],
+    ["bench", "20", "--format", "json"],
+)
+
+
+def test_no_subcommand_loads_dataclasses():
+    # dataclasses costs every plab process its import, and inspect's with it
+    got = _fresh(
+        "import contextlib, io, json, sys\n"
+        "heavy = ('dataclasses', 'inspect')\n"
+        "before = [m for m in heavy if m in sys.modules]\n"
+        "from partlab.cli import main\n"
+        "runs = []\n"
+        f"for argv in {CLI_SHAPES!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    runs.append([argv, code, [m for m in heavy if m in sys.modules and m not in before]])\n"
+        "print(json.dumps(runs))"
+    )
+    assert [(argv, code) for argv, code, _ in got] == [(list(a), 0) for a in CLI_SHAPES]
+    assert [(argv, loaded) for argv, _, loaded in got if loaded] == []
 
 
 def test_first_access_loads_the_owner_once():

@@ -1,5 +1,7 @@
 """Rewrite systems: grounding, hygiene checks, and the atom evaluator."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,20 +11,22 @@ from partlab import (
     Auxiliary,
     BudgetExceeded,
     NoRuleApplies,
+    OrthogonalityReport,
     Primary,
     Region,
     Rule,
     RuleKind,
     RewriteSystem,
+    UnitarityReport,
     build_dag,
     builtin_system,
     check_orthogonal,
     check_unitary,
     eval_atom,
-    ground_rule,
     make_engine,
     overlapping_minpart_rules,
 )
+from partlab.rewrite import _fire
 
 REGION = Region(n_max=40, k_max=40)
 
@@ -76,6 +80,30 @@ def test_atom_contract():
     assert Primary(3) != Auxiliary(3, 0)
 
 
+def test_rewrite_system_contract():
+    system = builtin_system("minpart")
+    same = RewriteSystem(name="minpart", rules=system.rules)
+    assert system == same and hash(system) == hash(same)
+    assert system != RewriteSystem("other", system.rules)
+    assert system != RewriteSystem("minpart", system.rules[:2])
+    assert system != ("minpart", system.rules)
+    assert repr(system) == f"RewriteSystem(name='minpart', rules={system.rules!r})"
+    assert same.group(Primary(1)) == system.rules[:2]  # R1, split on construction
+    with pytest.raises(AttributeError):
+        system.name = "other"
+    with pytest.raises(AttributeError):
+        del system.rules
+    assert copy.copy(system) == system
+
+
+def test_reports_get_fresh_lists():
+    region = Region(n_max=2, k_max=2)
+    for report_type in (UnitarityReport, OrthogonalityReport):
+        first, second = report_type("s", region), report_type("s", region)
+        first[2].append("x")
+        assert second[2] == [] and second.ok and not first.ok
+
+
 def test_memo_reuse():
     system = builtin_system("minpart")
     memo = {}
@@ -87,19 +115,19 @@ def test_memo_reuse():
 
 def test_ground_rule_unique_or_none():
     maxpart = builtin_system("maxpart")
-    g = ground_rule(maxpart, Auxiliary(10, 2))
-    assert g.rule_name == "shift"
-    assert g.fan == ((1, Auxiliary(11, 3)), (-1, Auxiliary(8, 3)))
-    assert ground_rule(maxpart, Auxiliary(1, 5)) is None  # no completion rules
+    rule, constant, fan = _fire(maxpart, Auxiliary(10, 2))
+    assert rule.name == "shift"
+    assert fan == ((1, Auxiliary(11, 3)), (-1, Auxiliary(8, 3)))
+    assert _fire(maxpart, Auxiliary(1, 5)) is None  # no completion rules
     with pytest.raises(NoRuleApplies):
         eval_atom(maxpart, Auxiliary(1, 5))
 
 
 def test_startup_degenerates_to_constant():
     maxpart = builtin_system("maxpart")
-    g = ground_rule(maxpart, Primary(0))
-    assert g.kind == RuleKind.STARTUP
-    assert g.constant == 1 and g.fan == ()
+    rule, constant, fan = _fire(maxpart, Primary(0))
+    assert rule.kind == RuleKind.STARTUP
+    assert constant == 1 and fan == ()
 
 
 def test_group_dispatch():
@@ -128,9 +156,7 @@ def test_overlap_detected():
     report = check_orthogonal(naive, REGION)
     assert not report.ok
     assert (Auxiliary(5, 2), ("removal", "split")) in report.overlaps
-    # both name every rule that applies, in rule order
-    with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\]"):
-        ground_rule(naive, Auxiliary(5, 2))
+    # it names every rule that applies, in rule order
     with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\]"):
         eval_atom(naive, Auxiliary(5, 2))
 
@@ -173,8 +199,6 @@ def test_rhs_family_enforced():
         ),
     )
     with pytest.raises(ValueError):
-        ground_rule(wrong, Auxiliary(1, 1))
-    with pytest.raises(ValueError):
         eval_atom(wrong, Auxiliary(1, 1))
     # a plain tuple equals an atom but belongs to no family
     bare = RewriteSystem(
@@ -188,8 +212,6 @@ def test_rhs_family_enforced():
             ),
         ),
     )
-    with pytest.raises(ValueError):
-        ground_rule(bare, Auxiliary(1, 1))
     with pytest.raises(ValueError):
         eval_atom(bare, Auxiliary(1, 1))
     leaky_startup = RewriteSystem(

@@ -1,11 +1,9 @@
 """The self-check suites and their report plumbing."""
 
-import dataclasses
-
 import pytest
 
 import partlab.verify
-from partlab import Check, SUITES, VerifyConfig, VerifyReport, run_verify
+from partlab import Check, RewriteSystem, SUITES, VerifyConfig, VerifyReport, run_verify
 
 SMALL = VerifyConfig(
     oracle_limit=20,
@@ -44,7 +42,7 @@ def test_termination_check_needs_leftmost_one(monkeypatch):
     monkeypatch.setattr(
         partlab.verify,
         "lemma51",
-        lambda n_tilde, code: dataclasses.replace(real(n_tilde, code), leftmost_one=False),
+        lambda n_tilde, code: real(n_tilde, code)._replace(leftmost_one=False),
     )
     assert failing("lemmas") == {"termination-bounds-match-replay"}
 
@@ -62,8 +60,8 @@ def test_overlap_check_needs_both_rule_names(monkeypatch):
 
     def renamed():
         system = real()
-        split = dataclasses.replace(system.rules[1], name="two-term")
-        return dataclasses.replace(system, rules=(system.rules[0], split))
+        split = system.rules[1]._replace(name="two-term")
+        return RewriteSystem(system.name, (system.rules[0], split))
 
     monkeypatch.setattr(partlab.verify, "overlapping_minpart_rules", renamed)
     assert failing("rewrite") == {"overlapping-variant-flagged"}
