@@ -44,10 +44,8 @@ _EXPORTS = {
         "DecodedWalk",
         "Lemma51Report",
         "PathCode",
-        "classify",
         "code_of_path",
         "decode_path",
-        "edge_count",
         "enumerate_Bj",
         "from_strict_partition",
         "involution",
@@ -76,7 +74,7 @@ _EXPORTS = {
         "signed_multiplicities",
         "terminating_paths",
     ),
-    **_owned_by("engines", "EngineKind", "make_engine", "p_all", "p_euler"),
+    **_owned_by("engines", "EngineKind", "make_engine"),
     **_owned_by(
         "errors",
         "AmbiguousRule",

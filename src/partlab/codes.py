@@ -30,9 +30,9 @@ argument behind the integrated coefficients.
 
 DecodedWalk and Lemma51Report are NamedTuples, so loading this module never
 loads dataclasses (and inspect with it), and each equals the plain tuple of
-its fields. PathCode is a slotted class instead, because it checks on
-construction that its word is over 0/1; it is compared and hashed by its bits
-and equals no string or tuple.
+its fields. PathCode is an immutable value instead (see _value), because it
+checks on construction that its word is over 0/1; it is compared and hashed by
+its bits and equals no string or tuple.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from enum import Enum
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._value import Value
 from .errors import InvalidCode, InvalidPartition, NotInDomain, PartlabError
 from .oracle import enumerate_strict, validate_partition
 
@@ -54,10 +55,10 @@ if TYPE_CHECKING:
 _DAG_MODULE = f"{__package__}.dag"
 
 
-class PathCode:
+class PathCode(Value):
     """Binary word; may be empty. bits[0] is the highest index, len(bits)+1.
 
-    Immutable, compared and hashed by bits.
+    Compared and hashed by bits.
     """
 
     __slots__ = ("bits",)
@@ -68,26 +69,6 @@ class PathCode:
         if bits.strip("01"):
             raise InvalidCode(f"code must be over 0/1, got {bits!r}")
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: PathCode is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: PathCode is immutable")
-
-    def __reduce__(self):
-        return PathCode, (self.bits,)
-
-    def __repr__(self) -> str:
-        return f"PathCode(bits={self.bits!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not PathCode:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
 
     @property
     def length(self) -> int:
@@ -140,21 +121,11 @@ def polarity(code: "PathCode | str") -> int:
     return 1 if c.weight % 2 == 1 else -1
 
 
-def edge_count(code: "PathCode | str") -> int:
-    """Number of auxiliary steps the code encodes: l + 1 - k0."""
-    c = as_code(code)
-    k0 = c.rightmost_one
-    if k0 is None:
-        raise InvalidCode(f"edge count undefined for all-zero code {c.bits!r}")
-    return c.length + 1 - k0
-
-
 class Classification(str, Enum):
     TERMINATING_BELOW = "terminating_below_boundary"
     TERMINATING_AT = "terminating_at_boundary"
     NONTERMINATING = "nonterminating"
     ENTERS_EARLY = "enters_region_early"
-    INVALID = "invalid_all_zero"
 
 
 class DecodedWalk(NamedTuple):
@@ -198,14 +169,6 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
     else:
         cls = Classification.TERMINATING_BELOW
     return DecodedWalk(n_tilde, c, tuple(walk), cls)
-
-
-def classify(n_tilde: int, code: "PathCode | str") -> Classification:
-    """Like decode_path, but total: all-zero maps to the invalid tag."""
-    c = as_code(code)
-    if c.weight == 0:
-        return Classification.INVALID
-    return decode_path(n_tilde, c).classification
 
 
 class Lemma51Report(NamedTuple):

@@ -27,20 +27,19 @@ from math import isqrt
 from operator import mul, sub
 from typing import Iterator
 
+from ._value import Value
 from .errors import NonIntegralDivision
 
 _KIND_NAMES = ("e", "f", "c")
 
 
-class CoeffSeq:
+class CoeffSeq(Value):
     """Finite prefix of one of the coefficient sequences.
 
     values[i] is the coefficient at index i. Kind "e" and "f" enforce values
     in {-1, 0, 1}; kind "c" additionally pins c_0 = -1 and c_1 = 0.
 
-    Immutable, compared and hashed by (kind, values). A slotted class rather
-    than a frozen dataclass, so that loading this module, and every engine
-    with it, does not import dataclasses.
+    An immutable value (see _value), compared and hashed by (kind, values).
     """
 
     __slots__ = ("kind", "values")
@@ -61,26 +60,6 @@ class CoeffSeq:
                 raise ValueError("c-sequence must have 0 at index 1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: CoeffSeq is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: CoeffSeq is immutable")
-
-    def __reduce__(self):
-        return CoeffSeq, (self.kind, self.values)
-
-    def __repr__(self) -> str:
-        return f"CoeffSeq(kind={self.kind!r}, values={self.values!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CoeffSeq:
-            return NotImplemented
-        return self.kind == other.kind and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.values))
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]

@@ -24,18 +24,17 @@ here asserts anything about it beyond structural sanity.
 
 build_dag fires atoms through the rewrite layer's grounding helper, counts
 in-degrees while it adds edges, and keeps the topological order its
-acyclicity check computes; topological_order, and so signed_multiplicities,
-reuses that order and sorts again only for a graph assembled by hand.
+acyclicity check computes; signed_multiplicities sweeps that order.
 
 AuxVertex, TerminalVertex and DagEdge are NamedTuples, like the atoms, so the
 vertex keys hash and compare in C; a vertex equals the plain tuple of its
 fields, and AuxVertex(n, k) == Auxiliary(n, k). The records
 ExtractedRecurrence and TerminatingPath are NamedTuples as well, equal to the
 plain tuples of their fields, so loading this module never loads dataclasses.
-RootVertex is deliberately not a tuple but a slotted class: as a 1-tuple,
-RootVertex(n~) would equal TerminalVertex(n~), and both occur in one graph
-(maxpart at n~ = 6 reaches P(0), terminal j = 6), so Dag.out, Dag.constants
-and signed_multiplicities would merge them.
+RootVertex is deliberately not a tuple but an immutable value (see _value):
+as a 1-tuple, RootVertex(n~) would equal TerminalVertex(n~), and both occur
+in one graph (maxpart at n~ = 6 reaches P(0), terminal j = 6), so Dag.out,
+Dag.constants and signed_multiplicities would merge them.
 """
 
 from __future__ import annotations
@@ -44,14 +43,15 @@ from collections import deque
 from typing import Callable, NamedTuple, Union
 
 from . import budget
+from ._value import Value
 from .errors import BudgetExceeded, CyclicReduction, NoRuleApplies
 from .rewrite import Auxiliary, Primary, RewriteSystem, RuleKind, _fire
 
 
-class RootVertex:
+class RootVertex(Value):
     """The root of a reduction graph, p(n~) in the primary plane.
 
-    Immutable, compared and hashed by n_tilde, and equal to no other vertex.
+    Compared and hashed by n_tilde, and equal to no other vertex.
     """
 
     __slots__ = ("n_tilde",)
@@ -60,26 +60,6 @@ class RootVertex:
 
     def __init__(self, n_tilde: int) -> None:
         object.__setattr__(self, "n_tilde", n_tilde)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: RootVertex is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: RootVertex is immutable")
-
-    def __reduce__(self):
-        return RootVertex, (self.n_tilde,)
-
-    def __repr__(self) -> str:
-        return f"RootVertex(n_tilde={self.n_tilde!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RootVertex:
-            return NotImplemented
-        return self.n_tilde == other.n_tilde
-
-    def __hash__(self) -> int:
-        return hash((self.n_tilde,))
 
     def dot_name(self) -> str:
         return f"R_{self.n_tilde}"
@@ -123,10 +103,7 @@ class Dag:
         self.edges: list[DagEdge] = []
         self.out: dict[Vertex, list[DagEdge]] = {self.root: []}
         self.aux_sinks: set[AuxVertex] = set()  # empty-fan termination vertices
-        self._order: list[Vertex] | None = None  # kept by build_dag
-
-    def aux_vertices(self) -> list[AuxVertex]:
-        return [v for v in self.vertices if isinstance(v, AuxVertex)]
+        self._order: list[Vertex] = [self.root]  # build_dag sets the whole graph's
 
     def terminal_vertices(self) -> list[TerminalVertex]:
         return [v for v in self.vertices if isinstance(v, TerminalVertex)]
@@ -134,27 +111,9 @@ class Dag:
     def constant_at(self, v: Vertex) -> int:
         return self.constants.get(v, 0)
 
-    def _add_edge(self, edge: DagEdge) -> None:
-        self.edges.append(edge)
-        self.out.setdefault(edge.source, []).append(edge)
-        self._order = None
-
     def topological_order(self) -> list[Vertex]:
-        """Kahn order from the root; raises CyclicReduction on a cycle.
-
-        A graph from build_dag returns the order its acyclicity check kept;
-        one assembled by hand is sorted on every call.
-        """
-        if self._order is not None:
-            return list(self._order)
-        position = {v: i for i, v in enumerate(self.vertices)}
-        succ: list[list[int]] = [[] for _ in self.vertices]
-        indeg = [0] * len(self.vertices)
-        for e in self.edges:
-            t = position[e.target]
-            succ[position[e.source]].append(t)
-            indeg[t] += 1
-        return self._kahn(succ, indeg)
+        """The Kahn order from the root that build_dag's acyclicity check kept."""
+        return list(self._order)
 
     def _kahn(self, succ: list[list[int]], indeg: list[int]) -> list[Vertex]:
         """Kahn's sort of the graph by vertex position: successor lists in

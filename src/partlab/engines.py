@@ -268,12 +268,3 @@ _ENGINE_CLASSES = {
 
 def make_engine(kind: EngineKind | str) -> Engine:
     return _ENGINE_CLASSES[EngineKind(kind)]()
-
-
-def p_euler(n: int) -> int:
-    return EulerEngine().p(n)
-
-
-def p_all(n: int) -> dict[EngineKind, int]:
-    """p(n) from every engine, keyed by kind."""
-    return {kind: make_engine(kind).p(n) for kind in EngineKind}

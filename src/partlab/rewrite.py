@@ -44,9 +44,9 @@ The record types Rule, Region, UnitarityReport and OrthogonalityReport are
 NamedTuples too, so loading this module never loads dataclasses (and inspect
 with it), and each record equals the plain tuple of its fields. Each report
 gets a fresh list when none is given, rather than one default list shared by
-every report. RewriteSystem is a slotted class instead, because it indexes
-its rules into R1 and R2 once, at construction, and those indexes stay
-outside its equality and repr.
+every report. RewriteSystem is an immutable value instead (see _value): it
+indexes its rules into R1 and R2 once, at construction, in private slots
+that stay outside its equality and repr.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Union
 
 from . import budget
+from ._value import Value
 from .errors import AmbiguousRule, BudgetExceeded, NoRuleApplies
 
 
@@ -110,15 +111,12 @@ class Rule(NamedTuple):
     def lhs_primary(self) -> bool:
         return self.kind in _LHS_PRIMARY
 
-    def matches(self, atom: Atom) -> bool:
-        return isinstance(atom, Primary) == self.lhs_primary and bool(self.domain(*atom))
 
-
-class RewriteSystem:
+class RewriteSystem(Value):
     """A named rule tuple, with R1 and R2 split out once at construction.
 
-    Immutable, compared and hashed by (name, rules); the split stays out of
-    equality and repr.
+    Compared and hashed by (name, rules); the split stays out of equality and
+    repr.
     """
 
     __slots__ = ("name", "rules", "_r1", "_r2")
@@ -132,32 +130,9 @@ class RewriteSystem:
         object.__setattr__(self, "_r1", tuple(r for r in rules if r.lhs_primary))
         object.__setattr__(self, "_r2", tuple(r for r in rules if not r.lhs_primary))
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: RewriteSystem is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: RewriteSystem is immutable")
-
-    def __reduce__(self):
-        return RewriteSystem, (self.name, self.rules)
-
-    def __repr__(self) -> str:
-        return f"RewriteSystem(name={self.name!r}, rules={self.rules!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RewriteSystem:
-            return NotImplemented
-        return self.name == other.name and self.rules == other.rules
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.rules))
-
     def group(self, atom: Atom) -> tuple[Rule, ...]:
         """The rules whose group owns this atom family (R1 or R2)."""
         return self._r1 if isinstance(atom, Primary) else self._r2
-
-    def rules_of_kind(self, kind: RuleKind) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.kind == kind)
 
 
 def _ground(rule: Rule, atom: Atom) -> tuple[int, Fan]:

@@ -14,6 +14,7 @@ its fields, and a config with other bounds is made with VerifyConfig._replace.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import NamedTuple
 
 from .coefficients import (
@@ -21,6 +22,7 @@ from .coefficients import (
     c_from_recurrence,
     e_from_recurrence,
     euler_e,
+    euler_product,
     euler_seq,
     f_equals_e_predicate,
     integrated_f,
@@ -121,11 +123,14 @@ def engines_suite(cfg: VerifyConfig) -> list[Check]:
 def claim_suite(cfg: VerifyConfig) -> list[Check]:
     """The coefficient quadrangle: product, integrated, and both divisor
     recurrences all describe the same two series, and the closed-form
-    membership predicate marks exactly the indices where they agree."""
+    membership predicate marks exactly the indices where they agree. The
+    full product is -e termwise, so its negated prefix sums are the truncated
+    product too."""
     lim = cfg.series_limit
     e = euler_seq(lim)
     f = integrated_f(lim)
     c = c_from_product(lim)
+    prod = euler_product(lim)
     checks = [
         Check(
             "claim",
@@ -136,7 +141,9 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
         Check(
             "claim",
             "truncated-product-equals-integrated",
-            all(c[n] == f[n] for n in range(lim + 1)),
+            all(c[n] == f[n] for n in range(lim + 1))
+            and all(prod[n] == -e[n] for n in range(lim + 1))
+            and list(accumulate(-v for v in prod.values)) == list(c.values),
             f"n<={lim}",
         ),
         Check(

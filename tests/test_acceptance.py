@@ -21,7 +21,6 @@ from partlab import (
     Classification,
     VerifyConfig,
     builtin_system,
-    classify,
     code_of_path,
     decode_path,
     enumerate_Bj,
@@ -134,7 +133,9 @@ def test_c07_termination_formula(capsys, suites):
         paths = enumerate_terminating_paths(system, n_tilde)
         path_codes = {code_of_path(p).bits for p in paths if p.j is not None}
         codes = (bits for length in range(1, 11) for bits in _codes_of_length(length))
-        terminating_codes = {bits for bits in codes if classify(n_tilde, bits) in terminating}
+        terminating_codes = {
+            bits for bits in codes if decode_path(n_tilde, bits).classification in terminating
+        }
         ok = ok and {b for b in path_codes if len(b) <= 10} == terminating_codes
     detail = "bounds = replay on all codes l<=12, n~<=24; path codes complete to l<=10"
     report(capsys, 7, "termination-formula", ok, detail)

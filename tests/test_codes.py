@@ -13,10 +13,8 @@ from partlab import (
     NotInDomain,
     PathCode,
     builtin_system,
-    classify,
     code_of_path,
     decode_path,
-    edge_count,
     enumerate_Bj,
     enumerate_strict,
     enumerate_terminating_paths,
@@ -75,15 +73,6 @@ def test_valuation_and_polarity():
         polarity("000")
 
 
-def test_edge_count():
-    assert edge_count("1") == 0
-    assert edge_count("1000") == 0
-    assert edge_count("0011") == 3
-    assert edge_count("10100") == 2
-    with pytest.raises(InvalidCode):
-        edge_count("00")
-
-
 def test_decode_worked_examples():
     walked = decode_path(10, "1011")
     assert walked.walk == ((10, 2), (8, 3), (9, 4), (5, 5))
@@ -112,8 +101,7 @@ def test_decode_early_entry():
 def test_decode_all_zero():
     with pytest.raises(InvalidCode):
         decode_path(5, "000")
-    assert classify(5, "000") is Classification.INVALID
-    assert classify(10, "1011") is Classification.TERMINATING_BELOW
+    assert decode_path(10, "1011").classification is Classification.TERMINATING_BELOW
 
 
 def test_lemma_predicates():
@@ -131,8 +119,11 @@ def test_lemma_predicates():
 
 
 def test_walk_length_is_edge_count():
+    # one step per bit left of the rightmost 1: l + 1 - k0 edges
     for bits in ("1", "1011", "10100", "110010"):
-        assert len(decode_path(20, bits).walk) == edge_count(bits) + 1
+        code = PathCode(bits)
+        edges = code.length + 1 - code.rightmost_one
+        assert len(decode_path(20, code).walk) == edges + 1
 
 
 def test_partition_bijection():

@@ -18,7 +18,7 @@ from partlab import (
     euler_seq,
     f_equals_e_predicate,
     integrated_f,
-    p_euler,
+    make_engine,
     pentagonal_index,
     pentagonal_pairs,
     sigma,
@@ -67,7 +67,7 @@ def test_product_is_negated_e():
 def test_product_annihilates_counts():
     # convolving the full product against p gives the delta at 0
     prod = euler_product(60)
-    p = [p_euler(n) for n in range(61)]
+    p = [make_engine("euler").p(n) for n in range(61)]
     for n in range(61):
         conv = sum(prod[k] * p[n - k] for k in range(n + 1))
         assert conv == (1 if n == 0 else 0)

@@ -9,8 +9,6 @@ from partlab import (
     AuxVertex,
     BudgetExceeded,
     CyclicReduction,
-    Dag,
-    DagEdge,
     NoRuleApplies,
     RootVertex,
     Rule,
@@ -55,7 +53,7 @@ def test_minpart_two_structure():
     dag = build_dag(builtin_system("minpart"), 2)
     assert isinstance(dag.root, RootVertex) and dag.root.n_tilde == 2
     assert len(dag.vertices) == 7
-    assert {v for v in dag.aux_vertices()} == {
+    assert {v for v in dag.vertices if isinstance(v, AuxVertex)} == {
         AuxVertex(2, 1),
         AuxVertex(2, 2),
         AuxVertex(1, 1),
@@ -87,7 +85,11 @@ def test_dot_is_deterministic():
 def test_maxpart_four_structure():
     dag = build_dag(builtin_system("maxpart"), 4)
     assert dag.constant_at(dag.root) == 1
-    assert set(dag.aux_vertices()) == {AuxVertex(4, 2), AuxVertex(4, 3), AuxVertex(4, 4)}
+    assert {v for v in dag.vertices if isinstance(v, AuxVertex)} == {
+        AuxVertex(4, 2),
+        AuxVertex(4, 3),
+        AuxVertex(4, 4),
+    }
     assert {v.j for v in dag.terminal_vertices()} == {2, 3, 4}
 
 
@@ -223,23 +225,10 @@ def test_cyclic_graph_rejected():
 @pytest.mark.parametrize("name", ["minpart", "bounded", "maxpart"])
 def test_kept_order_is_topological(name):
     dag = build_dag(builtin_system(name), 12)
-    for order in (dag._order, dag.topological_order()):
-        assert sorted(order, key=dag.vertices.index) == dag.vertices
-        position = {v: i for i, v in enumerate(order)}
-        assert all(position[e.source] < position[e.target] for e in dag.edges)
-
-
-def test_hand_built_dag_is_sorted_on_demand():
-    dag = Dag("hand", 3)
-    a, b, t = AuxVertex(1, 1), AuxVertex(2, 2), TerminalVertex(1)
-    dag.vertices += [t, a, b]  # listed against the edge direction
-    edges = [(dag.root, a, 1), (dag.root, b, 1), (b, a, 1), (a, t, -1)]
-    for i, (source, target, sign) in enumerate(edges):
-        dag._add_edge(DagEdge(source, target, sign, "hand", i))
-    assert signed_multiplicities(dag) == {dag.root: 1, t: -2, a: 2, b: 1}
-    dag._add_edge(DagEdge(t, b, 1, "hand", 4))  # closes a cycle
-    with pytest.raises(CyclicReduction):
-        signed_multiplicities(dag)
+    order = dag.topological_order()
+    assert sorted(order, key=dag.vertices.index) == dag.vertices
+    position = {v: i for i, v in enumerate(order)}
+    assert all(position[e.source] < position[e.target] for e in dag.edges)
 
 
 def test_terminal_vertices_shared():

@@ -12,7 +12,6 @@ from partlab import (
     NonIntegralDivision,
     integrated_f,
     make_engine,
-    p_all,
     pentagonal_pairs,
     sigma_table,
 )
@@ -32,12 +31,6 @@ def test_against_oracle(kind, oracle_counts):
     engine = make_engine(kind)
     for n, want in enumerate(oracle_counts):
         assert engine.p(n) == want
-
-
-def test_p_all_agrees():
-    for n in (0, 7, 19, 64):
-        values = set(p_all(n).values())
-        assert len(values) == 1
 
 
 def test_monotone_growth():

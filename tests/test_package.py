@@ -1,17 +1,19 @@
 """The package's export list and its lazy loading."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import pytest
 
 import partlab
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SUBMODULES = (
     "budget", "codes", "coefficients", "dag", "engines", "errors", "oracle", "rewrite",
     "verify",
@@ -28,6 +30,29 @@ def test_all_lists_every_public_name_once():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert set(partlab.__all__) == public
+
+
+def _names_used(paths) -> set[str]:
+    """Every name read, attribute accessed and string constant in the files."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def test_every_exported_function_is_run():
+    # an exported function that neither the package nor perfbench reaches is
+    # run by its own tests alone
+    modules = [p for p in (SRC / "partlab").glob("*.py") if p.name != "__init__.py"]
+    used = _names_used([*modules, *(ROOT / "perfbench").glob("*.py")])
+    functions = [n for n in partlab.__all__ if isinstance(getattr(partlab, n), FunctionType)]
+    assert [n for n in functions if n not in used] == []
 
 
 def _fresh(code: str) -> dict:

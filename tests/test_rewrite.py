@@ -136,7 +136,7 @@ def test_group_dispatch():
     aux_rules = {r.name for r in minpart.group(Auxiliary(5, 2))}
     assert primary_rules == {"base", "expand"}
     assert aux_rules == {"ones", "step", "void"}
-    assert {r.name for r in minpart.rules_of_kind(RuleKind.TERMINATION)} == {
+    assert {r.name for r in minpart.rules if r.kind is RuleKind.TERMINATION} == {
         "ones",
         "void",
     }
@@ -282,16 +282,6 @@ def test_region_iteration():
     assert len(list(region.primaries())) == 3
     assert len(list(region.auxiliaries())) == 9
     assert len(list(region.atoms())) == 12
-
-
-def test_rule_matches_respects_family():
-    minpart = builtin_system("minpart")
-    base = next(r for r in minpart.rules if r.name == "base")
-    step = next(r for r in minpart.rules if r.name == "step")
-    assert base.matches(Primary(0))
-    assert not base.matches(Auxiliary(0, 1))
-    assert step.matches(Auxiliary(5, 3))
-    assert not step.matches(Primary(5))
 
 
 def test_builtin_system_validation():

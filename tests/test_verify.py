@@ -3,7 +3,15 @@
 import pytest
 
 import partlab.verify
-from partlab import Check, RewriteSystem, SUITES, VerifyConfig, VerifyReport, run_verify
+from partlab import (
+    Check,
+    CoeffSeq,
+    RewriteSystem,
+    SUITES,
+    VerifyConfig,
+    VerifyReport,
+    run_verify,
+)
 
 SMALL = VerifyConfig(
     oracle_limit=20,
@@ -65,6 +73,21 @@ def test_overlap_check_needs_both_rule_names(monkeypatch):
 
     monkeypatch.setattr(partlab.verify, "overlapping_minpart_rules", renamed)
     assert failing("rewrite") == {"overlapping-variant-flagged"}
+
+
+def test_product_check_needs_euler_product(monkeypatch):
+    real = partlab.verify.euler_product
+
+    def flipped(upto):
+        values = list(real(upto).values)
+        values[7] = -values[7]  # the pentagonal term at 7, nonzero
+        return CoeffSeq("e", tuple(values))
+
+    monkeypatch.setattr(partlab.verify, "euler_product", flipped)
+    failures = run_verify("all", SMALL).failures
+    assert [(c.suite, c.name) for c in failures] == [
+        ("claim", "truncated-product-equals-integrated")
+    ]
 
 
 def test_unknown_suite():
