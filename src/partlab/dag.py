@@ -22,9 +22,11 @@ pentagonal sign sequence e with constant 0. The bounded system builds and
 extracts fine but its all-positive fans make path counts explode, so nothing
 here asserts anything about it beyond structural sanity.
 
-build_dag fires atoms through the rewrite layer's grounding helper, counts
-in-degrees while it adds edges, and keeps the topological order its
-acyclicity check computes; signed_multiplicities sweeps that order.
+build_dag fires atoms through the rewrite layer's _fire, which reads the
+system's firing tables, in one loop over the atoms it reaches. It keys every
+vertex but the root by the atom it stands for, counts in-degrees while it adds
+edges, and keeps the topological order its acyclicity check computes;
+signed_multiplicities sweeps that order.
 
 AuxVertex, TerminalVertex and DagEdge are NamedTuples, like the atoms, so the
 vertex keys hash and compare in C; a vertex equals the plain tuple of its
@@ -45,7 +47,7 @@ from typing import Callable, NamedTuple, Union
 from . import budget
 from ._value import Value
 from .errors import BudgetExceeded, CyclicReduction, NoRuleApplies
-from .rewrite import Auxiliary, Primary, RewriteSystem, RuleKind, _fire
+from .rewrite import Atom, Auxiliary, Primary, RewriteSystem, RuleKind, _fire
 
 
 class RootVertex(Value):
@@ -154,61 +156,55 @@ def build_dag(
         raise NoRuleApplies(f"{system.name}: no rule applies at P({n_tilde})")
     dag.constants[dag.root] = fired[1]
 
-    # positions in dag.vertices: auxiliaries keyed by their atom, terminals by j
-    seen: dict[Auxiliary, int] = {}
-    terminals: dict[int, int] = {}
+    # positions in dag.vertices, keyed by the atom a vertex stands for: P(u) for
+    # terminal n~ - u, A(n, k) for its auxiliary vertex; the root is not keyed,
+    # since P(n~) reached by a fan is terminal 0
+    position: dict[Atom, int] = {}
     vertices = dag.vertices
     # the graph by position, counted as edges are added, for the final sort
     succ: list[list[int]] = [[]]
     indeg: list[int] = [0]
     work: deque[tuple[int, Auxiliary]] = deque()
 
-    def place(vertex: Vertex) -> int:
-        vertices.append(vertex)
-        if len(vertices) > limit:
-            raise BudgetExceeded(
-                f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
-            )
-        succ.append([])
-        indeg.append(0)
-        return len(indeg) - 1
-
-    def add_fan(source: Vertex, s: int, rule_name: str, fan) -> None:
-        if not fan:
-            return
-        out = dag.out.setdefault(source, [])
-        targets = succ[s]
-        for i, (sign, target) in enumerate(fan):
-            if isinstance(target, Primary):
-                j = n_tilde - target.n
-                t = terminals.get(j)
+    # the root's fan, then the fan of each auxiliary atom in the order reached
+    s, source, (rule, _, fan) = 0, dag.root, fired
+    while True:
+        if fan:
+            out = []
+            targets = succ[s]
+            name = rule.name
+            for i, (sign, target) in enumerate(fan):
+                t = position.get(target)
                 if t is None:
-                    t = terminals[j] = place(TerminalVertex(j))
-            else:
-                t = seen.get(target)
-                if t is None:
-                    t = seen[target] = place(AuxVertex(*target))
-                    work.append((t, target))
-            edge = DagEdge(source, vertices[t], sign, rule_name, i)
-            dag.edges.append(edge)
-            out.append(edge)
-            targets.append(t)
-            indeg[t] += 1
-
-    add_fan(dag.root, 0, fired[0].name, fired[2])
-
-    while work:
+                    t = position[target] = len(vertices)
+                    if isinstance(target, Primary):
+                        vertices.append(TerminalVertex(n_tilde - target.n))
+                    else:
+                        vertices.append(AuxVertex(*target))
+                        work.append((t, target))
+                    if t >= limit:
+                        raise BudgetExceeded(
+                            f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
+                        )
+                    succ.append([])
+                    indeg.append(0)
+                out.append(DagEdge(source, vertices[t], sign, name, i))
+                targets.append(t)
+                indeg[t] += 1
+            dag.out[source] = out
+            dag.edges += out
+        if not work:
+            break
         s, atom = work.popleft()
         fired = _fire(system, atom)
         if fired is None:
             raise NoRuleApplies(f"{system.name}: no rule applies at {atom!r}")
         rule, constant, fan = fired
-        vertex = vertices[s]
+        source = vertices[s]
         if constant:
-            dag.constants[vertex] = constant
+            dag.constants[source] = constant
         if rule.kind == RuleKind.TERMINATION and not fan:
-            dag.aux_sinks.add(vertex)
-        add_fan(vertex, s, rule.name, fan)
+            dag.aux_sinks.add(source)
 
     dag._order = dag._kahn(succ, indeg)  # acyclicity check on every build, kept
     return dag

@@ -18,12 +18,14 @@ coefficients in {-1, 0, 1} with pairwise distinct targets. check_orthogonal
 and check_unitary report violations as data; eval_atom and the DAG builder
 assume both properties and raise AmbiguousRule when orthogonality breaks.
 
-A system indexes its rules into R1 and R2 once, when it is built. Grounding
-goes through one path: _fire picks the unique rule of the owning group at an
-atom and _ground instantiates it, checking the family of every fan target.
-eval_atom and the DAG builder both fire through _fire; check_unitary grounds
-every applicable rule through _ground, so that it can report on atoms where
-several rules apply.
+A system builds one firing table per group once, when it is built: a tuple
+of plain (rule, domain, body, family) entries, family being the atom type the
+rule kind rewrites into. Grounding goes through one path: _fire calls every
+domain of the owning group's table at an atom, and _ground instantiates the
+entry that applies, checking the family of every fan target. eval_atom and
+the DAG builder both fire through _fire; check_unitary grounds every
+applicable entry through _ground, so that it can report on atoms where several
+rules apply, and check_orthogonal scans the same tables.
 
 A startup rule may degenerate at particular arguments to an empty fan; such a
 ground instance behaves exactly like a primary one (constant only).
@@ -45,8 +47,8 @@ NamedTuples too, so loading this module never loads dataclasses (and inspect
 with it), and each record equals the plain tuple of its fields. Each report
 gets a fresh list when none is given, rather than one default list shared by
 every report. RewriteSystem is an immutable value instead (see _value): it
-indexes its rules into R1 and R2 once, at construction, in private slots
-that stay outside its equality and repr.
+keeps its two firing tables in private slots that stay outside its equality,
+hash, repr and pickling, so a copy or an unpickled system builds its own.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ class Rule(NamedTuple):
 
 
 class RewriteSystem(Value):
-    """A named rule tuple, with R1 and R2 split out once at construction.
+    """A named rule tuple, with a firing table for R1 and one for R2 built
+    once at construction.
 
-    Compared and hashed by (name, rules); the split stays out of equality and
-    repr.
+    Compared and hashed by (name, rules); the tables stay out of equality,
+    hash, repr and pickling, and every copy builds its own.
     """
 
     __slots__ = ("name", "rules", "_r1", "_r2")
@@ -127,48 +130,62 @@ class RewriteSystem(Value):
     def __init__(self, name: str, rules: tuple[Rule, ...]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_r1", tuple(r for r in rules if r.lhs_primary))
-        object.__setattr__(self, "_r2", tuple(r for r in rules if not r.lhs_primary))
+        object.__setattr__(self, "_r1", _firing_table(r for r in rules if r.lhs_primary))
+        object.__setattr__(self, "_r2", _firing_table(r for r in rules if not r.lhs_primary))
 
     def group(self, atom: Atom) -> tuple[Rule, ...]:
         """The rules whose group owns this atom family (R1 or R2)."""
+        return tuple(entry[0] for entry in self._table(atom))
+
+    def _table(self, atom: Atom) -> tuple[_Entry, ...]:
+        """The firing table of the group that owns this atom family."""
         return self._r1 if isinstance(atom, Primary) else self._r2
 
 
-def _ground(rule: Rule, atom: Atom) -> tuple[int, Fan]:
-    """(constant, fan) of rule at atom; every fan target must belong to the
-    family the rule kind rewrites into."""
-    constant, fan = rule.body(*atom)
+# A firing-table entry: (rule, rule.domain, rule.body, family of its fan
+# targets), read by index on every grounding.
+_Entry = tuple[Rule, Callable[..., bool], Callable[..., tuple[int, Fan]], type]
+
+
+def _firing_table(rules: Iterator[Rule]) -> tuple[_Entry, ...]:
+    return tuple((rule, rule.domain, rule.body, _RHS_FAMILY[rule.kind]) for rule in rules)
+
+
+def _ground(entry: _Entry, atom: Atom) -> tuple[Rule, int, Fan]:
+    """(rule, constant, fan) of an entry's rule at atom; every fan target must
+    belong to the family the rule kind rewrites into."""
+    constant, fan = entry[2](*atom)
     fan = tuple(fan)
-    family = _RHS_FAMILY[rule.kind]
-    for sign, target in fan:
+    family = entry[3]
+    for _, target in fan:
         if not isinstance(target, family):
+            rule = entry[0]
             raise ValueError(
                 f"rule {rule.name!r} ({rule.kind.value}) produced a "
                 f"{type(target).__name__} target at {atom!r}"
             )
-    return constant, fan
+    return entry[0], constant, fan
 
 
 def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan] | None:
     """(rule, constant, fan) of the unique applicable rule at atom, or None.
 
-    Scans the whole owning group, so AmbiguousRule names every rule that
-    applies, in rule order.
+    Calls every domain of the owning group, so AmbiguousRule names every rule
+    that applies, in rule order.
     """
-    rules = system.group(atom)
+    table = system._r1 if isinstance(atom, Primary) else system._r2  # _table, inlined
     fired = None
-    for rule in rules:
-        if rule.domain(*atom):
+    for entry in table:
+        if entry[1](*atom):
             if fired is not None:
-                names = ", ".join(r.name for r in rules if r.domain(*atom))
+                names = ", ".join(e[0].name for e in table if e[1](*atom))
                 raise AmbiguousRule(
                     f"{system.name}: rules [{names}] all apply at {atom!r}"
                 )
-            fired = rule
+            fired = entry
     if fired is None:
         return None
-    return (fired, *_ground(fired, atom))
+    return _ground(fired, atom)
 
 
 class Region(NamedTuple):
@@ -233,10 +250,10 @@ def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
     and repeated fan targets."""
     report = UnitarityReport(system.name, region)
     for atom in region.atoms():
-        for rule in system.group(atom):
-            if not rule.domain(*atom):
+        for entry in system._table(atom):
+            if not entry[1](*atom):
                 continue
-            _, fan = _ground(rule, atom)
+            rule, _, fan = _ground(entry, atom)
             seen: set[Atom] = set()
             for sign, target in fan:
                 if sign not in (-1, 0, 1):
@@ -255,7 +272,7 @@ def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityRepo
     """Flag ground atoms where more than one rule of the owning group applies."""
     report = OrthogonalityReport(system.name, region)
     for atom in region.atoms():
-        names = tuple(r.name for r in system.group(atom) if r.domain(*atom))
+        names = tuple(e[0].name for e in system._table(atom) if e[1](*atom))
         if len(names) > 1:
             report.overlaps.append((atom, names))
     return report
@@ -291,9 +308,13 @@ def eval_atom(
     for P(n) grows like n^2 / 3. An explicit atom_budget sets the limit;
     otherwise PLAB_BUDGET may raise the default but not lower it.
 
-    Rule groups are indexed once per system, and each atom is grounded by the
-    helpers that check_unitary and build_dag share; the fan stays on the
-    atom's stack frame.
+    Atoms are fired through the system's firing tables, by the helpers that
+    check_unitary and build_dag share, in the one loop that also sums fans: a
+    fan is summed over its memoized prefix, and the first atom missing from
+    the memo is grounded there, after the checks above in a fixed order
+    (cycle, chain limit, no rule, atom budget). The frame being summed lives
+    in local variables; only the frames below it are kept on the explicit
+    stack, each with the iterator over its fan.
     """
     if memo is None:
         memo = {}
@@ -303,12 +324,13 @@ def eval_atom(
 
     chain_limit = budget.resolver(chain_budget)
     atom_limit = budget.resolve_total(atom_budget, budget.ATOM_BUDGET)
-    reached = 1  # atoms reached: the root, then the fan of every atom pushed
+    reached = 1  # atoms reached: the root, then the fan of every atom grounded
     in_progress: set[Atom] = set()
-    stack: list[list] = []  # [atom, fan, fan index, acc, depth, limit]
-
-    def push(target: Atom, depth: int, limit: int) -> None:
-        nonlocal reached
+    stack: list[tuple] = []  # (atom, fan iterator, sign, acc, depth, limit)
+    get = memo.get
+    # the atom to ground next, and the depth and limit of the chain it extends
+    target, depth, limit = atom, 0, chain_limit(_default_chain_limit(atom))
+    while True:
         if target in in_progress:
             raise BudgetExceeded(f"{system.name}: cyclic reduction through {target!r}")
         if isinstance(target, Primary):
@@ -322,42 +344,34 @@ def eval_atom(
         fired = _fire(system, target)
         if fired is None:
             raise NoRuleApplies(f"{system.name}: no rule applies at {target!r}")
-        reached += len(fired[2])
+        _, acc, fan = fired
+        reached += len(fan)
         if reached > atom_limit:
             raise BudgetExceeded(
                 f"{system.name}: evaluating {atom!r} reached {reached} atoms, past "
                 f"the atom budget of {atom_limit} ({budget.ENV_VAR} can raise it)"
             )
         in_progress.add(target)
-        stack.append([target, fired[2], 0, fired[1], depth, limit])
-
-    push(atom, 0, chain_limit(_default_chain_limit(atom)))
-    get = memo.get
-    while stack:
-        frame = stack[-1]
-        _, fan, i, acc, depth, limit = frame
-        end = len(fan)
-        while i < end:
-            sign, target = fan[i]
-            value = get(target, _MISSING)
-            if value is _MISSING:
-                break
-            acc += sign * value
-            i += 1
-        if i < end:
-            frame[2], frame[3] = i, acc
-            push(target, depth, limit)
-            continue
-        done = frame[0]
-        memo[done] = acc
-        in_progress.discard(done)
-        stack.pop()
-        if stack:
-            # fold the finished value into the frame that pushed it
-            parent = stack[-1]
-            parent[3] += parent[1][parent[2]][0] * acc
-            parent[2] += 1
-    return memo[atom]
+        top, entries = target, iter(fan)
+        while True:
+            # sum the memoized prefix of the fan; stop at the first atom missing
+            for sign, target in entries:
+                value = get(target, _MISSING)
+                if value is _MISSING:
+                    break
+                acc += sign * value
+            else:
+                memo[top] = acc
+                in_progress.discard(top)
+                if not stack:
+                    return acc
+                # fold the finished value into the frame that reached it
+                done = acc
+                top, entries, sign, acc, depth, limit = stack.pop()
+                acc += sign * done
+                continue
+            stack.append((top, entries, sign, acc, depth, limit))
+            break  # ground target, then come back to this frame
 
 
 # ---------------------------------------------------------------------------

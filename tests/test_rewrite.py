@@ -1,6 +1,7 @@
 """Rewrite systems: grounding, hygiene checks, and the atom evaluator."""
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,64 @@ def test_rewrite_system_contract():
     with pytest.raises(AttributeError):
         del system.rules
     assert copy.copy(system) == system
+    # a copy or an unpickled system goes through __init__ and builds its own
+    # firing tables, which equality, hash and repr ignore
+    original = RewriteSystem("maxpart-by-name", _MAXPART_BY_NAME)
+    want_p30 = eval_atom(original, Primary(30))
+    assert want_p30 == make_engine("euler").p(30)
+    for twin in (
+        copy.copy(original),
+        copy.deepcopy(original),
+        pickle.loads(pickle.dumps(original)),
+    ):
+        assert twin == original and hash(twin) == hash(original)
+        assert repr(twin) == repr(original)
+        assert twin._r1 is not original._r1 and twin._r2 is not original._r2
+        assert eval_atom(twin, Primary(30)) == want_p30
+        assert _dag_sizes(build_dag(twin, 20)) == _dag_sizes(build_dag(original, 20))
+
+
+# maxpart's rules as module-level functions, which pickle by name
+def _expand_domain(n):
+    return n >= 0
+
+
+def _expand_body(n):
+    return 1, tuple((1, Auxiliary(n, k)) for k in range(2, n + 1))
+
+
+def _single_domain(n, k):
+    return 2 <= k <= n <= 2 * k
+
+
+def _single_body(n, k):
+    return 0, ((1, Primary(n - k)),)
+
+
+def _shift_domain(n, k):
+    return k >= 2 and n > 2 * k
+
+
+def _shift_body(n, k):
+    return 0, ((1, Auxiliary(n + 1, k + 1)), (-1, Auxiliary(n - k, k + 1)))
+
+
+_MAXPART_BY_NAME = (
+    Rule("expand", RuleKind.STARTUP, _expand_domain, _expand_body),
+    Rule("single", RuleKind.TERMINATION, _single_domain, _single_body),
+    Rule("shift", RuleKind.AUXILIARY, _shift_domain, _shift_body),
+)
+
+
+def _dag_sizes(dag):
+    return len(dag.vertices), len(dag.edges), len(dag.terminal_vertices())
+
+
+def _started(system, atom):
+    """system with a startup rule taking every P(n) to atom, so that build_dag
+    reaches atom from any root."""
+    start = Rule("start", RuleKind.STARTUP, lambda n: True, lambda n: (0, ((1, atom),)))
+    return RewriteSystem(system.name, (start, *system.rules))
 
 
 def test_reports_get_fresh_lists():
@@ -119,7 +178,7 @@ def test_ground_rule_unique_or_none():
     assert rule.name == "shift"
     assert fan == ((1, Auxiliary(11, 3)), (-1, Auxiliary(8, 3)))
     assert _fire(maxpart, Auxiliary(1, 5)) is None  # no completion rules
-    with pytest.raises(NoRuleApplies):
+    with pytest.raises(NoRuleApplies, match=r"^maxpart: no rule applies at A\(1,5\)$"):
         eval_atom(maxpart, Auxiliary(1, 5))
 
 
@@ -159,6 +218,10 @@ def test_overlap_detected():
     # it names every rule that applies, in rule order
     with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\]"):
         eval_atom(naive, Auxiliary(5, 2))
+    with pytest.raises(
+        AmbiguousRule, match=r"^minpart-naive: rules \[removal, split\] all apply at A\(5,2\)$"
+    ):
+        build_dag(_started(naive, Auxiliary(5, 2)), 5)
 
 
 def test_unitarity_violations_reported():
@@ -198,8 +261,11 @@ def test_rhs_family_enforced():
             ),
         ),
     )
-    with pytest.raises(ValueError):
+    leak = r"^rule 'leak' \(termination\) produced a Auxiliary target at A\(1,1\)$"
+    with pytest.raises(ValueError, match=leak):
         eval_atom(wrong, Auxiliary(1, 1))
+    with pytest.raises(ValueError, match=leak):
+        build_dag(_started(wrong, Auxiliary(1, 1)), 3)
     # a plain tuple equals an atom but belongs to no family
     bare = RewriteSystem(
         "bare",
@@ -212,8 +278,10 @@ def test_rhs_family_enforced():
             ),
         ),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"produced a tuple target at A\(1,1\)$"):
         eval_atom(bare, Auxiliary(1, 1))
+    with pytest.raises(ValueError, match=r"produced a tuple target at A\(1,1\)$"):
+        build_dag(_started(bare, Auxiliary(1, 1)), 3)
     leaky_startup = RewriteSystem(
         "leaky-startup",
         (
@@ -225,8 +293,10 @@ def test_rhs_family_enforced():
             ),
         ),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rule 'start' \(startup\) produced a Primary"):
         build_dag(leaky_startup, 3)
+    with pytest.raises(ValueError, match=r"^rule 'start' \(startup\) produced a Primary"):
+        eval_atom(leaky_startup, Primary(3))
 
 
 def test_runaway_chain_hits_budget():
@@ -247,10 +317,16 @@ def test_runaway_chain_hits_budget():
             ),
         ),
     )
-    with pytest.raises(BudgetExceeded):
+    # P(3) opens a chain of at most 10 * (3 + 1) applications; A(3, k) is its
+    # (k + 2)nd
+    with pytest.raises(
+        BudgetExceeded, match=r"^runaway: chain exceeded 40 applications at A\(3,39\)$"
+    ):
         eval_atom(runaway, Primary(3))
     # a generous explicit budget changes nothing: the chain never ends
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(
+        BudgetExceeded, match=r"^runaway: chain exceeded 5000 applications at A\(3,4999\)$"
+    ):
         eval_atom(runaway, Primary(3), chain_budget=5000)
 
 
@@ -266,14 +342,16 @@ def test_cyclic_reduction_detected():
             ),
         ),
     )
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^loop: cyclic reduction through A\(2,2\)$"):
         eval_atom(loop, Auxiliary(2, 2))
 
 
 def test_chain_budget_env_override(monkeypatch):
     monkeypatch.setenv("PLAB_BUDGET", "2")
     # minpart needs longer chains than 2 once n grows
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(
+        BudgetExceeded, match=r"^minpart: chain exceeded 2 applications at A\(0,1\)$"
+    ):
         eval_atom(builtin_system("minpart"), Primary(12))
 
 
