@@ -35,7 +35,6 @@ _EXPORTS = {
         "integrated_f",
         "pentagonal_index",
         "pentagonal_pairs",
-        "sigma",
         "sigma_table",
     ),
     **_owned_by(

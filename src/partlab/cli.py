@@ -447,7 +447,10 @@ def _cmd_bench(args) -> int:
     max_n = _once(args, "max", "sweep bound", "--upto")
     names = list(args.engine or [])
     for chunk in args.methods or []:
-        names.extend(part.strip() for part in chunk.split(",") if part.strip())
+        named = [part.strip() for part in chunk.split(",") if part.strip()]
+        if not named:
+            raise _UsageError(f"--methods {chunk!r} names no engine")
+        names.extend(named)
     if not names or "all" in names:
         kinds = list(EngineKind)
     else:

@@ -88,12 +88,6 @@ class PathCode(Value):
         last = self.bits.rfind("1")
         return None if last < 0 else len(self.bits) + 1 - last
 
-    def bit(self, index: int) -> int:
-        """Bit at position index, 2 <= index <= length + 1."""
-        if not 2 <= index <= self.length + 1:
-            raise IndexError(f"index {index} outside 2..{self.length + 1}")
-        return int(self.bits[self.length + 1 - index])
-
     def __str__(self) -> str:
         return self.bits
 

@@ -134,20 +134,6 @@ def integrated_f(upto: int) -> CoeffSeq:
     return CoeffSeq("f", tuple(values))
 
 
-def sigma(k: int) -> int:
-    """Divisor sum of k >= 1."""
-    if k < 1:
-        raise ValueError(f"sigma needs k >= 1, got {k}")
-    total = 0
-    for d in range(1, isqrt(k) + 1):
-        if k % d == 0:
-            total += d
-            other = k // d
-            if other != d:
-                total += other
-    return total
-
-
 def sigma_table(upto: int) -> list[int]:
     """sigma(1..upto) by a divisor sieve; index 0 is a 0 filler."""
     _check_upto(upto)

@@ -23,10 +23,14 @@ extracts fine but its all-positive fans make path counts explode, so nothing
 here asserts anything about it beyond structural sanity.
 
 build_dag fires atoms through the rewrite layer's _fire, which reads the
-system's firing tables, in one loop over the atoms it reaches. It keys every
-vertex but the root by the atom it stands for, counts in-degrees while it adds
-edges, and keeps the topological order its acyclicity check computes;
-signed_multiplicities sweeps that order.
+system's firing tables and raises NoRuleApplies, in one loop over the atoms
+it reaches. It keys every vertex but the root by the atom it stands for, and
+keeps one adjacency by vertex position: each vertex's out-edges sit together
+in Dag.edges, in fan order. The Kahn sort that checks acyclicity (its order
+kept), signed_multiplicities and terminating_paths all read that adjacency;
+emit_dot sorts Dag.edges stably by source alone, which keeps fan order. A
+Dag's public fields are system_name, n_tilde, root, vertices, constants,
+edges and aux_sinks.
 
 AuxVertex, TerminalVertex and DagEdge are NamedTuples, like the atoms, so the
 vertex keys hash and compare in C; a vertex equals the plain tuple of its
@@ -35,19 +39,18 @@ ExtractedRecurrence and TerminatingPath are NamedTuples as well, equal to the
 plain tuples of their fields, so loading this module never loads dataclasses.
 RootVertex is deliberately not a tuple but an immutable value (see _value):
 as a 1-tuple, RootVertex(n~) would equal TerminalVertex(n~), and both occur
-in one graph (maxpart at n~ = 6 reaches P(0), terminal j = 6), so Dag.out,
+in one graph (maxpart at n~ = 6 reaches P(0), terminal j = 6), so
 Dag.constants and signed_multiplicities would merge them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, NamedTuple, Union
 
 from . import budget
 from ._value import Value
-from .errors import BudgetExceeded, CyclicReduction, NoRuleApplies
-from .rewrite import Atom, Auxiliary, Primary, RewriteSystem, RuleKind, _fire
+from .errors import BudgetExceeded, CyclicReduction
+from .rewrite import Atom, Primary, RewriteSystem, RuleKind, _fire
 
 
 class RootVertex(Value):
@@ -90,51 +93,35 @@ class DagEdge(NamedTuple):
     target: Vertex
     sign: int
     rule: str
-    fan_index: int
 
 
 class Dag:
-    """Reduction graph for one root; immutable once built."""
+    """Reduction graph for one root; immutable once built.
+
+    The private adjacency is by position in vertices: the out-edges of the
+    vertex at i are edges[_first[i]:_first[i + 1]], and edges[e] leads to the
+    vertex at _target[e]. _order lists positions in the Kahn order from the
+    root that build_dag's acyclicity check kept.
+    """
 
     def __init__(self, system_name: str, n_tilde: int) -> None:
         self.system_name = system_name
         self.n_tilde = n_tilde
         self.root = RootVertex(n_tilde)
         self.vertices: list[Vertex] = [self.root]
-        self.constants: dict[Vertex, int] = {}
+        self.constants: dict[Vertex, int] = {self.root: 0}  # build_dag sets the root's
         self.edges: list[DagEdge] = []
-        self.out: dict[Vertex, list[DagEdge]] = {self.root: []}
         self.aux_sinks: set[AuxVertex] = set()  # empty-fan termination vertices
-        self._order: list[Vertex] = [self.root]  # build_dag sets the whole graph's
+        # a lone root's, until build_dag sets the whole graph's
+        self._first: list[int] = [0, 0]
+        self._target: list[int] = []
+        self._order: list[int] = [0]
 
     def terminal_vertices(self) -> list[TerminalVertex]:
         return [v for v in self.vertices if isinstance(v, TerminalVertex)]
 
     def constant_at(self, v: Vertex) -> int:
         return self.constants.get(v, 0)
-
-    def topological_order(self) -> list[Vertex]:
-        """The Kahn order from the root that build_dag's acyclicity check kept."""
-        return list(self._order)
-
-    def _kahn(self, succ: list[list[int]], indeg: list[int]) -> list[Vertex]:
-        """Kahn's sort of the graph by vertex position: successor lists in
-        edge order, and in-degrees, which the sort consumes."""
-        queue = deque(i for i, d in enumerate(indeg) if not d)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for t in succ[v]:
-                indeg[t] -= 1
-                if not indeg[t]:
-                    queue.append(t)
-        if len(order) != len(self.vertices):
-            raise CyclicReduction(
-                f"{self.system_name} reduction from {self.n_tilde} is cyclic"
-            )
-        vertices = self.vertices
-        return [vertices[i] for i in order]
 
 
 def build_dag(
@@ -150,63 +137,59 @@ def build_dag(
     """
     limit = budget.resolve(vertex_budget, budget.DAG_VERTEX_BUDGET)
     dag = Dag(system.name, n_tilde)
-
-    fired = _fire(system, Primary(n_tilde))
-    if fired is None:
-        raise NoRuleApplies(f"{system.name}: no rule applies at P({n_tilde})")
-    dag.constants[dag.root] = fired[1]
+    vertices, edges, first, target = dag.vertices, dag.edges, [], []
 
     # positions in dag.vertices, keyed by the atom a vertex stands for: P(u) for
     # terminal n~ - u, A(n, k) for its auxiliary vertex; the root is not keyed,
     # since P(n~) reached by a fan is terminal 0
     position: dict[Atom, int] = {}
-    vertices = dag.vertices
-    # the graph by position, counted as edges are added, for the final sort
-    succ: list[list[int]] = [[]]
-    indeg: list[int] = [0]
-    work: deque[tuple[int, Auxiliary]] = deque()
+    atoms: list[Atom] = [Primary(n_tilde)]  # the atom at each position
 
-    # the root's fan, then the fan of each auxiliary atom in the order reached
-    s, source, (rule, _, fan) = 0, dag.root, fired
-    while True:
-        if fan:
-            out = []
-            targets = succ[s]
-            name = rule.name
-            for i, (sign, target) in enumerate(fan):
-                t = position.get(target)
-                if t is None:
-                    t = position[target] = len(vertices)
-                    if isinstance(target, Primary):
-                        vertices.append(TerminalVertex(n_tilde - target.n))
-                    else:
-                        vertices.append(AuxVertex(*target))
-                        work.append((t, target))
-                    if t >= limit:
-                        raise BudgetExceeded(
-                            f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
-                        )
-                    succ.append([])
-                    indeg.append(0)
-                out.append(DagEdge(source, vertices[t], sign, name, i))
-                targets.append(t)
-                indeg[t] += 1
-            dag.out[source] = out
-            dag.edges += out
-        if not work:
-            break
-        s, atom = work.popleft()
-        fired = _fire(system, atom)
-        if fired is None:
-            raise NoRuleApplies(f"{system.name}: no rule applies at {atom!r}")
-        rule, constant, fan = fired
+    # fire the root, then each auxiliary atom in the order reached; a vertex's
+    # out-edges are appended together, in fan order, before the next vertex's
+    for s, atom in enumerate(atoms):  # atoms grows as fans reach new ones
+        first.append(len(edges))
         source = vertices[s]
+        if isinstance(source, TerminalVertex):
+            continue
+        rule, constant, fan = _fire(system, atom)
         if constant:
             dag.constants[source] = constant
         if rule.kind == RuleKind.TERMINATION and not fan:
             dag.aux_sinks.add(source)
+        name = rule.name
+        for sign, reached in fan:
+            t = position.get(reached)
+            if t is None:
+                t = position[reached] = len(atoms)
+                atoms.append(reached)
+                if isinstance(reached, Primary):
+                    vertices.append(TerminalVertex(n_tilde - reached.n))
+                else:
+                    vertices.append(AuxVertex(*reached))
+                if t >= limit:
+                    raise BudgetExceeded(
+                        f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
+                    )
+            edges.append(DagEdge(source, vertices[t], sign, name))
+            target.append(t)
+    first.append(len(edges))
+    dag._first, dag._target = first, target
 
-    dag._order = dag._kahn(succ, indeg)  # acyclicity check on every build, kept
+    # Kahn's sort by position, the acyclicity check on every build; only the
+    # root starts with no in-edge, since every other vertex was reached by one
+    indeg = [0] * len(vertices)
+    for t in target:
+        indeg[t] += 1
+    order = [0]
+    for v in order:  # order grows as vertices lose their last in-edge
+        for t in target[first[v] : first[v + 1]]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    if len(order) != len(vertices):
+        raise CyclicReduction(f"{system.name} reduction from {n_tilde} is cyclic")
+    dag._order = order
     return dag
 
 
@@ -226,15 +209,16 @@ class ExtractedRecurrence(NamedTuple):
 
 def signed_multiplicities(dag: Dag) -> dict[Vertex, int]:
     """Signed count of root-to-vertex paths, by one topological sweep."""
-    mult: dict[Vertex, int] = {v: 0 for v in dag.vertices}
-    mult[dag.root] = 1
-    for v in dag.topological_order():
+    first, target, edges = dag._first, dag._target, dag.edges
+    mult = [0] * len(dag.vertices)
+    mult[0] = 1
+    for v in dag._order:
         m = mult[v]
         if m == 0:
             continue
-        for e in dag.out.get(v, ()):
-            mult[e.target] += e.sign * m
-    return mult
+        for e in range(first[v], first[v + 1]):
+            mult[target[e]] += edges[e].sign * m
+    return dict(zip(dag.vertices, mult))
 
 
 def extract_from_dag(dag: Dag) -> ExtractedRecurrence:
@@ -281,17 +265,17 @@ def enumerate_terminating_paths(
 def terminating_paths(dag: Dag, path_budget: int | None = None) -> list[TerminatingPath]:
     """enumerate_terminating_paths over a graph already built."""
     limit = budget.resolve(path_budget, budget.PATH_BUDGET)
+    vertices, edges, first, target = dag.vertices, dag.edges, dag._first, dag._target
     paths: list[TerminatingPath] = []
-    stack: list[tuple[Vertex, tuple[Vertex, ...], int]] = [
-        (dag.root, (dag.root,), 1)
-    ]
+    # (position, vertices so far, sign so far)
+    stack: list[tuple[int, tuple[Vertex, ...], int]] = [(0, (dag.root,), 1)]
     while stack:
-        vertex, trail, sign = stack.pop()
-        edges = dag.out.get(vertex, ())
-        if not edges:
+        v, trail, sign = stack.pop()
+        if first[v] == first[v + 1]:
+            vertex = vertices[v]
             if isinstance(vertex, TerminalVertex):
                 paths.append(TerminatingPath(trail, sign, vertex.j))
-            elif isinstance(vertex, AuxVertex) and vertex in dag.aux_sinks:
+            elif vertex in dag.aux_sinks:
                 paths.append(TerminatingPath(trail, sign, None))
             # a bare root (primary ground instance) yields no paths
             if len(paths) > limit:
@@ -300,9 +284,10 @@ def terminating_paths(dag: Dag, path_budget: int | None = None) -> list[Terminat
                     f"exceeded {limit}"
                 )
             continue
-        # reversed keeps first fan branches on top of the stack
-        for e in reversed(edges):
-            stack.append((e.target, trail + (e.target,), sign * e.sign))
+        # last edge first keeps first fan branches on top of the stack
+        for e in range(first[v + 1] - 1, first[v] - 1, -1):
+            t = target[e]
+            stack.append((t, trail + (vertices[t],), sign * edges[e].sign))
     paths.reverse()
     return paths
 
@@ -350,7 +335,9 @@ def emit_dot(dag: Dag) -> str:
         lines.append(
             f'  "{v.dot_name()}" [shape={shape}, label="{_vertex_label(dag, v)}"];'
         )
-    for e in sorted(dag.edges, key=lambda e: (position[e.source], e.fan_index)):
+    # stable on the source alone: build_dag appends each source's edges
+    # together, in fan order
+    for e in sorted(dag.edges, key=lambda e: position[e.source]):
         label = "+" if e.sign >= 0 else "-"
         lines.append(
             f'  "{e.source.dot_name()}" -> "{e.target.dot_name()}" '

@@ -22,10 +22,12 @@ A system builds one firing table per group once, when it is built: a tuple
 of plain (rule, domain, body, family) entries, family being the atom type the
 rule kind rewrites into. Grounding goes through one path: _fire calls every
 domain of the owning group's table at an atom, and _ground instantiates the
-entry that applies, checking the family of every fan target. eval_atom and
-the DAG builder both fire through _fire; check_unitary grounds every
-applicable entry through _ground, so that it can report on atoms where several
-rules apply, and check_orthogonal scans the same tables.
+entry that applies, checking the family of every fan target. _fire returns
+(rule, constant, fan) or raises: AmbiguousRule when several rules apply,
+NoRuleApplies when none does. eval_atom and the DAG builder both fire through
+_fire and pass its errors on; check_unitary grounds every applicable entry
+through _ground, so that it can report on atoms where several rules apply,
+and check_orthogonal scans the same tables.
 
 A startup rule may degenerate at particular arguments to an empty fan; such a
 ground instance behaves exactly like a primary one (constant only).
@@ -44,11 +46,11 @@ with isinstance, so a body that returns a plain tuple is rejected.
 
 The record types Rule, Region, UnitarityReport and OrthogonalityReport are
 NamedTuples too, so loading this module never loads dataclasses (and inspect
-with it), and each record equals the plain tuple of its fields. Each report
-gets a fresh list when none is given, rather than one default list shared by
-every report. RewriteSystem is an immutable value instead (see _value): it
-keeps its two firing tables in private slots that stay outside its equality,
-hash, repr and pickling, so a copy or an unpickled system builds its own.
+with it), and each record equals the plain tuple of its fields. A report holds
+the list it is built with; check_unitary and check_orthogonal each pass a new
+one. RewriteSystem is an immutable value instead (see _value): it keeps its
+two firing tables in private slots that stay outside its equality, hash, repr
+and pickling, so a copy or an unpickled system builds its own.
 """
 
 from __future__ import annotations
@@ -133,10 +135,6 @@ class RewriteSystem(Value):
         object.__setattr__(self, "_r1", _firing_table(r for r in rules if r.lhs_primary))
         object.__setattr__(self, "_r2", _firing_table(r for r in rules if not r.lhs_primary))
 
-    def group(self, atom: Atom) -> tuple[Rule, ...]:
-        """The rules whose group owns this atom family (R1 or R2)."""
-        return tuple(entry[0] for entry in self._table(atom))
-
     def _table(self, atom: Atom) -> tuple[_Entry, ...]:
         """The firing table of the group that owns this atom family."""
         return self._r1 if isinstance(atom, Primary) else self._r2
@@ -167,11 +165,11 @@ def _ground(entry: _Entry, atom: Atom) -> tuple[Rule, int, Fan]:
     return entry[0], constant, fan
 
 
-def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan] | None:
-    """(rule, constant, fan) of the unique applicable rule at atom, or None.
+def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan]:
+    """(rule, constant, fan) of the unique applicable rule at atom.
 
     Calls every domain of the owning group, so AmbiguousRule names every rule
-    that applies, in rule order.
+    that applies, in rule order; NoRuleApplies when none does.
     """
     table = system._r1 if isinstance(atom, Primary) else system._r2  # _table, inlined
     fired = None
@@ -184,7 +182,7 @@ def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan] | None:
                 )
             fired = entry
     if fired is None:
-        return None
+        raise NoRuleApplies(f"{system.name}: no rule applies at {atom!r}")
     return _ground(fired, atom)
 
 
@@ -210,35 +208,20 @@ class Region(NamedTuple):
         yield from self.auxiliaries()
 
 
-class _UnitarityFields(NamedTuple):
+class UnitarityReport(NamedTuple):
     system: str
     region: Region
     violations: list[tuple[Atom, str, str]]
-
-
-class UnitarityReport(_UnitarityFields):
-    __slots__ = ()
-
-    def __new__(cls, system: str, region: Region, violations=None):
-        # a fresh list per report, where a NamedTuple default would share one
-        return super().__new__(cls, system, region, [] if violations is None else violations)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-class _OrthogonalityFields(NamedTuple):
+class OrthogonalityReport(NamedTuple):
     system: str
     region: Region
     overlaps: list[tuple[Atom, tuple[str, ...]]]
-
-
-class OrthogonalityReport(_OrthogonalityFields):
-    __slots__ = ()
-
-    def __new__(cls, system: str, region: Region, overlaps=None):
-        return super().__new__(cls, system, region, [] if overlaps is None else overlaps)
 
     @property
     def ok(self) -> bool:
@@ -248,7 +231,7 @@ class OrthogonalityReport(_OrthogonalityFields):
 def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
     """Ground every applicable rule on the region; flag non-unit coefficients
     and repeated fan targets."""
-    report = UnitarityReport(system.name, region)
+    report = UnitarityReport(system.name, region, [])
     for atom in region.atoms():
         for entry in system._table(atom):
             if not entry[1](*atom):
@@ -270,7 +253,7 @@ def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
 
 def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityReport:
     """Flag ground atoms where more than one rule of the owning group applies."""
-    report = OrthogonalityReport(system.name, region)
+    report = OrthogonalityReport(system.name, region, [])
     for atom in region.atoms():
         names = tuple(e[0].name for e in system._table(atom) if e[1](*atom))
         if len(names) > 1:
@@ -341,10 +324,7 @@ def eval_atom(
             raise BudgetExceeded(
                 f"{system.name}: chain exceeded {limit} applications at {target!r}"
             )
-        fired = _fire(system, target)
-        if fired is None:
-            raise NoRuleApplies(f"{system.name}: no rule applies at {target!r}")
-        _, acc, fan = fired
+        _, acc, fan = _fire(system, target)
         reached += len(fan)
         if reached > atom_limit:
             raise BudgetExceeded(

@@ -302,6 +302,13 @@ def test_bench_rejects_unknown_method(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("methods", ["", " , "])  # "," is a golden row
+def test_bench_methods_naming_no_engine(capsys, methods):
+    code, out, err = run(capsys, "bench", "5", "--methods", methods)
+    assert (code, out) == (2, "")
+    assert err == f"error: --methods {methods!r} names no engine\n"
+
+
 def test_bench_bound_given_twice(capsys):
     code, _, err = run(capsys, "bench", "10", "--upto", "10")
     assert code == 2 and "--upto" in err

@@ -4,9 +4,10 @@ Each case is an argument list, a PLAB_BUDGET value (None: unset) and the
 expected exit code with the first 16 hex digits of the sha256 of stdout and
 of stderr. The cases cover every subcommand and every --format in the
 argument shapes of perfbench's cli workload, both spellings of each
-positional-or-flag argument, the usage errors plab checks itself, two exit-3
-failures and the help of the commands with such arguments. bench's seconds
-are masked before hashing, and help is formatted for an 80-column terminal.
+positional-or-flag argument, path listings that end at an auxiliary sink
+("j": null), the usage errors plab checks itself, two exit-3 failures and the
+help of the commands with such arguments. bench's seconds are masked before
+hashing, and help is formatted for an 80-column terminal.
 """
 
 import hashlib
@@ -84,6 +85,8 @@ CASES = [
     ("dag --system minpart 6 --format plain", None, 0, "333883465b92a782", "e3b0c44298fc1c14"),
     ("dag maxpart 8 --completion", None, 0, "c59fb4da7aff88fb", "e3b0c44298fc1c14"),
     ("dag maxpart 8 --completion --format json", None, 0, "e5c294bbadaf22fa", "e3b0c44298fc1c14"),
+    ("dag minpart 6 --format json --paths", None, 0, "4ac740aa30c1f525", "e3b0c44298fc1c14"),
+    ("dag maxpart 8 --completion --format json --paths", None, 0, "51eb9bcb133700ff", "e3b0c44298fc1c14"),
     ("dag minpart 4 --completion", None, 2, "e3b0c44298fc1c14", "5992ae126ec421f1"),
     ("dag minpart", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),
     ("dag minpart 4 --n 4", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),
@@ -108,6 +111,7 @@ CASES = [
     ("bench 20 --engine all --format plain", None, 0, "1c04aea9818588cf", "e3b0c44298fc1c14"),
     ("bench --upto 20 --methods euler,integral --format json", None, 0, "735a4093eea3df9d", "e3b0c44298fc1c14"),
     ("bench 10 --methods quantum", None, 2, "e3b0c44298fc1c14", "3245e41b2f6f9d68"),
+    ("bench 5 --methods ,", None, 2, "e3b0c44298fc1c14", "3fa2c0da5daac09b"),
     ("bench 10 --upto 10", None, 2, "e3b0c44298fc1c14", "7ae20894803aa618"),
     ("bench", None, 2, "e3b0c44298fc1c14", "7ae20894803aa618"),
     ("--help", None, 0, "9c9bcd2c4329f6b7", "e3b0c44298fc1c14"),

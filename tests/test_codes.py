@@ -38,10 +38,7 @@ def test_code_basics():
     assert code.length == 4 and code.weight == 3
     assert code.one_indices() == (5, 3, 2)
     assert code.rightmost_one == 2
-    assert code.bit(5) == 1 and code.bit(4) == 0
     assert str(code) == "1011"
-    with pytest.raises(IndexError):
-        code.bit(6)
     with pytest.raises(InvalidCode):
         PathCode("10x1")
 

@@ -2,14 +2,19 @@
 
 import copy
 import pickle
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partlab import (
+    BUILTIN_NAMES,
     AuxVertex,
     BudgetExceeded,
     CyclicReduction,
     NoRuleApplies,
+    Primary,
     RootVertex,
     Rule,
     RuleKind,
@@ -29,6 +34,7 @@ from partlab import (
     make_engine,
     signed_multiplicities,
 )
+from partlab.rewrite import _fire
 
 MINPART_2_DOT = """\
 digraph "minpart_2" {
@@ -187,9 +193,10 @@ def test_no_rule_applies_propagates():
             ),
         ),
     )
-    with pytest.raises(NoRuleApplies):
+    # the root and an auxiliary atom fail with the message eval_atom gives
+    with pytest.raises(NoRuleApplies, match=r"^headless: no rule applies at P\(2\)$"):
         build_dag(headless, 2)  # nothing fires at the root
-    with pytest.raises(NoRuleApplies):
+    with pytest.raises(NoRuleApplies, match=r"^headless: no rule applies at A\(5,1\)$"):
         build_dag(headless, 5)  # the auxiliary atom is a dead end
 
 
@@ -222,10 +229,49 @@ def test_cyclic_graph_rejected():
         build_dag(bouncing, 4)
 
 
+def _vertex_of(n_tilde, atom):
+    """The vertex a fan target lands on in the graph rooted at n_tilde."""
+    if isinstance(atom, Primary):
+        return TerminalVertex(n_tilde - atom.n)
+    return AuxVertex(*atom)
+
+
+def _atom_of(dag, vertex):
+    """The atom a root or auxiliary vertex stands for."""
+    return Primary(dag.n_tilde) if vertex == dag.root else Auxiliary(*vertex)
+
+
+SYSTEMS = {
+    **{name: builtin_system(name) for name in BUILTIN_NAMES},
+    "maxpart-completed": builtin_system("maxpart", completion=True),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SYSTEMS)), n_tilde=st.integers(min_value=0, max_value=14))
+def test_edges_follow_each_fan(name, n_tilde):
+    # dag.edges holds each source's out-edges together, in the order of the
+    # fan its rule grounds to, with the fan's signs and the rule's name;
+    # emit_dot's edge order rests on this
+    system = SYSTEMS[name]
+    dag = build_dag(system, n_tilde)
+    sources = []
+    for source, edges in groupby(dag.edges, key=attrgetter("source")):
+        sources.append(source)
+        rule, _, fan = _fire(system, _atom_of(dag, source))
+        assert [(e.target, e.sign, e.rule) for e in edges] == [
+            (_vertex_of(n_tilde, target), sign, rule.name) for sign, target in fan
+        ]
+    # no source comes back, and every vertex with a nonempty fan is a source
+    assert len(sources) == len(set(sources))
+    expanded = [dag.root, *(v for v in dag.vertices if isinstance(v, AuxVertex))]
+    assert set(sources) == {v for v in expanded if _fire(system, _atom_of(dag, v))[2]}
+
+
 @pytest.mark.parametrize("name", ["minpart", "bounded", "maxpart"])
 def test_kept_order_is_topological(name):
     dag = build_dag(builtin_system(name), 12)
-    order = dag.topological_order()
+    order = [dag.vertices[i] for i in dag._order]
     assert sorted(order, key=dag.vertices.index) == dag.vertices
     position = {v: i for i, v in enumerate(order)}
     assert all(position[e.source] < position[e.target] for e in dag.edges)

@@ -89,7 +89,7 @@ def test_rewrite_system_contract():
     assert system != RewriteSystem("minpart", system.rules[:2])
     assert system != ("minpart", system.rules)
     assert repr(system) == f"RewriteSystem(name='minpart', rules={system.rules!r})"
-    assert same.group(Primary(1)) == system.rules[:2]  # R1, split on construction
+    assert _fire(same, Primary(1))[0] is system.rules[1]  # its own tables, built on construction
     with pytest.raises(AttributeError):
         system.name = "other"
     with pytest.raises(AttributeError):
@@ -156,11 +156,19 @@ def _started(system, atom):
 
 
 def test_reports_get_fresh_lists():
+    # each check builds its report with a list of its own
     region = Region(n_max=2, k_max=2)
-    for report_type in (UnitarityReport, OrthogonalityReport):
-        first, second = report_type("s", region), report_type("s", region)
+    minpart = builtin_system("minpart")
+    for check, report_type in (
+        (check_unitary, UnitarityReport),
+        (check_orthogonal, OrthogonalityReport),
+    ):
+        first, second = check(minpart, region), check(minpart, region)
+        assert type(first) is report_type and first == ("minpart", region, [])
         first[2].append("x")
         assert second[2] == [] and second.ok and not first.ok
+        given_list = []
+        assert report_type("s", region, given_list)[2] is given_list
 
 
 def test_memo_reuse():
@@ -172,14 +180,19 @@ def test_memo_reuse():
     assert len(memo) == size
 
 
-def test_ground_rule_unique_or_none():
+def test_ground_rule_unique_or_raises():
     maxpart = builtin_system("maxpart")
     rule, constant, fan = _fire(maxpart, Auxiliary(10, 2))
     assert rule.name == "shift"
     assert fan == ((1, Auxiliary(11, 3)), (-1, Auxiliary(8, 3)))
-    assert _fire(maxpart, Auxiliary(1, 5)) is None  # no completion rules
-    with pytest.raises(NoRuleApplies, match=r"^maxpart: no rule applies at A\(1,5\)$"):
+    # no completion rules: grounding raises, and its callers pass the message on
+    no_rule = r"^maxpart: no rule applies at A\(1,5\)$"
+    with pytest.raises(NoRuleApplies, match=no_rule):
+        _fire(maxpart, Auxiliary(1, 5))
+    with pytest.raises(NoRuleApplies, match=no_rule):
         eval_atom(maxpart, Auxiliary(1, 5))
+    with pytest.raises(NoRuleApplies, match=r"^maxpart: no rule applies at P\(-1\)$"):
+        build_dag(maxpart, -1)  # at the root; tests/test_dag.py fails at an auxiliary atom
 
 
 def test_startup_degenerates_to_constant():
@@ -190,11 +203,21 @@ def test_startup_degenerates_to_constant():
 
 
 def test_group_dispatch():
+    # an atom fires only the rules of the group that owns its family, even
+    # where a rule of the other group would apply to the same arguments
     minpart = builtin_system("minpart")
-    primary_rules = {r.name for r in minpart.group(Primary(5))}
-    aux_rules = {r.name for r in minpart.group(Auxiliary(5, 2))}
-    assert primary_rules == {"base", "expand"}
+    assert {_fire(minpart, Primary(n))[0].name for n in range(6)} == {"base", "expand"}
+    aux_rules = {_fire(minpart, Auxiliary(n, k))[0].name for n in range(6) for k in range(1, 8)}
     assert aux_rules == {"ones", "step", "void"}
+    both = RewriteSystem(
+        "both",
+        (
+            Rule("p", RuleKind.PRIMARY, lambda *args: True, lambda *args: (1, ())),
+            Rule("a", RuleKind.TERMINATION, lambda *args: True, lambda *args: (2, ())),
+        ),
+    )
+    assert _fire(both, Primary(3))[:2] == (both.rules[0], 1)
+    assert _fire(both, Auxiliary(3, 3))[:2] == (both.rules[1], 2)
     assert {r.name for r in minpart.rules if r.kind is RuleKind.TERMINATION} == {
         "ones",
         "void",
