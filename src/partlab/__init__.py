@@ -67,7 +67,6 @@ _EXPORTS = {
         "build_dag",
         "emit_dot",
         "enumerate_terminating_paths",
-        "extract_coefficients",
         "extract_from_dag",
         "grouped_path_sums",
         "signed_multiplicities",

@@ -7,14 +7,14 @@ path enumeration. It may raise the atom budget of a whole rewrite evaluation
 but not lower it, so that a value small enough to cut long chains short
 (PLAB_BUDGET=2) still lets an evaluation of short chains, such as maxpart at
 P(4), finish. The engines' loops are bounded by n, so they take no budget.
-This module is the only place that reads PLAB_BUDGET or knows the order:
-explicit argument, then PLAB_BUDGET, then the default.
+This module is the only place that reads PLAB_BUDGET, and the order is
+PLAB_BUDGET, then the default. The defaults below are read at call time, so
+a test that needs a small budget monkeypatches one of them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 ENV_VAR = "PLAB_BUDGET"
 
@@ -44,27 +44,7 @@ def env_budget() -> int | None:
     return value
 
 
-def resolver(explicit: int | None) -> Callable[[int], int]:
-    """resolve() with the explicit argument and PLAB_BUDGET read now.
-
-    For callers whose default differs from one use to the next: the returned
-    function maps a default to the budget, without reading the environment.
-    """
-    override = explicit if explicit is not None else env_budget()
-    if override is None:
-        return lambda default: default
-    return lambda default: override
-
-
-def resolve(explicit: int | None, default: int) -> int:
-    """Priority: explicit argument, then PLAB_BUDGET, then the default."""
-    return resolver(explicit)(default)
-
-
-def resolve_total(explicit: int | None, default: int) -> int:
-    """resolve() for a budget on a whole computation: PLAB_BUDGET only raises
-    the default."""
-    if explicit is not None:
-        return explicit
+def resolve(default: int) -> int:
+    """PLAB_BUDGET when set, else the default."""
     override = env_budget()
-    return default if override is None else max(override, default)
+    return default if override is None else override

@@ -168,25 +168,27 @@ def _cmd_coeffs(args) -> int:
 # sweep to 80 many minutes.
 VERIFY_ORACLE_CAP = 45
 VERIFY_DAG_CAP = 60
-_UPTO_CAPS = {
-    "oracle_limit": VERIFY_ORACLE_CAP,
-    "engine_limit": None,
-    "series_limit": None,
-    "dag_limit": VERIFY_DAG_CAP,
-    "involution_limit": None,
-    "region_bound": None,
-}
 
 
 def _cmd_verify(args) -> int:
     from . import verify as verify_mod
+    from .oracle import ORACLE_CAP  # loaded by verify already
 
     config = None
     if args.upto is not None:
         defaults = verify_mod.VerifyConfig()
+        caps = {
+            "oracle_limit": VERIFY_ORACLE_CAP,
+            "engine_limit": None,
+            "series_limit": None,
+            "dag_limit": VERIFY_DAG_CAP,
+            # B_j is listed from the oracle's strict partitions of j
+            "involution_limit": ORACLE_CAP,
+            "region_bound": None,
+        }
         bounds = {
             field: args.upto if cap is None else min(args.upto, cap)
-            for field, cap in _UPTO_CAPS.items()
+            for field, cap in caps.items()
         }
         config = defaults._replace(**bounds)
         if any(value > getattr(defaults, field) for field, value in bounds.items()):

@@ -37,7 +37,6 @@ its bits and equals no string or tuple.
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
@@ -48,11 +47,6 @@ from .oracle import enumerate_strict, validate_partition
 
 if TYPE_CHECKING:
     from .dag import TerminatingPath
-
-# Paths come from the dag module, which is loaded whenever a path exists;
-# code_of_path reads AuxVertex from it there, so that loading this module
-# does not load dag and the rewrite layer beneath it.
-_DAG_MODULE = f"{__package__}.dag"
 
 
 class PathCode(Value):
@@ -123,8 +117,6 @@ class Classification(str, Enum):
 
 
 class DecodedWalk(NamedTuple):
-    n_tilde: int
-    code: PathCode
     walk: tuple[tuple[int, int], ...]
     classification: Classification
 
@@ -162,7 +154,7 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
         cls = Classification.TERMINATING_AT
     else:
         cls = Classification.TERMINATING_BELOW
-    return DecodedWalk(n_tilde, c, tuple(walk), cls)
+    return DecodedWalk(tuple(walk), cls)
 
 
 class Lemma51Report(NamedTuple):
@@ -198,9 +190,12 @@ def lemma51(n_tilde: int, code: "PathCode | str") -> Lemma51Report:
 
 
 def code_of_path(path: TerminatingPath) -> PathCode:
-    """Binary code of a maxpart reduction path (root, aux..., terminal)."""
-    aux_vertex = sys.modules[_DAG_MODULE].AuxVertex
-    aux = [v for v in path.vertices if isinstance(v, aux_vertex)]
+    """Binary code of a maxpart reduction path (root, aux..., terminal).
+
+    The auxiliary vertices are taken by position: a path lists the root, then
+    its auxiliary vertices, then a terminal when j is not None.
+    """
+    aux = path.vertices[1:] if path.j is None else path.vertices[1:-1]
     if not aux:
         raise ValueError("path has no auxiliary vertices, nothing to encode")
     k0 = aux[0].k

@@ -124,18 +124,17 @@ class Dag:
         return self.constants.get(v, 0)
 
 
-def build_dag(
-    system: RewriteSystem, n_tilde: int, vertex_budget: int | None = None
-) -> Dag:
+def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
     """Reachable reduction graph under system, rooted at Primary(n_tilde).
 
     Raises NoRuleApplies when a reachable atom has no rule, BudgetExceeded
-    when the reachable set outgrows the budget (default one million vertices,
-    PLAB_BUDGET overrides), and propagates AmbiguousRule from grounding.
+    when the reachable set, root and terminals included, outgrows the vertex
+    budget (PLAB_BUDGET, else budget.DAG_VERTEX_BUDGET, one million), and
+    propagates AmbiguousRule from grounding.
     Acyclicity is verified structurally before returning, by a topological
     sort whose order the graph keeps.
     """
-    limit = budget.resolve(vertex_budget, budget.DAG_VERTEX_BUDGET)
+    limit = budget.resolve(budget.DAG_VERTEX_BUDGET)
     dag = Dag(system.name, n_tilde)
     vertices, edges, first, target = dag.vertices, dag.edges, [], []
 
@@ -230,13 +229,6 @@ def extract_from_dag(dag: Dag) -> ExtractedRecurrence:
     return ExtractedRecurrence(dag.n_tilde, constant, coeffs)
 
 
-def extract_coefficients(
-    system: RewriteSystem, n_tilde: int, vertex_budget: int | None = None
-) -> ExtractedRecurrence:
-    """Build the reduction graph and read off the direct recurrence."""
-    return extract_from_dag(build_dag(system, n_tilde, vertex_budget))
-
-
 class TerminatingPath(NamedTuple):
     """One root-to-terminal path.
 
@@ -251,20 +243,20 @@ class TerminatingPath(NamedTuple):
 
 
 def enumerate_terminating_paths(
-    system: RewriteSystem, n_tilde: int, path_budget: int | None = None
+    system: RewriteSystem, n_tilde: int
 ) -> list[TerminatingPath]:
     """Every root-to-terminal path, with sign products and terminal indices.
 
-    Exponential in general; guarded by a path budget (default one million,
-    PLAB_BUDGET overrides). Grouping signs by j reproduces the extracted
-    coefficients, which the test suite checks.
+    Exponential in general; guarded by a path budget (PLAB_BUDGET, else
+    budget.PATH_BUDGET, one million). Grouping signs by j reproduces the
+    extracted coefficients, which the test suite checks.
     """
-    return terminating_paths(build_dag(system, n_tilde), path_budget)
+    return terminating_paths(build_dag(system, n_tilde))
 
 
-def terminating_paths(dag: Dag, path_budget: int | None = None) -> list[TerminatingPath]:
+def terminating_paths(dag: Dag) -> list[TerminatingPath]:
     """enumerate_terminating_paths over a graph already built."""
-    limit = budget.resolve(path_budget, budget.PATH_BUDGET)
+    limit = budget.resolve(budget.PATH_BUDGET)
     vertices, edges, first, target = dag.vertices, dag.edges, dag._first, dag._target
     paths: list[TerminatingPath] = []
     # (position, vertices so far, sign so far)

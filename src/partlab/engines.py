@@ -58,8 +58,6 @@ class EngineKind(str, Enum):
 class Engine:
     """The shared skeleton: the p table, the counter and the grow loop."""
 
-    kind: EngineKind
-
     def __init__(self) -> None:
         self._p = [1]
         self.recurrent_terms = 0
@@ -83,8 +81,6 @@ class EulerEngine(Engine):
     step appends at most one, since the generalized pentagonal numbers are
     distinct.
     """
-
-    kind = EngineKind.EULER
 
     def __init__(self) -> None:
         super().__init__()
@@ -113,8 +109,6 @@ class IntegralEngine(Engine):
     nonzero f_k.
     """
 
-    kind = EngineKind.INTEGRAL
-
     def __init__(self) -> None:
         super().__init__()
         self._f: tuple[int, ...] = (-1,)
@@ -137,8 +131,6 @@ class IntegralEngine(Engine):
 
 class SigmaEngine(Engine):
     """Divisor-sum recurrence with checked exact division."""
-
-    kind = EngineKind.SIGMA
 
     def __init__(self) -> None:
         super().__init__()
@@ -166,8 +158,6 @@ class MinPartEngine(Engine):
     reads, zero or not.
     """
 
-    kind = EngineKind.MINPART
-
     def __init__(self) -> None:
         super().__init__()
         self._rows: list[list[int]] = [[]]
@@ -193,8 +183,6 @@ class BoundedEngine(Engine):
     blt[k][j] = sum_i blt[k-1][j - i(k-1)] otherwise. Growing to m appends
     column m to rows 2..m-1 and adds row m; p(m) = 1 + blt[m][m].
     """
-
-    kind = EngineKind.BOUNDED
 
     def __init__(self) -> None:
         super().__init__()
@@ -229,8 +217,6 @@ class MaxPartEngine(Engine):
     it to the terminal (2d, d), so _next(m) fills it from that terminal
     back down, then sums row m: p(m) = 1 + sum_{k=2..m} aux(m, k).
     """
-
-    kind = EngineKind.MAXPART
 
     def __init__(self) -> None:
         super().__init__()

@@ -200,13 +200,13 @@ def s_oracle(n: int) -> int:
     return count_constrained(n, "S", "none")
 
 
-def max_part_histogram(n: int, family: str = "P") -> dict[int, int]:
+def max_part_histogram(n: int) -> dict[int, int]:
     """Map largest part -> count, over all nonempty partitions of n.
 
     One enumeration pass; cheaper than calling count_constrained per k when a
     whole profile is needed. Keys run from the largest part down.
     """
     hist: dict[int, int] = {}
-    for x, _ in _walk(n, family):
+    for x, _ in _walk(n, "P"):
         hist[x[0]] = hist.get(x[0], 0) + 1
     return hist

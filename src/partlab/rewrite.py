@@ -187,30 +187,21 @@ def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan]:
 
 
 class Region(NamedTuple):
-    """Inclusive argument bounds for the hygiene checks."""
+    """Inclusive argument bounds for the hygiene checks: n and k run from 0."""
 
     n_max: int
     k_max: int
-    n_min: int = 0
-    k_min: int = 0
-
-    def primaries(self) -> Iterator[Primary]:
-        for n in range(self.n_min, self.n_max + 1):
-            yield Primary(n)
-
-    def auxiliaries(self) -> Iterator[Auxiliary]:
-        for n in range(self.n_min, self.n_max + 1):
-            for k in range(self.k_min, self.k_max + 1):
-                yield Auxiliary(n, k)
 
     def atoms(self) -> Iterator[Atom]:
-        yield from self.primaries()
-        yield from self.auxiliaries()
+        """Every primary atom of the region, then every auxiliary one."""
+        for n in range(self.n_max + 1):
+            yield Primary(n)
+        for n in range(self.n_max + 1):
+            for k in range(self.k_max + 1):
+                yield Auxiliary(n, k)
 
 
 class UnitarityReport(NamedTuple):
-    system: str
-    region: Region
     violations: list[tuple[Atom, str, str]]
 
     @property
@@ -219,8 +210,6 @@ class UnitarityReport(NamedTuple):
 
 
 class OrthogonalityReport(NamedTuple):
-    system: str
-    region: Region
     overlaps: list[tuple[Atom, tuple[str, ...]]]
 
     @property
@@ -231,7 +220,7 @@ class OrthogonalityReport(NamedTuple):
 def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
     """Ground every applicable rule on the region; flag non-unit coefficients
     and repeated fan targets."""
-    report = UnitarityReport(system.name, region, [])
+    report = UnitarityReport([])
     for atom in region.atoms():
         for entry in system._table(atom):
             if not entry[1](*atom):
@@ -253,7 +242,7 @@ def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
 
 def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityReport:
     """Flag ground atoms where more than one rule of the owning group applies."""
-    report = OrthogonalityReport(system.name, region, [])
+    report = OrthogonalityReport([])
     for atom in region.atoms():
         names = tuple(e[0].name for e in system._table(atom) if e[1](*atom))
         if len(names) > 1:
@@ -272,8 +261,6 @@ def eval_atom(
     system: RewriteSystem,
     atom: Atom,
     memo: MemoTable | None = None,
-    chain_budget: int | None = None,
-    atom_budget: int | None = None,
 ) -> int:
     """Exact value of an atom under the system, memoized into memo.
 
@@ -281,15 +268,15 @@ def eval_atom(
     applications between primary atoms; primary atoms restart the chain
     (their values memoize whole). Each chain may apply at most
     10 * (|n| + |k| + 1) rules, measured at the atom that started it,
-    unless chain_budget or PLAB_BUDGET overrides the bound. Exceeding it, or
+    unless PLAB_BUDGET overrides the bound. Exceeding it, or
     revisiting an atom already under evaluation, raises BudgetExceeded; the
     built-in systems never come near the default bound.
 
     The whole evaluation may reach at most budget.ATOM_BUDGET atoms: the one
     it starts from and every fan entry of every atom it grounds. Each entry
     costs one memo lookup, so this bounds the time as well as the memo, which
-    for P(n) grows like n^2 / 3. An explicit atom_budget sets the limit;
-    otherwise PLAB_BUDGET may raise the default but not lower it.
+    for P(n) grows like n^2 / 3. PLAB_BUDGET may raise that limit but not
+    lower it. PLAB_BUDGET is read once per call, not once per chain.
 
     Atoms are fired through the system's firing tables, by the helpers that
     check_unitary and build_dag share, in the one loop that also sums fans: a
@@ -305,19 +292,19 @@ def eval_atom(
     if value is not _MISSING:
         return value
 
-    chain_limit = budget.resolver(chain_budget)
-    atom_limit = budget.resolve_total(atom_budget, budget.ATOM_BUDGET)
+    override = budget.env_budget()  # read once; when set, it bounds every chain
+    atom_limit = max(override or 0, budget.ATOM_BUDGET)  # raised, never lowered
     reached = 1  # atoms reached: the root, then the fan of every atom grounded
     in_progress: set[Atom] = set()
     stack: list[tuple] = []  # (atom, fan iterator, sign, acc, depth, limit)
     get = memo.get
     # the atom to ground next, and the depth and limit of the chain it extends
-    target, depth, limit = atom, 0, chain_limit(_default_chain_limit(atom))
+    target, depth, limit = atom, 0, override or _default_chain_limit(atom)
     while True:
         if target in in_progress:
             raise BudgetExceeded(f"{system.name}: cyclic reduction through {target!r}")
         if isinstance(target, Primary):
-            depth, limit = 1, chain_limit(_default_chain_limit(target))
+            depth, limit = 1, override or _default_chain_limit(target)
         else:
             depth += 1
         if depth > limit:

@@ -40,7 +40,7 @@ from .codes import (
     split_valuation,
     valuation,
 )
-from .dag import enumerate_terminating_paths, extract_coefficients
+from .dag import build_dag, enumerate_terminating_paths, extract_from_dag
 from .engines import EngineKind, make_engine
 from .oracle import p_oracle
 from .rewrite import (
@@ -370,7 +370,7 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
         ok = True
         for n_tilde in range(1, cfg.dag_limit + 1):
             span = range(1, n_tilde + 1)
-            got = extract_coefficients(builtin_system(name), n_tilde)
+            got = extract_from_dag(build_dag(builtin_system(name), n_tilde))
             if got.constant != constant or any(got.coeffs[j] != want[j] for j in span):
                 ok = False
             if got.reconstruct(euler.p) != euler.p(n_tilde):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from partlab import BUILTIN_NAMES, SUITES, EngineKind, dag, verify
+from partlab import BUILTIN_NAMES, ORACLE_CAP, SUITES, EngineKind, dag, verify
 from partlab.cli import (
     ENGINE_NAMES,
     SUITE_NAMES,
@@ -349,6 +349,8 @@ def test_verify_upto_clamps_oracle(capsys, monkeypatch):
     assert code == 0 and "warning" in err
     assert seen[0].oracle_limit == VERIFY_ORACLE_CAP
     assert seen[0].engine_limit == 1000
+    # the involution suite lists B_j from the oracle's strict partitions of j
+    assert seen[0].involution_limit == ORACLE_CAP == 80
 
 
 def test_help_exits_zero(capsys):

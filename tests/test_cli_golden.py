@@ -5,9 +5,11 @@ expected exit code with the first 16 hex digits of the sha256 of stdout and
 of stderr. The cases cover every subcommand and every --format in the
 argument shapes of perfbench's cli workload, both spellings of each
 positional-or-flag argument, path listings that end at an auxiliary sink
-("j": null), the usage errors plab checks itself, two exit-3 failures and the
-help of the commands with such arguments. bench's seconds are masked before
-hashing, and help is formatted for an 80-column terminal.
+("j": null), the usage errors plab checks itself, exit-3 failures (among them
+a small PLAB_BUDGET cutting a rewrite chain, a DAG's vertices and its path
+enumeration, and plain DAG output, which enumerates no paths, under that
+budget) and the help of the commands with such arguments. bench's seconds are
+masked before hashing, and help is formatted for an 80-column terminal.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ CASES = [
     ("count 20 --engine all --format json", None, 0, "dcf5ed158e6840a8", "e3b0c44298fc1c14"),
     ("count 90 --method oracle", None, 3, "e3b0c44298fc1c14", "3026fe54ccb30fc0"),
     ("count 30 --method rewrite:minpart", "1", 3, "e3b0c44298fc1c14", "12ec0b061272eb5c"),
+    ("count 12 --method rewrite:maxpart", "2", 3, "e3b0c44298fc1c14", "58624a61e5ec0b50"),
     ("count 4", "abc", 2, "e3b0c44298fc1c14", "2458c93c9e0c0319"),
     ("count 4", "0", 2, "e3b0c44298fc1c14", "42084e9d1151b25e"),
     ("count 4", "", 2, "e3b0c44298fc1c14", "3b7a982925b4e92a"),
@@ -87,6 +90,9 @@ CASES = [
     ("dag maxpart 8 --completion --format json", None, 0, "e5c294bbadaf22fa", "e3b0c44298fc1c14"),
     ("dag minpart 6 --format json --paths", None, 0, "4ac740aa30c1f525", "e3b0c44298fc1c14"),
     ("dag maxpart 8 --completion --format json --paths", None, 0, "51eb9bcb133700ff", "e3b0c44298fc1c14"),
+    ("dag minpart 8 --format json --paths", "5", 3, "e3b0c44298fc1c14", "44bf996c68e46044"),
+    ("dag maxpart 24 --format json --paths", "350", 3, "e3b0c44298fc1c14", "ac145c99cd591051"),
+    ("dag maxpart 24 --format plain", "350", 0, "77cc88ad9c60dcda", "e3b0c44298fc1c14"),
     ("dag minpart 4 --completion", None, 2, "e3b0c44298fc1c14", "5992ae126ec421f1"),
     ("dag minpart", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),
     ("dag minpart 4 --n 4", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),

@@ -27,13 +27,13 @@ from partlab import (
     emit_dot,
     enumerate_terminating_paths,
     euler_seq,
-    extract_coefficients,
     extract_from_dag,
     grouped_path_sums,
     integrated_f,
     make_engine,
     signed_multiplicities,
 )
+from partlab import budget
 from partlab.rewrite import _fire
 
 MINPART_2_DOT = """\
@@ -104,14 +104,14 @@ def test_reconstruction(name):
     system = builtin_system(name)
     euler = make_engine("euler")
     for n_tilde in range(1, 21):
-        got = extract_coefficients(system, n_tilde)
+        got = extract_from_dag(build_dag(system, n_tilde))
         assert got.reconstruct(euler.p) == euler.p(n_tilde)
 
 
 def test_maxpart_extraction_is_integrated_sequence():
     f = integrated_f(18)
     for n_tilde in range(1, 19):
-        got = extract_coefficients(builtin_system("maxpart"), n_tilde)
+        got = extract_from_dag(build_dag(builtin_system("maxpart"), n_tilde))
         assert got.constant == 1
         assert all(got.coeffs[j] == f[j] for j in range(1, n_tilde + 1))
 
@@ -119,7 +119,7 @@ def test_maxpart_extraction_is_integrated_sequence():
 def test_minpart_extraction_is_pentagonal_sequence():
     e = euler_seq(18)
     for n_tilde in range(1, 19):
-        got = extract_coefficients(builtin_system("minpart"), n_tilde)
+        got = extract_from_dag(build_dag(builtin_system("minpart"), n_tilde))
         assert got.constant == 0
         assert all(got.coeffs[j] == e[j] for j in range(1, n_tilde + 1))
 
@@ -128,7 +128,7 @@ def test_extraction_stability():
     # coefficients never change once n~ grows past them
     previous = None
     for n_tilde in range(1, 16):
-        got = extract_coefficients(builtin_system("maxpart"), n_tilde)
+        got = extract_from_dag(build_dag(builtin_system("maxpart"), n_tilde))
         if previous is not None:
             assert all(got.coeffs[j] == previous.coeffs[j] for j in previous.coeffs)
         previous = got
@@ -159,20 +159,26 @@ def test_bare_root_has_no_paths():
         assert extract_from_dag(dag).constant == 1
 
 
-def test_vertex_budget():
-    with pytest.raises(BudgetExceeded):
-        build_dag(builtin_system("minpart"), 30, vertex_budget=10)
+def test_vertex_budget(monkeypatch):
+    monkeypatch.delenv("PLAB_BUDGET", raising=False)
+    monkeypatch.setattr(budget, "DAG_VERTEX_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="^minpart reduction from 30 exceeded 10 vertices$"):
+        build_dag(builtin_system("minpart"), 30)
     # the root and terminal vertices count too
+    monkeypatch.setattr(budget, "DAG_VERTEX_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
-        build_dag(builtin_system("maxpart"), 2, vertex_budget=2)
+        build_dag(builtin_system("maxpart"), 2)
     with pytest.raises(BudgetExceeded):
-        build_dag(builtin_system("minpart"), 1, vertex_budget=2)
-    assert len(build_dag(builtin_system("maxpart"), 2, vertex_budget=3).vertices) == 3
+        build_dag(builtin_system("minpart"), 1)
+    monkeypatch.setattr(budget, "DAG_VERTEX_BUDGET", 3)
+    assert len(build_dag(builtin_system("maxpart"), 2).vertices) == 3
 
 
-def test_path_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_terminating_paths(builtin_system("minpart"), 8, path_budget=2)
+def test_path_budget(monkeypatch):
+    monkeypatch.delenv("PLAB_BUDGET", raising=False)
+    monkeypatch.setattr(budget, "PATH_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="^minpart path enumeration from 8 exceeded 2$"):
+        enumerate_terminating_paths(builtin_system("minpart"), 8)
 
 
 def test_budget_env_var(monkeypatch):

@@ -109,7 +109,7 @@ def test_engines_ignore_budget(monkeypatch):
 
 def test_make_engine_accepts_strings():
     for kind in EngineKind:
-        assert make_engine(str(kind)).kind == kind
+        assert type(make_engine(str(kind))) is partlab.engines._ENGINE_CLASSES[kind]
     with pytest.raises(ValueError):
         make_engine("fibonacci")
 

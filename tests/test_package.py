@@ -1,6 +1,7 @@
 """The package's export list and its lazy loading."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -70,6 +71,89 @@ def test_every_exported_function_is_run():
     methods = [m for cls in classes for m in _public_methods(cls)]
     unused = [name for name in functions + methods if name.rpartition(".")[2] not in used]
     assert unused == []
+
+
+def _spelling(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _defaulted(fn) -> set[str]:
+    """The names of a function node's defaulted parameters."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    named = positional[len(positional) - len(a.defaults) :]
+    named += [p for p, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    return {p.arg for p in named}
+
+
+def _passed(paths) -> dict[str, set]:
+    """What some call in the files passes, by the callee's spelling: argument
+    positions (ints), keywords (strs), or "*" for every parameter.
+
+    f(a, k=b) and x.f(a, k=b) pass position 0 and k to f. A function passed in
+    an argument list, as in span("label", f, a, b), takes the arguments after
+    it. A starred argument passes every parameter. An argument that only
+    forwards a defaulted parameter of the function it is written in passes
+    nothing, so a wrapper cannot make its own default look used.
+    """
+    passed: dict[str, set] = {}
+
+    def note(callee, args, keywords, forwards):
+        if callee is None:
+            return
+        got = passed.setdefault(callee, set())
+        for i, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):
+                got.add("*")
+            elif not (isinstance(arg, ast.Name) and arg.id in forwards):
+                got.add(i)
+        for kw in keywords:
+            if kw.arg is None:
+                got.add("*")
+            elif not (isinstance(kw.value, ast.Name) and kw.value.id in forwards):
+                got.add(kw.arg)
+
+    def visit(node, forwards):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            forwards = forwards | _defaulted(node)
+        elif isinstance(node, ast.Call):
+            note(_spelling(node.func), node.args, node.keywords, forwards)
+            for i, arg in enumerate(node.args):
+                note(_spelling(arg), node.args[i + 1 :], (), forwards)
+        for child in ast.iter_child_nodes(node):
+            visit(child, forwards)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), set())
+    return passed
+
+
+# perfbench's crosscheck calls the oracle functions as getattr(pl, name)(n,
+# *rest), which no spelling follows; rest carries count_constrained's k
+PASSED_DYNAMICALLY = {"count_constrained": {"k"}}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a defaulted parameter of an exported function that no call in the package
+    # or perfbench passes is set by its own tests alone
+    modules = [p for p in (SRC / "partlab").glob("*.py") if p.name != "__init__.py"]
+    passed = _passed([*modules, *(ROOT / "perfbench").glob("*.py")])
+    unpassed = []
+    for name in partlab.__all__:
+        fn = getattr(partlab, name)
+        if not isinstance(fn, FunctionType):
+            continue
+        got = passed.get(name, set()) | passed.get(fn.__name__, set())
+        got |= PASSED_DYNAMICALLY.get(name, set())
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is param.empty or "*" in got:
+                continue
+            by_position = param.kind is not param.KEYWORD_ONLY and i in got
+            if not by_position and param.name not in got:
+                unpassed.append(f"{name}({param.name}=)")
+    assert unpassed == []
 
 
 def _fresh(code: str) -> dict:
@@ -143,6 +227,23 @@ def test_no_subcommand_loads_dataclasses():
     )
     assert [(argv, code) for argv, code, _ in got] == [(list(a), 0) for a in CLI_SHAPES]
     assert [(argv, loaded) for argv, _, loaded in got if loaded] == []
+
+
+def test_codes_commands_load_no_reduction_layer():
+    # paths come from dag, but decoding and the involution need neither dag
+    # nor the rewrite layer beneath it
+    got = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from partlab.cli import main\n"
+        "runs = []\n"
+        "for argv in (['codes', 'decode', '10', '1011'], ['involution', '7']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runs.append(main(argv))\n"
+        "print(json.dumps({'codes': runs, 'loaded': " + LOADED + "}))"
+    )
+    assert got["codes"] == [0, 0]
+    assert "partlab.codes" in got["loaded"]
+    assert not {"partlab.dag", "partlab.rewrite"} & set(got["loaded"])
 
 
 def test_first_access_loads_the_owner_once():
