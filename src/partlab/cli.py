@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain or
 computation error (bad input ranges, exhausted budgets, and the like).
 
 Large counts are printed as decimal strings in JSON output so nothing
-downstream has to parse big integers.
+downstream has to parse big integers. A record's JSON keys are its own
+fields, through _asdict(), and a CSV table projects its dict rows on one
+header.
 
 Each subcommand imports the layers it runs inside its handler, and the
 parser's choices are literal names, so `plab count` never loads the rewrite,
@@ -71,10 +73,11 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
+def _emit_csv(header: tuple[str, ...], rows: list[dict]) -> None:
+    """The header line, then each row's values under it; rows are dicts."""
     print(",".join(header))
     for row in rows:
-        print(",".join(str(cell) for cell in row))
+        print(",".join(str(row[key]) for key in header))
 
 
 # ---------------------------------------------------------------- count
@@ -146,7 +149,8 @@ def _cmd_coeffs(args) -> int:
         indexed = [(j, extracted.coeffs[j]) for j in range(1, upto + 1)]
         constant = extracted.constant
     if args.format == "csv":
-        _emit_csv(["index", "value"], [[i, v] for i, v in indexed])
+        header = ("index", "value")
+        _emit_csv(header, [dict(zip(header, pair)) for pair in indexed])
     elif args.format == "plain":
         if constant is not None:
             print(f"constant {constant}")
@@ -163,9 +167,17 @@ def _cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------- verify
 
 # verify --upto sets these size-indexed VerifyConfig fields, each clamped at
-# its cap where one is given. The oracle enumerates every partition of each
-# n, so its cost grows exponentially: the sweep to 45 takes seconds, the
-# sweep to 80 many minutes.
+# its cap where _cmd_verify gives one. The oracle enumerates every partition
+# of each n, so its cost grows exponentially: the sweep to 45 takes seconds,
+# the sweep to 80 many minutes.
+VERIFY_SIZED = (
+    "oracle_limit",
+    "engine_limit",
+    "series_limit",
+    "dag_limit",
+    "involution_limit",
+    "region_bound",
+)
 VERIFY_ORACLE_CAP = 45
 VERIFY_DAG_CAP = 60
 
@@ -179,17 +191,11 @@ def _cmd_verify(args) -> int:
         defaults = verify_mod.VerifyConfig()
         caps = {
             "oracle_limit": VERIFY_ORACLE_CAP,
-            "engine_limit": None,
-            "series_limit": None,
             "dag_limit": VERIFY_DAG_CAP,
             # B_j is listed from the oracle's strict partitions of j
             "involution_limit": ORACLE_CAP,
-            "region_bound": None,
         }
-        bounds = {
-            field: args.upto if cap is None else min(args.upto, cap)
-            for field, cap in caps.items()
-        }
+        bounds = {f: min(args.upto, caps.get(f, args.upto)) for f in VERIFY_SIZED}
         config = defaults._replace(**bounds)
         if any(value > getattr(defaults, field) for field, value in bounds.items()):
             print(
@@ -202,15 +208,7 @@ def _cmd_verify(args) -> int:
             {
                 "suite": args.suite,
                 "ok": report.ok,
-                "checks": [
-                    {
-                        "suite": c.suite,
-                        "name": c.name,
-                        "passed": c.passed,
-                        "detail": c.detail,
-                    }
-                    for c in report.checks
-                ],
+                "checks": [c._asdict() for c in report.checks],
             }
         )
     else:
@@ -278,12 +276,7 @@ def _cmd_dag(args) -> int:
             for v in dag.vertices
         ],
         "edges": [
-            {
-                "source": e.source.dot_name(),
-                "target": e.target.dot_name(),
-                "sign": e.sign,
-                "rule": e.rule,
-            }
+            {**e._asdict(), "source": e.source.dot_name(), "target": e.target.dot_name()}
             for e in dag.edges
         ],
         "constant": extracted.constant,
@@ -293,11 +286,7 @@ def _cmd_dag(args) -> int:
     }
     if args.paths:
         payload["paths"] = [
-            {
-                "vertices": [v.dot_name() for v in path.vertices],
-                "sign": path.sign,
-                "j": path.j,
-            }
+            {**path._asdict(), "vertices": [v.dot_name() for v in path.vertices]}
             for path in terminating_paths(dag)
         ]
     _emit_json(payload)
@@ -310,6 +299,7 @@ def _cmd_involution(args) -> int:
     from .codes import enumerate_Bj, involution, polarity, valuation
 
     j = args.j
+    header = ("code", "valuation", "polarity", "image", "relation")
     rows = []
     for code in enumerate_Bj(j) + enumerate_Bj(j - 1):
         image = involution(j, code)
@@ -320,22 +310,11 @@ def _cmd_involution(args) -> int:
             relation = "same-sign-pair"
         else:
             relation = "opposite-sign-pair"
-        rows.append(
-            {
-                "code": code.bits,
-                "valuation": v,
-                "polarity": polarity(code),
-                "image": image.bits,
-                "relation": relation,
-            }
-        )
+        rows.append(dict(zip(header, (code.bits, v, polarity(code), image.bits, relation))))
     sum_here = sum(r["polarity"] for r in rows if r["valuation"] == j)
     sum_prev = sum(r["polarity"] for r in rows if r["valuation"] == j - 1)
     if args.format == "csv":
-        _emit_csv(
-            ["code", "valuation", "polarity", "image", "relation"],
-            [[r["code"], r["valuation"], r["polarity"], r["image"], r["relation"]] for r in rows],
-        )
+        _emit_csv(header, rows)
     elif args.format == "json":
         _emit_json(
             {
@@ -347,10 +326,9 @@ def _cmd_involution(args) -> int:
             }
         )
     else:
+        line = "{code:>12}  v={valuation:<3} {sign}  ->  {image:>12}  {relation}"
         for r in rows:
-            sign = "+" if r["polarity"] > 0 else "-"
-            print(f"{r['code']:>12}  v={r['valuation']:<3} {sign}  ->  "
-                  f"{r['image']:>12}  {r['relation']}")
+            print(line.format(sign="+" if r["polarity"] > 0 else "-", **r))
         print(f"signed sums: {sum_here} - {sum_prev} = {sum_here - sum_prev}")
     return 0
 
@@ -360,17 +338,15 @@ def _cmd_involution(args) -> int:
 def _cmd_codes_pentagonal(args) -> int:
     from .codes import pentagonal_codes, polarity, valuation
 
-    codes = pentagonal_codes(args.count)
+    rows = [
+        {"code": c.bits, "valuation": valuation(c), "polarity": polarity(c)}
+        for c in pentagonal_codes(args.count)
+    ]
     if args.format == "json":
-        _emit_json(
-            [
-                {"code": c.bits, "valuation": valuation(c), "polarity": polarity(c)}
-                for c in codes
-            ]
-        )
+        _emit_json(rows)
     else:
-        for c in codes:
-            print(f"{c.bits}  valuation {valuation(c)}  polarity {polarity(c):+d}")
+        for r in rows:
+            print("{code}  valuation {valuation}  polarity {polarity:+d}".format_map(r))
     return 0
 
 
@@ -386,10 +362,7 @@ def _cmd_codes_decode(args) -> int:
         "polarity": polarity(args.bits),
         "walk": [[n, k] for n, k in walked.walk],
         "classification": walked.classification.value,
-        "terminating": report.terminating,
-        "strictly_below": report.strictly_below,
-        "at_boundary": report.at_boundary,
-        "leftmost_one": report.leftmost_one,
+        **report._asdict(),
         "partition": list(to_strict_partition(args.bits)),
     }
     if args.format == "json":
@@ -398,14 +371,9 @@ def _cmd_codes_decode(args) -> int:
         walk = " -> ".join(f"({n},{k})" for n, k in walked.walk)
         print(f"walk: {walk}")
         print(f"classification: {walked.classification.value}")
-        print(
-            f"valuation {payload['valuation']}  polarity {payload['polarity']:+d}  "
-            f"partition {payload['partition']}"
-        )
-        print(
-            f"terminating={report.terminating} strictly_below={report.strictly_below} "
-            f"at_boundary={report.at_boundary} leftmost_one={report.leftmost_one}"
-        )
+        line = "valuation {valuation}  polarity {polarity:+d}  partition {partition}"
+        print(line.format_map(payload))
+        print(" ".join(f"{name}={value}" for name, value in report._asdict().items()))
     return 0
 
 
@@ -423,21 +391,15 @@ def _cmd_codes_encode(args) -> int:
 def _cmd_codes_bj(args) -> int:
     from .codes import enumerate_Bj, polarity, to_strict_partition
 
-    codes = enumerate_Bj(args.j)
+    rows = [
+        {"code": c.bits, "polarity": polarity(c), "partition": list(to_strict_partition(c))}
+        for c in enumerate_Bj(args.j)
+    ]
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "code": c.bits,
-                    "polarity": polarity(c),
-                    "partition": list(to_strict_partition(c)),
-                }
-                for c in codes
-            ]
-        )
+        _emit_json(rows)
     else:
-        for c in codes:
-            print(f"{c.bits}  polarity {polarity(c):+d}  parts {list(to_strict_partition(c))}")
+        for r in rows:
+            print("{code}  polarity {polarity:+d}  parts {partition}".format_map(r))
     return 0
 
 
@@ -460,6 +422,7 @@ def _cmd_bench(args) -> int:
             kinds = [EngineKind(name) for name in names]
         except ValueError as exc:
             raise _UsageError(exc) from None
+    header = ("engine", "n", "terms", "seconds", "p")
     rows = []
     for kind in kinds:
         engine = make_engine(kind)
@@ -468,28 +431,16 @@ def _cmd_bench(args) -> int:
         for n in range(max_n + 1):
             value = engine.p(n)
         elapsed = time.perf_counter() - start
-        rows.append(
-            {
-                "engine": str(kind),
-                "n": max_n,
-                "terms": engine.recurrent_terms,
-                "seconds": round(elapsed, 6),
-                "p": str(value),
-            }
-        )
+        row = (str(kind), max_n, engine.recurrent_terms, round(elapsed, 6), str(value))
+        rows.append(dict(zip(header, row)))
     if args.format == "json":
         _emit_json(rows)
     elif args.format == "csv":
-        _emit_csv(
-            ["engine", "n", "terms", "seconds"],
-            [[r["engine"], r["n"], r["terms"], r["seconds"]] for r in rows],
-        )
+        _emit_csv(header[:-1], rows)  # every column but p
     else:
+        line = "{engine:<9} n={n}  terms={terms:<12} seconds={seconds:.4f}"
         for r in rows:
-            print(
-                f"{r['engine']:<9} n={r['n']}  terms={r['terms']:<12} "
-                f"seconds={r['seconds']:.4f}"
-            )
+            print(line.format_map(r))
     return 0
 
 

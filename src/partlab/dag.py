@@ -112,10 +112,6 @@ class Dag:
         self.constants: dict[Vertex, int] = {self.root: 0}  # build_dag sets the root's
         self.edges: list[DagEdge] = []
         self.aux_sinks: set[AuxVertex] = set()  # empty-fan termination vertices
-        # a lone root's, until build_dag sets the whole graph's
-        self._first: list[int] = [0, 0]
-        self._target: list[int] = []
-        self._order: list[int] = [0]
 
     def terminal_vertices(self) -> list[TerminalVertex]:
         return [v for v in self.vertices if isinstance(v, TerminalVertex)]
@@ -222,7 +218,7 @@ def signed_multiplicities(dag: Dag) -> dict[Vertex, int]:
 
 def extract_from_dag(dag: Dag) -> ExtractedRecurrence:
     mult = signed_multiplicities(dag)
-    constant = sum(c * mult.get(v, 0) for v, c in dag.constants.items())
+    constant = sum(c * mult[v] for v, c in dag.constants.items())
     coeffs = {j: 0 for j in range(1, dag.n_tilde + 1)}
     for v in dag.terminal_vertices():
         coeffs[v.j] = mult[v]

@@ -6,6 +6,11 @@ they stay honest under refactoring. Default caps in VerifyConfig are sized
 for an interactive run of a few seconds; the acceptance tests run these
 suites at their larger ``ACCEPTANCE`` bounds.
 
+Each check is one ``all()`` over a generator of its cases, or one comparison
+where there is a single case; no check keeps a flag that a loop clears. A
+case that needs several conditions gets a predicate named for its fact, such
+as ``_bounds_match_replay``.
+
 VerifyConfig, Check and VerifyReport are NamedTuples, so loading this module
 never loads dataclasses (and inspect with it); each equals the plain tuple of
 its fields, and a config with other bounds is made with VerifyConfig._replace.
@@ -93,20 +98,16 @@ class VerifyReport(NamedTuple):
         return tuple(c for c in self.checks if not c.passed)
 
     def lines(self) -> list[str]:
-        out = [c.line() for c in self.checks]
-        n_fail = len(self.failures)
-        out.append(f"{len(self.checks) - n_fail}/{len(self.checks)} checks passed")
-        return out
+        passed = len(self.checks) - len(self.failures)
+        tally = f"{passed}/{len(self.checks)} checks passed"
+        return [c.line() for c in self.checks] + [tally]
 
 
 def engines_suite(cfg: VerifyConfig) -> list[Check]:
     """Every counting engine against the exhaustive oracle and each other."""
-    checks = []
     reference = make_engine(EngineKind.INTEGRAL)
     ok = all(reference.p(n) == p_oracle(n) for n in range(cfg.oracle_limit + 1))
-    checks.append(
-        Check("engines", "integral-matches-exhaustive", ok, f"n<={cfg.oracle_limit}")
-    )
+    checks = [Check("engines", "integral-matches-exhaustive", ok, f"n<={cfg.oracle_limit}")]
     base = make_engine(EngineKind.EULER)
     base_vals = [base.p(n) for n in range(cfg.engine_limit + 1)]
     for kind in EngineKind:
@@ -131,7 +132,7 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
     f = integrated_f(lim)
     c = c_from_product(lim)
     prod = euler_product(lim)
-    checks = [
+    return [
         Check(
             "claim",
             "integrated-is-prefix-sum",
@@ -165,7 +166,6 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
             f"n<={lim}",
         ),
     ]
-    return checks
 
 
 def _codes_of_length(length: int):
@@ -174,177 +174,177 @@ def _codes_of_length(length: int):
         yield format(mask, f"0{length}b")
 
 
+_TERMINATING = (Classification.TERMINATING_BELOW, Classification.TERMINATING_AT)
+
+
+def _bounds_match_replay(n_tilde: int, bits: str) -> bool:
+    """lemma51's arithmetic termination bounds agree with replaying the walk.
+
+    Walks that touch the wedge before their last vertex pass: they never
+    arise as reduction paths, and the bounds do not apply to them.
+    """
+    cls = decode_path(n_tilde, bits).classification
+    if cls is Classification.ENTERS_EARLY:
+        return True
+    rep = lemma51(n_tilde, bits)
+    below = cls is Classification.TERMINATING_BELOW
+    return (
+        rep.terminating == (cls in _TERMINATING)
+        and rep.at_boundary == (cls is Classification.TERMINATING_AT)
+        and rep.strictly_below == below
+        and (rep.leftmost_one or not below)
+    )
+
+
+def _path_code_terminates(n_tilde: int, path) -> bool:
+    """The code of a reduction path decodes to a terminating walk that ends
+    at the path's terminal index, satisfies the bounds, and carries the
+    path's sign as its polarity."""
+    code = code_of_path(path)
+    walked = decode_path(n_tilde, code)
+    final_n, final_k = walked.walk[-1]
+    return (
+        walked.classification in _TERMINATING
+        and lemma51(n_tilde, code).terminating
+        and path.j == n_tilde - (final_n - final_k)
+        and path.sign == polarity(code)
+    )
+
+
+def _word_pair(rng: random.Random, limit: int) -> tuple[str, ...]:
+    """Two random binary words, each of a random length up to limit."""
+    lengths = rng.randint(0, limit), rng.randint(0, limit)
+    return tuple("".join(rng.choice("01") for _ in range(n)) for n in lengths)
+
+
 def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
-    checks = []
-
-    # Arithmetic termination bounds vs walk replay, on every code short
-    # enough, skipping walks that touch the wedge before their last vertex
-    # (those never arise as reduction paths; the bounds do not apply).
-    agree = True
-    for n_tilde in range(2, cfg.walk_limit + 1):
-        for length in range(1, cfg.code_length_limit + 1):
-            for bits in _codes_of_length(length):
-                cls = decode_path(n_tilde, bits).classification
-                if cls is Classification.ENTERS_EARLY:
-                    continue
-                rep = lemma51(n_tilde, bits)
-                want_term = cls in (
-                    Classification.TERMINATING_BELOW,
-                    Classification.TERMINATING_AT,
-                )
-                if rep.terminating != want_term:
-                    agree = False
-                if rep.at_boundary != (cls is Classification.TERMINATING_AT):
-                    agree = False
-                if rep.strictly_below != (cls is Classification.TERMINATING_BELOW):
-                    agree = False
-                if rep.strictly_below and not rep.leftmost_one:
-                    agree = False
-    checks.append(
-        Check(
-            "lemmas",
-            "termination-bounds-match-replay",
-            agree,
-            f"l<={cfg.code_length_limit}, n~<={cfg.walk_limit}",
-        )
-    )
-
-    # Codes extracted from real reduction paths decode to terminating walks
-    # and satisfy the same bounds.
+    walks = range(2, cfg.walk_limit + 1)
     maxpart = builtin_system("maxpart")
-    paths_ok = True
-    for n_tilde in range(2, cfg.walk_limit + 1):
-        for path in enumerate_terminating_paths(maxpart, n_tilde):
-            if path.j is None:
-                continue
-            code = code_of_path(path)
-            walked = decode_path(n_tilde, code)
-            if walked.classification not in (
-                Classification.TERMINATING_BELOW,
-                Classification.TERMINATING_AT,
-            ):
-                paths_ok = False
-            if not lemma51(n_tilde, code).terminating:
-                paths_ok = False
-            final_n, final_k = walked.walk[-1]
-            if path.j != n_tilde - (final_n - final_k):
-                paths_ok = False
-            if path.sign != polarity(code):
-                paths_ok = False
-    checks.append(
-        Check(
-            "lemmas",
-            "reduction-path-codes-terminate",
-            paths_ok,
-            f"n~<={cfg.walk_limit}",
-        )
-    )
-
     # The (100)*(1+011) language: valuations are exactly the generalized
     # pentagonal numbers >= 2 in length order, one code each, and each code's
     # polarity is the pentagonal coefficient at its valuation.
     pents = pentagonal_codes(12)
     vals = [valuation(c) for c in pents]
     expected = [v for v in range(2, max(vals) + 1) if euler_e(v) != 0]
-    lang_ok = (
-        vals == sorted(vals)
-        and len(set(vals)) == len(vals)
-        and sorted(vals) == expected
-        and all(polarity(c) == euler_e(valuation(c)) for c in pents)
-    )
-    checks.append(Check("lemmas", "pentagonal-language-valuations", lang_ok, "12 codes"))
-
-    # Valuation of a concatenation from the two halves alone.
     rng = random.Random(cfg.seed)
-    split_ok = True
-    for _ in range(cfg.pair_samples):
-        lp = rng.randint(0, cfg.pair_length_limit)
-        ls = rng.randint(0, cfg.pair_length_limit)
-        p = "".join(rng.choice("01") for _ in range(lp))
-        s = "".join(rng.choice("01") for _ in range(ls))
-        if valuation(p + s) != split_valuation(p, s):
-            split_ok = False
-    checks.append(
+    pairs = (_word_pair(rng, cfg.pair_length_limit) for _ in range(cfg.pair_samples))
+    return [
+        Check(
+            "lemmas",
+            "termination-bounds-match-replay",
+            all(
+                _bounds_match_replay(n_tilde, bits)
+                for n_tilde in walks
+                for length in range(1, cfg.code_length_limit + 1)
+                for bits in _codes_of_length(length)
+            ),
+            f"l<={cfg.code_length_limit}, n~<={cfg.walk_limit}",
+        ),
+        Check(
+            "lemmas",
+            "reduction-path-codes-terminate",
+            all(
+                _path_code_terminates(n_tilde, path)
+                for n_tilde in walks
+                for path in enumerate_terminating_paths(maxpart, n_tilde)
+                if path.j is not None
+            ),
+            f"n~<={cfg.walk_limit}",
+        ),
+        Check(
+            "lemmas",
+            "pentagonal-language-valuations",
+            vals == sorted(vals)
+            and len(set(vals)) == len(vals)
+            and sorted(vals) == expected
+            and all(polarity(c) == euler_e(valuation(c)) for c in pents),
+            "12 codes",
+        ),
+        # Valuation of a concatenation from the two halves alone.
         Check(
             "lemmas",
             "concatenation-valuation-additive",
-            split_ok,
+            all(valuation(p + s) == split_valuation(p, s) for p, s in pairs),
             f"{cfg.pair_samples} samples",
-        )
+        ),
+    ]
+
+
+_INVOLUTION_CHECKS = (
+    "images-stay-in-domain",
+    "self-inverse",
+    "rule-sign-bookkeeping",
+    "fixed-points-pentagonal",
+    "signed-sums-telescope",
+)
+
+
+def _pairing_at(j: int, c) -> tuple[bool, bool, bool, bool]:
+    """For one code of B_j + B_{j-1}: whether its image stays in the domain,
+    whether the image maps back to it, whether the pair's signs follow the
+    rule that paired them (rule one changes the valuation and keeps the sign,
+    rule two keeps the valuation and flips it), and whether it is fixed."""
+    image = involution(j, c)
+    v_c, v_i = valuation(c), valuation(image)
+    return (
+        image.bits[:1] == "1" and v_i in (j, j - 1),
+        involution(j, image) == c,
+        image == c or polarity(image) == (1 if v_i != v_c else -1) * polarity(c),
+        image == c,
     )
-    return checks
+
+
+def _involution_facts(j: int) -> tuple[bool, ...]:
+    """Whether each of _INVOLUTION_CHECKS holds at valuation j.
+
+    Each code's image is built once, and only one j's codes are held at a
+    time, so memory stays bounded by the largest j rather than by the sweep.
+    """
+    b_here = enumerate_Bj(j)
+    b_prev = enumerate_Bj(j - 1)
+    codes = b_here + b_prev
+    rows = [_pairing_at(j, c) for c in codes]
+    fixed = [c for c, row in zip(codes, rows) if row[3]]
+    # Every valuation-(j-1) code is paired by rule one, so fixed points
+    # sit at valuation j only: exactly one when j = k(3k-1)/2, the run
+    # 1^k 0^(k-2) for k > 0 and 1^|k| 0^(|k|-1) for k < 0, carrying the
+    # pentagonal coefficient as sign.
+    k = pentagonal_index(j)
+    shape = [] if k is None else ["1" * abs(k) + "0" * (k - 2 if k > 0 else -k - 1)]
+    return (
+        all(row[0] for row in rows),
+        all(row[1] for row in rows),
+        all(row[2] for row in rows),
+        [c.bits for c in fixed] == shape
+        and all(valuation(c) == j and polarity(c) == euler_e(j) for c in fixed),
+        sum(polarity(c) for c in b_here) - sum(polarity(c) for c in b_prev)
+        == euler_e(j),
+    )
 
 
 def involution_suite(cfg: VerifyConfig) -> list[Check]:
     """The sign-cancelling pairing on codes of valuation j and j-1."""
-    in_domain = True
-    self_inverse = True
-    bookkeeping = True
-    fixed_points = True
-    telescoping = True
-    for j in range(2, cfg.involution_limit + 1):
-        b_here = enumerate_Bj(j)
-        b_prev = enumerate_Bj(j - 1)
-        fixed = []
-        for c in b_here + b_prev:
-            image = involution(j, c)
-            v_c, v_i = valuation(c), valuation(image)
-            if image.bits and image.bits[0] == "1" and v_i in (j, j - 1):
-                pass
-            else:
-                in_domain = False
-            if involution(j, image) != c:
-                self_inverse = False
-            if image == c:
-                fixed.append(c)
-            elif v_i != v_c:
-                if polarity(image) != polarity(c):
-                    bookkeeping = False
-            else:
-                if polarity(image) != -polarity(c):
-                    bookkeeping = False
-        # Every valuation-(j-1) code is paired by rule one, so fixed points
-        # sit at valuation j only: exactly one when j = k(3k-1)/2, the run
-        # 1^k 0^(k-2) for k > 0 and 1^|k| 0^(|k|-1) for k < 0, carrying the
-        # pentagonal coefficient as sign.
-        k = pentagonal_index(j)
-        shape = [] if k is None else ["1" * abs(k) + "0" * (k - 2 if k > 0 else -k - 1)]
-        if [c.bits for c in fixed] != shape or any(
-            valuation(c) != j or polarity(c) != euler_e(j) for c in fixed
-        ):
-            fixed_points = False
-        total = sum(polarity(c) for c in b_here) - sum(polarity(c) for c in b_prev)
-        if total != euler_e(j):
-            telescoping = False
-    rng_detail = f"2<=j<={cfg.involution_limit}"
+    facts = [_involution_facts(j) for j in range(2, cfg.involution_limit + 1)]
     return [
-        Check("involution", "images-stay-in-domain", in_domain, rng_detail),
-        Check("involution", "self-inverse", self_inverse, rng_detail),
-        Check("involution", "rule-sign-bookkeeping", bookkeeping, rng_detail),
-        Check("involution", "fixed-points-pentagonal", fixed_points, rng_detail),
-        Check("involution", "signed-sums-telescope", telescoping, rng_detail),
+        Check("involution", name, all(f[i] for f in facts), f"2<=j<={cfg.involution_limit}")
+        for i, name in enumerate(_INVOLUTION_CHECKS)
     ]
 
 
 def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
-    checks = []
     region = Region(n_max=cfg.region_bound, k_max=cfg.region_bound)
     systems = [builtin_system(name) for name in BUILTIN_NAMES]
     systems.append(builtin_system("maxpart", completion=True))
-    for system in systems:
-        u = check_unitary(system, region)
-        o = check_orthogonal(system, region)
-        checks.append(
-            Check("rewrite", f"{system.name}-unitary", u.ok, f"bound {cfg.region_bound}")
+    checks = [
+        Check(
+            "rewrite",
+            f"{system.name}-{prop}",
+            hygiene(system, region).ok,
+            f"bound {cfg.region_bound}",
         )
-        checks.append(
-            Check(
-                "rewrite",
-                f"{system.name}-orthogonal",
-                o.ok,
-                f"bound {cfg.region_bound}",
-            )
-        )
+        for system in systems
+        for prop, hygiene in (("unitary", check_unitary), ("orthogonal", check_orthogonal))
+    ]
     # Every overlap of the naive variant is between its two rules. The first
     # overlap is A(3, 2), since one needs 2 <= k < n, so the region scanned
     # has bound at least 3.
@@ -362,19 +362,21 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
         )
     )
 
-    euler = make_engine(EngineKind.EULER)
+    p = make_engine(EngineKind.EULER).p
     for name, constant, want, check in (
         ("maxpart", 1, integrated_f(cfg.dag_limit), "maxpart-extraction-integrated"),
         ("minpart", 0, euler_seq(cfg.dag_limit), "minpart-extraction-pentagonal"),
     ):
-        ok = True
-        for n_tilde in range(1, cfg.dag_limit + 1):
-            span = range(1, n_tilde + 1)
-            got = extract_from_dag(build_dag(builtin_system(name), n_tilde))
-            if got.constant != constant or any(got.coeffs[j] != want[j] for j in span):
-                ok = False
-            if got.reconstruct(euler.p) != euler.p(n_tilde):
-                ok = False
+        extracted = (
+            extract_from_dag(build_dag(builtin_system(name), n_tilde))
+            for n_tilde in range(1, cfg.dag_limit + 1)
+        )
+        ok = all(
+            got.constant == constant
+            and all(got.coeffs[j] == want[j] for j in range(1, got.n_tilde + 1))
+            and got.reconstruct(p) == p(got.n_tilde)
+            for got in extracted
+        )
         checks.append(Check("rewrite", check, ok, f"n~<={cfg.dag_limit}"))
     return checks
 

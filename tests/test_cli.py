@@ -14,6 +14,7 @@ from partlab.cli import (
     ENGINE_NAMES,
     SUITE_NAMES,
     SYSTEM_NAMES,
+    VERIFY_DAG_CAP,
     VERIFY_ORACLE_CAP,
     build_parser,
     console_main,
@@ -348,7 +349,8 @@ def test_verify_upto_clamps_oracle(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--upto", "1000")
     assert code == 0 and "warning" in err
     assert seen[0].oracle_limit == VERIFY_ORACLE_CAP
-    assert seen[0].engine_limit == 1000
+    assert seen[0].dag_limit == VERIFY_DAG_CAP
+    assert seen[0].engine_limit == seen[0].series_limit == seen[0].region_bound == 1000
     # the involution suite lists B_j from the oracle's strict partitions of j
     assert seen[0].involution_limit == ORACLE_CAP == 80
 

@@ -68,6 +68,7 @@ CASES = [
     ("coeffs dag-minpart --upto 12", None, 0, "e4c455b448ed29f1", "e3b0c44298fc1c14"),
     ("coeffs e 5 --upto 5", None, 2, "e3b0c44298fc1c14", "db80d06275c4ac69"),
     ("coeffs e", None, 2, "e3b0c44298fc1c14", "db80d06275c4ac69"),
+    ("coeffs e 0", None, 2, "e3b0c44298fc1c14", "87815ec8e3cb218d"),
     ("verify claim", None, 0, "1c3b4039f02db427", "e3b0c44298fc1c14"),
     ("verify claim --format json", None, 0, "e3c148f1800daf74", "e3b0c44298fc1c14"),
     ("verify rewrite", None, 0, "24f9fcbfe334d900", "e3b0c44298fc1c14"),
@@ -75,6 +76,7 @@ CASES = [
     ("verify engines --upto 12", None, 0, "9ea0dc80ec081b11", "e3b0c44298fc1c14"),
     ("verify lemmas --upto 8 --format json", None, 0, "100fff426b55e218", "e3b0c44298fc1c14"),
     ("verify involution --upto 10", None, 0, "78b06a8ddc30cb09", "e3b0c44298fc1c14"),
+    ("verify involution --upto 1", None, 0, "a60d5ffe8b73a9db", "e3b0c44298fc1c14"),
     ("verify claim --upto 60", None, 0, "5b0de0e187ddf1b8", "83ffd3789d183f46"),
     ("dag minpart 6", None, 0, "64fe4e6713eb3ef5", "e3b0c44298fc1c14"),
     ("dag maxpart 6 --format dot", None, 0, "e2cc0f830ffa1d46", "e3b0c44298fc1c14"),
@@ -101,6 +103,7 @@ CASES = [
     ("involution 7", None, 0, "e7ebe39d2ce5c402", "e3b0c44298fc1c14"),
     ("involution 7 --format json", None, 0, "b55f253eecbc5c40", "e3b0c44298fc1c14"),
     ("involution 7 --format csv", None, 0, "7ab2f9f0582ad5a6", "e3b0c44298fc1c14"),
+    ("involution 0", None, 2, "e3b0c44298fc1c14", "c199d02e275b9563"),
     ("codes pentagonal 6", None, 0, "42dc2b59c6231fa1", "e3b0c44298fc1c14"),
     ("codes pentagonal 6 --format json", None, 0, "0cf3ed2a54563deb", "e3b0c44298fc1c14"),
     ("codes decode 10 1011", None, 0, "277c31d580e77563", "e3b0c44298fc1c14"),

@@ -247,6 +247,8 @@ def test_pentagonal_codes():
     lengths = [c.length for c in codes]
     assert lengths == sorted(lengths)
     assert all(euler_e(valuation(c)) == polarity(c) for c in codes)
+    # an odd count stops after the 1-ending code of the last length group
+    assert pentagonal_codes(5) == codes[:5]
     assert pentagonal_codes(0) == ()
     with pytest.raises(ValueError):
         pentagonal_codes(-1)

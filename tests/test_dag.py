@@ -179,6 +179,12 @@ def test_path_budget(monkeypatch):
     monkeypatch.setattr(budget, "PATH_BUDGET", 2)
     with pytest.raises(BudgetExceeded, match="^minpart path enumeration from 8 exceeded 2$"):
         enumerate_terminating_paths(builtin_system("minpart"), 8)
+    # minpart from 8 has 44 paths: a budget of 44 lists them all, 43 stops
+    monkeypatch.setattr(budget, "PATH_BUDGET", 44)
+    assert len(enumerate_terminating_paths(builtin_system("minpart"), 8)) == 44
+    monkeypatch.setattr(budget, "PATH_BUDGET", 43)
+    with pytest.raises(BudgetExceeded, match="exceeded 43$"):
+        enumerate_terminating_paths(builtin_system("minpart"), 8)
 
 
 def test_budget_env_var(monkeypatch):

@@ -245,6 +245,11 @@ def test_overlap_detected():
         AmbiguousRule, match=r"^minpart-naive: rules \[removal, split\] all apply at A\(5,2\)$"
     ):
         build_dag(_started(naive, Auxiliary(5, 2)), 5)
+    # and no rule that does not apply
+    never = Rule("never", RuleKind.AUXILIARY, lambda n, k: False, lambda n, k: (0, ()))
+    three = RewriteSystem(naive.name, (naive.rules[0], never, naive.rules[1]))
+    with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\] all apply"):
+        eval_atom(three, Auxiliary(5, 2))
 
 
 def test_unitarity_violations_reported():
