@@ -427,8 +427,7 @@ def _cmd_bench(args) -> int:
     for kind in kinds:
         engine = make_engine(kind)
         start = time.perf_counter()
-        value = 0
-        for n in range(max_n + 1):
+        for n in range(max_n + 1):  # max_n >= 0, so value is set
             value = engine.p(n)
         elapsed = time.perf_counter() - start
         row = (str(kind), max_n, engine.recurrent_terms, round(elapsed, 6), str(value))
@@ -559,9 +558,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else (0 if code is None else 2)
+    except SystemExit as exc:  # argparse exits with an int: 0 for help, 2 for misuse
+        return exc.code
     try:
         _check_budget_setting()
         return args.func(args)

@@ -42,7 +42,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value
-from .errors import InvalidCode, InvalidPartition, NotInDomain, PartlabError
+from .errors import InvalidCode, InvalidPartition, NotInDomain
 from .oracle import enumerate_strict, validate_partition
 
 if TYPE_CHECKING:
@@ -257,38 +257,31 @@ def involution(j: int, code: "PathCode | str") -> PathCode:
 
     Rule one maps 10x in B_j to 1x in B_{j-1} and back. Rule two, within
     B_j, maps 1^{k+2} 0 x 0^{k+1} to 1^{k+2} x 1 0^k and back, for k >= 0.
-    At most one rule can fire on any code; that exclusivity is re-checked at
-    run time. Codes outside B_j + B_{j-1} raise NotInDomain.
+    At most one rule can fire on any code, so the first that applies gives
+    the image. Codes outside B_j + B_{j-1} raise NotInDomain.
     """
     c = as_code(code)
     v = valuation(c)
     if not c.bits or c.bits[0] != "1" or v not in (j, j - 1):
         raise NotInDomain(f"{c.bits!r} (valuation {v}) outside B_{j} + B_{j - 1}")
     w = c.bits
-    matches: list[tuple[str, str]] = []
-
-    if v == j and w.startswith("10"):
-        matches.append(("rule1-forward", "1" + w[2:]))
+    # The guards exclude each other: rule one backward needs v = j - 1, rule
+    # one forward exactly one leading 1, rule two forward zeros >= ones - 1
+    # and rule two backward zeros <= ones - 2.
     if v == j - 1:
-        matches.append(("rule1-backward", "10" + w[1:]))
-    if v == j:
-        ones = len(w) - len(w.lstrip("1"))
-        zeros = len(w) - len(w.rstrip("0"))
-        if ones >= 2 and zeros >= ones - 1 and len(w) >= 2 * ones:
-            x = w[ones + 1 : len(w) - (ones - 1)]
-            matches.append(("rule2-forward", "1" * ones + x + "1" + "0" * (ones - 2)))
-        if ones >= zeros + 2 and len(w) >= 2 * zeros + 3:
-            x = w[zeros + 2 : len(w) - zeros - 1]
-            matches.append(
-                ("rule2-backward", "1" * (zeros + 2) + "0" + x + "0" * (zeros + 1))
-            )
-
-    if len(matches) > 1:
-        labels = ", ".join(label for label, _ in matches)
-        raise PartlabError(f"involution rules overlap on {w!r}: {labels}")
-    if not matches:
-        return c
-    return PathCode(matches[0][1])
+        return PathCode("10" + w[1:])
+    if w.startswith("10"):
+        return PathCode("1" + w[2:])
+    ones = len(w) - len(w.lstrip("1"))
+    zeros = len(w) - len(w.rstrip("0"))
+    if ones >= 2 and zeros >= ones - 1 and len(w) >= 2 * ones:
+        x = w[ones + 1 : len(w) - (ones - 1)]
+        return PathCode("1" * ones + x + "1" + "0" * (ones - 2))
+    # past rule two forward, zeros <= ones - 2 holds on every word this long
+    if len(w) >= 2 * zeros + 3:
+        x = w[zeros + 2 : len(w) - zeros - 1]
+        return PathCode("1" * (zeros + 2) + "0" + x + "0" * (zeros + 1))
+    return c
 
 
 def split_valuation(prefix: "PathCode | str", suffix: "PathCode | str") -> int:

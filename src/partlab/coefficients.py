@@ -146,8 +146,9 @@ def sigma_table(upto: int) -> list[int]:
 
 def _shrink_by_factor(coeffs: list[int], j: int) -> None:
     # multiply a truncated series by (1 - x^j), in place: coeffs[d] -= coeffs[d - j]
-    # for every d >= j, each reading the old value as a descending loop would
-    coeffs[j:] = map(sub, coeffs[j:], coeffs[: len(coeffs) - j])
+    # for every d >= j, each reading the old value as a descending loop would;
+    # map stops with coeffs[j:], and the assignment reads it whole before writing
+    coeffs[j:] = map(sub, coeffs[j:], coeffs)
 
 
 def euler_product(upto: int) -> CoeffSeq:

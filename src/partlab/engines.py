@@ -111,8 +111,7 @@ class IntegralEngine(Engine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._f: tuple[int, ...] = (-1,)
-        self._pos = self._neg = b""
+        self._f: tuple[int, ...] = ()  # the first _next builds it, with _pos and _neg
 
     def _next(self, m: int) -> int:
         if len(self._f) <= m:
@@ -134,7 +133,7 @@ class SigmaEngine(Engine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._sigma = [0]
+        self._sigma: list[int] = []  # the first _next builds it
 
     def _next(self, m: int) -> int:
         if len(self._sigma) <= m:

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,21 @@ def test_verify_small_upto_passes(capsys, upto):
     code, out, _ = run(capsys, "verify", "--upto", upto)
     assert code == 0, out
     assert "ok   rewrite:overlapping-variant-flagged  (1 overlapping atoms)" in out
+
+
+def test_verify_failing_check_exits_one(capsys, monkeypatch):
+    planted = [verify.Check("claim", "planted", False, "n<=0")]
+    monkeypatch.setitem(verify.SUITES, "claim", lambda cfg: planted)
+    code, out, _ = run(capsys, "verify", "claim")
+    assert code == 1
+    assert out == "FAIL claim:planted  (n<=0)\n0/1 checks passed\n"
+
+
+def test_verify_upto_at_a_default_does_not_warn(capsys):
+    # 16 raises no bound: it equals dag_limit's default and is below the rest
+    code, out, err = run(capsys, "verify", "--upto", "16")
+    assert code == 0, out
+    assert err == ""
 
 
 def test_verify_json(capsys):
@@ -281,6 +297,16 @@ def test_bench_csv(capsys):
     assert lines[1].startswith("euler,40,")
 
 
+def test_bench_seconds_are_each_sweeps_wall_time(capsys):
+    # rounded to microseconds, and no engine's sweep outlasts the whole call
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bench", "30", "--format", "json")
+    elapsed = time.perf_counter() - start
+    seconds = [row["seconds"] for row in json.loads(out)]
+    assert code == 0 and len(seconds) == 6
+    assert all(0 <= s <= elapsed and round(s, 6) == s for s in seconds)
+
+
 def test_bench_defaults_to_all(capsys):
     code, out, _ = run(capsys, "bench", "15")
     assert code == 0
@@ -348,8 +374,8 @@ def test_verify_upto_clamps_oracle(capsys, monkeypatch):
     monkeypatch.setattr(verify, "run", fake_run)
     code, _, err = run(capsys, "verify", "--upto", "1000")
     assert code == 0 and "warning" in err
-    assert seen[0].oracle_limit == VERIFY_ORACLE_CAP
-    assert seen[0].dag_limit == VERIFY_DAG_CAP
+    assert seen[0].oracle_limit == VERIFY_ORACLE_CAP == 45
+    assert seen[0].dag_limit == VERIFY_DAG_CAP == 60
     assert seen[0].engine_limit == seen[0].series_limit == seen[0].region_bound == 1000
     # the involution suite lists B_j from the oracle's strict partitions of j
     assert seen[0].involution_limit == ORACLE_CAP == 80

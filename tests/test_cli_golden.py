@@ -103,6 +103,9 @@ CASES = [
     ("involution 7", None, 0, "e7ebe39d2ce5c402", "e3b0c44298fc1c14"),
     ("involution 7 --format json", None, 0, "b55f253eecbc5c40", "e3b0c44298fc1c14"),
     ("involution 7 --format csv", None, 0, "7ab2f9f0582ad5a6", "e3b0c44298fc1c14"),
+    # B_7's signed sum is -1, where B_6's is 0: j = 8 pins the previous sum
+    ("involution 8", None, 0, "6b0b492e9a2461d9", "e3b0c44298fc1c14"),
+    ("involution 8 --format json", None, 0, "339b687335aa6bde", "e3b0c44298fc1c14"),
     ("involution 0", None, 2, "e3b0c44298fc1c14", "c199d02e275b9563"),
     ("codes pentagonal 6", None, 0, "42dc2b59c6231fa1", "e3b0c44298fc1c14"),
     ("codes pentagonal 6 --format json", None, 0, "0cf3ed2a54563deb", "e3b0c44298fc1c14"),

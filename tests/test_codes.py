@@ -213,8 +213,9 @@ def test_involution_fixed_points():
 
 
 def test_involution_domain():
-    with pytest.raises(NotInDomain):
-        involution(5, "1")  # valuation 2, needs 4 or 5
+    # valuation 2, needs 4 or 5
+    with pytest.raises(NotInDomain, match=r"^'1' \(valuation 2\) outside B_5 \+ B_4$"):
+        involution(5, "1")
     with pytest.raises(NotInDomain):
         involution(5, "0100")  # leading zero
     with pytest.raises(NotInDomain):
@@ -268,6 +269,16 @@ def test_code_of_path_roundtrip():
             # walk retraces exactly the auxiliary vertices of the path
             aux = [(v.n, v.k) for v in path.vertices[1:-1]]
             assert list(walked.walk) == aux
+
+
+def test_code_of_path_ending_at_a_sink():
+    # a path that ends at an auxiliary sink lists no terminal after its
+    # auxiliary vertices, and is coded like the same vertices followed by one
+    from partlab import TerminatingPath
+
+    for path in enumerate_terminating_paths(builtin_system("maxpart"), 10):
+        sunk = TerminatingPath(path.vertices[:-1], path.sign, None)
+        assert code_of_path(sunk) == code_of_path(path)
 
 
 def test_code_of_path_rejects_bare_paths():

@@ -110,6 +110,9 @@ def test_sigma():
 def test_coeffseq_validation():
     with pytest.raises(ValueError):
         CoeffSeq("e", (0, 2))
+    # the message lists the first four values out of range
+    with pytest.raises(ValueError, match=r"^e-sequence values outside -1\.\.1: \[2, 3, 4, 5\]$"):
+        CoeffSeq("e", (0, 2, 3, 4, 5, 6))
     with pytest.raises(ValueError):
         CoeffSeq("c", (1, 0))  # must start at -1
     with pytest.raises(ValueError):

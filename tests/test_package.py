@@ -264,6 +264,16 @@ def test_submodules_resolve_as_attributes(name):
     assert isinstance(module, ModuleType) and module.__name__ == f"partlab.{name}"
 
 
+def test_submodules_load_on_first_access():
+    # here every submodule is imported already, so its attribute never reaches
+    # the package's __getattr__; in a new interpreter it does
+    got = _fresh(
+        "import json\nimport partlab\n"
+        f"print(json.dumps([getattr(partlab, name).__name__ for name in {SUBMODULES!r}]))"
+    )
+    assert got == [f"partlab.{name}" for name in SUBMODULES]
+
+
 def test_run_verify_is_verify_run():
     assert partlab.run_verify is partlab.verify.run
 

@@ -51,6 +51,16 @@ def test_eval_with_completion_rules():
     assert eval_atom(system, Auxiliary(3, 1)) == 1
 
 
+def test_completion_fires_one_rule_on_every_auxiliary_atom():
+    # k = 1 belongs to rule one from n = 1, and (0, 1) to void
+    system = builtin_system("maxpart", completion=True)
+    r2 = [rule for rule in system.rules if not rule.lhs_primary]
+    for atom in Region(n_max=12, k_max=12).atoms():
+        if isinstance(atom, Auxiliary) and atom.k >= 1:
+            assert sum(rule.domain(*atom) for rule in r2) == 1, atom
+    assert eval_atom(system, Auxiliary(1, 1)) == 1
+
+
 @pytest.mark.parametrize(
     "name, atoms", [("minpart", 17_101), ("bounded", 7_650), ("maxpart", 16_651)]
 )
@@ -252,6 +262,20 @@ def test_overlap_detected():
         eval_atom(three, Auxiliary(5, 2))
 
 
+def test_naive_fans_are_identities():
+    # each naive rule reads a true identity for minpart's smallest-part counts
+    # on its own domain; only the two domains together are at fault
+    minpart, memo = builtin_system("minpart"), {}
+    for rule in overlapping_minpart_rules().rules:
+        for atom in Region(n_max=14, k_max=14).atoms():
+            if isinstance(atom, Auxiliary) and rule.domain(*atom):
+                constant, fan = rule.body(*atom)
+                total = constant + sum(
+                    sign * eval_atom(minpart, target, memo) for sign, target in fan
+                )
+                assert total == eval_atom(minpart, atom, memo), (rule.name, atom)
+
+
 def test_unitarity_violations_reported():
     bad = RewriteSystem(
         "bad",
@@ -275,6 +299,22 @@ def test_unitarity_violations_reported():
     reasons = {(atom, rule) for atom, rule, _ in report.violations}
     assert (Auxiliary(3, 0), "double") in reasons
     assert (Auxiliary(4, 0), "twice") in reasons
+
+
+def test_zero_coefficient_is_unitary():
+    zero = RewriteSystem(
+        "zero",
+        (
+            Rule("base", RuleKind.PRIMARY, lambda n: n == 0, lambda n: (1, ())),
+            Rule(
+                "drop",
+                RuleKind.PRIMARY,
+                lambda n: n > 0,
+                lambda n: (0, ((0, Primary(n - 1)),)),
+            ),
+        ),
+    )
+    assert check_unitary(zero, Region(n_max=4, k_max=0)).ok
 
 
 def test_rhs_family_enforced():
@@ -382,6 +422,20 @@ def test_chain_budget_env_override(monkeypatch):
         BudgetExceeded, match=r"^minpart: chain exceeded 2 applications at A\(0,1\)$"
     ):
         eval_atom(builtin_system("minpart"), Primary(12))
+
+
+def test_chain_budget_counts_an_auxiliary_root(monkeypatch):
+    # with every primary value memoized, the longest chain from A(10, 2) is
+    # its rising run A(10,2), A(11,3), ..., A(16,8): seven applications
+    system = builtin_system("maxpart")
+    euler = make_engine("euler")
+    monkeypatch.setenv("PLAB_BUDGET", "7")
+    memo = {Primary(u): euler.p(u) for u in range(17)}
+    assert eval_atom(system, Auxiliary(10, 2), memo) == 5
+    monkeypatch.setenv("PLAB_BUDGET", "6")
+    memo = {Primary(u): euler.p(u) for u in range(17)}
+    with pytest.raises(BudgetExceeded, match=r"chain exceeded 6 applications at A\(16,8\)$"):
+        eval_atom(system, Auxiliary(10, 2), memo)
 
 
 def test_region_iteration():
