@@ -11,20 +11,20 @@ Each sequence is also computable through an independent second route (product
 expansion or a divisor-sum recurrence with exact division), which the test
 suite plays against the definitions.
 
-The O(N^2) inner loops of those routes run as C-level exact integer dot
-products (slice assignment and sum over map(mul, ...)) instead of Python
-loops. The kernels change only how the loops run, not which terms are summed:
-the product route still multiplies by every factor (1 - x^j), each recurrence
-still reads only its own sigma table and its own earlier values and checks
-every division, and e_from_recurrence skips only the terms whose e_i it has
-itself computed as zero. So no route reads another route or the closed form,
-and the routes stay independent.
+The product routes still multiply by every factor (1 - x^j), as C-level slice
+updates. Both recurrences run through one loop that sums only the nonzero
+weights it has itself computed: e_t for e, and for c, summed by parts (Abel
+1826), its own changes c_t - c_{t-1}; both are nonzero only at the generalized
+pentagonal numbers. A sequence with many changes would come out just as exact,
+only slower. Each recurrence reads only its own sigma table and earlier values
+and checks every division, so no route reads another route or the closed form.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import isqrt
-from operator import mul, sub
+from operator import sub
 from typing import Iterator
 
 from ._value import Value
@@ -182,21 +182,32 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
+def _divisor_sum_recurrence(kernel: list[int], kind: str, by_parts: bool) -> CoeffSeq:
+    # v_0 = -1, v_n = -(1/n) * sum_{t<n} w_t * kernel[n - t] with every division
+    # exact; w_t = v_t, or by_parts w_t = v_t - v_{t-1} with v_{-1} = 0
+    values = [-1]
+    weights = [(0, -1)]  # (t, w_t) for every nonzero w_t
+    for n in range(1, len(kernel)):
+        total = sum(kernel[n - t] * w for t, w in weights)
+        v = _exact_div(-total, n, f"{kind}_{n}")
+        w = v - values[-1] if by_parts else v
+        values.append(v)
+        if w:
+            weights.append((n, w))
+    return CoeffSeq(kind, tuple(values))
+
+
 def c_from_recurrence(upto: int) -> CoeffSeq:
     """c via its divisor-sum recurrence.
 
     c_0 = -1 and, for n >= 1,
         c_n = -(1/n) * sum_{0<=i<=n-2} (sigma(n-i) - 1) * c_i
-    with the division required to be exact.
+    with the division required to be exact. The sum is taken by parts, as
+        sum_{0<=t<=n-1} (c_t - c_{t-1}) * K(n-t), where c_{-1} = 0 and
+    K(m) = sum_{1<=s<=m} (sigma(s) - 1), so K(0) = K(1) = 0 as sigma(1) = 1.
     """
-    _check_upto(upto)
-    sig1 = [s - 1 for s in sigma_table(upto)]
-    values = [-1]
-    for n in range(1, upto + 1):
-        # sig1[n], ..., sig1[2] against c_0, ..., c_{n-2}
-        total = sum(map(mul, sig1[n:1:-1], values))
-        values.append(_exact_div(-total, n, f"c_{n}"))
-    return CoeffSeq("c", tuple(values))
+    kernel = list(accumulate((s - 1 for s in sigma_table(upto)[1:]), initial=0))
+    return _divisor_sum_recurrence(kernel, "c", True)
 
 
 def e_from_recurrence(upto: int) -> CoeffSeq:
@@ -204,20 +215,9 @@ def e_from_recurrence(upto: int) -> CoeffSeq:
 
     e_0 = -1 and, for n >= 1,
         e_n = -(1/n) * sum_{0<=i<=n-1} sigma(n-i) * e_i
-    with the division required to be exact. Only the terms whose e_i this
-    loop has itself computed as nonzero are summed.
+    with the division required to be exact, over the nonzero e_i only.
     """
-    _check_upto(upto)
-    sig = sigma_table(upto)
-    values = [-1]
-    nonzero = [(0, -1)]  # (i, e_i) for every computed e_i != 0
-    for n in range(1, upto + 1):
-        total = sum(sig[n - i] * e for i, e in nonzero)
-        e_n = _exact_div(-total, n, f"e_{n}")
-        values.append(e_n)
-        if e_n:
-            nonzero.append((n, e_n))
-    return CoeffSeq("e", tuple(values))
+    return _divisor_sum_recurrence(sigma_table(upto), "e", False)
 
 
 def f_equals_e_predicate(n: int) -> bool:

@@ -313,7 +313,7 @@ def emit_dot(dag: Dag) -> str:
 
     Node names follow the planes: R_<n~> for the root, A_<n>_<k> for
     auxiliary vertices, P_<j> for terminal primary vertices. Edge labels
-    carry the sign. Constants appear in vertex labels when nonzero.
+    carry the sign: +, - or 0. Constants appear in vertex labels when nonzero.
     """
     ordered = sorted(dag.vertices, key=_vertex_sort_key)
     position = {v: i for i, v in enumerate(ordered)}
@@ -326,7 +326,7 @@ def emit_dot(dag: Dag) -> str:
     # stable on the source alone: build_dag appends each source's edges
     # together, in fan order
     for e in sorted(dag.edges, key=lambda e: position[e.source]):
-        label = "+" if e.sign >= 0 else "-"
+        label = "+" if e.sign > 0 else "-" if e.sign < 0 else "0"
         lines.append(
             f'  "{e.source.dot_name()}" -> "{e.target.dot_name()}" '
             f'[label="{label}"];'

@@ -89,6 +89,9 @@ def test_truncated_product_equals_integrated():
 def test_divisor_recurrences():
     assert c_from_recurrence(150).values == c_from_product(150).values
     assert e_from_recurrence(150).values == euler_seq(150).values
+    # at the top of the crosscheck workload's coefficient band
+    assert c_from_recurrence(1200).values == integrated_f(1200).values
+    assert e_from_recurrence(1200).values == euler_seq(1200).values
 
 
 def test_equality_predicate():
@@ -161,8 +164,8 @@ def test_negative_size_rejected(route):
         route(-1)
 
 
-# The routes as plain Python loops, kept as the reference for their C-level
-# kernels: the same terms, summed one at a time.
+# The routes as plain Python loops over their defining sums, one term at a
+# time, kept as the reference for the routes' own loops.
 
 
 def _ref_product(upto, first):

@@ -88,6 +88,26 @@ def test_dot_is_deterministic():
     assert a.startswith('digraph "maxpart_9" {')
 
 
+def test_zero_sign_edge_is_labelled_zero():
+    # a unitary system may ground a 0 coefficient; its edge is drawn as 0,
+    # matching the terminal coefficient that extraction gives
+    zero = RewriteSystem(
+        "zero",
+        (
+            Rule("base", RuleKind.PRIMARY, lambda n: n == 0, lambda n: (1, ())),
+            Rule(
+                "drop",
+                RuleKind.PRIMARY,
+                lambda n: n > 0,
+                lambda n: (0, ((0, Primary(n - 1)),)),
+            ),
+        ),
+    )
+    dag = build_dag(zero, 2)
+    assert '  "R_2" -> "P_1" [label="0"];\n' in emit_dot(dag)
+    assert extract_from_dag(dag).coeffs[1] == 0
+
+
 def test_maxpart_four_structure():
     dag = build_dag(builtin_system("maxpart"), 4)
     assert dag.constant_at(dag.root) == 1
