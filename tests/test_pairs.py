@@ -1,7 +1,9 @@
-"""The gate of tools/pairs.py on synthetic pairs."""
+"""The gate of tools/pairs.py on synthetic pairs, and its check on --seeds."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
@@ -24,8 +26,12 @@ def _pairs(change_wall, change_rss=30.0):
     ]
 
 
+def _verdict(pair_list):
+    return pairs.gate(pairs.tabulate(pair_list, METRICS), METRICS)
+
+
 def test_ties_count_for_neither_side():
-    verdict = pairs.gate(_pairs(PARENT_WALL), METRICS)
+    verdict = _verdict(_pairs(PARENT_WALL))
     assert (verdict["wins"], verdict["median_gap"]) == (0, 0)
     assert not verdict["enough_wins"] and not verdict["gap_beyond_iqr"]
     assert verdict["over_bound"] == [] and not verdict["passed"]
@@ -35,19 +41,19 @@ def test_ties_count_for_neither_side():
 
 def test_nine_wins_of_ten_pass():
     change = [1.50] * 9 + [1.90]  # the last pair is a loss
-    verdict = pairs.gate(_pairs(change), METRICS)
+    verdict = _verdict(_pairs(change))
     assert verdict["wins"] == 9 and verdict["pairs"] == 10
     assert verdict["enough_wins"] and verdict["gap_beyond_iqr"]
     assert verdict["passed"]
     # one more loss, and the wins fall short
-    verdict = pairs.gate(_pairs([1.50] * 8 + [1.90] * 2), METRICS)
+    verdict = _verdict(_pairs([1.50] * 8 + [1.90] * 2))
     assert verdict["wins"] == 8 and not verdict["enough_wins"] and not verdict["passed"]
 
 
 def test_gap_inside_parent_iqr_fails():
     # every pair a win, but the medians differ by less than the parent's spread
     change = [p - 0.005 for p in PARENT_WALL]
-    verdict = pairs.gate(_pairs(change), METRICS)
+    verdict = _verdict(_pairs(change))
     assert verdict["wins"] == 10 and verdict["enough_wins"]
     assert 0 < verdict["median_gap"] < verdict["parent_iqr"]
     assert not verdict["gap_beyond_iqr"] and not verdict["passed"]
@@ -55,6 +61,22 @@ def test_gap_inside_parent_iqr_fails():
 
 def test_other_metric_past_its_bound_fails():
     change = [1.50] * 10
-    assert pairs.gate(_pairs(change, change_rss=34.0), METRICS)["passed"]  # +13%
-    verdict = pairs.gate(_pairs(change, change_rss=35.0), METRICS)  # +17%
+    assert _verdict(_pairs(change, change_rss=34.0))["passed"]  # +13%
+    verdict = _verdict(_pairs(change, change_rss=35.0))  # +17%
     assert verdict["over_bound"] == ["peak_rss_mb"] and not verdict["passed"]
+
+
+def test_fewer_than_ten_pairs_never_pass():
+    # three wins of three, far beyond the parent's spread, are still too few pairs
+    verdict = _verdict(_pairs([1.50] * 3))
+    assert (verdict["wins"], verdict["pairs"]) == (3, 3)
+    assert verdict["gap_beyond_iqr"] and verdict["over_bound"] == []
+    assert not verdict["enough_wins"] and not verdict["passed"]
+
+
+def test_one_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        pairs.main(["--parent", "HEAD", "--workload", "crosscheck", "--seeds", "41",
+                    "--out", str(tmp_path / "bench.json")])
+    assert stop.value.code == 2 and "at least 2 seeds" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

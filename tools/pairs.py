@@ -1,26 +1,26 @@
 """Alternated parent/change pairs of one perfbench workload, and the gate that a
 claimed gain in wall_s must pass.
 
-    python tools/pairs.py --parent REV --workload W --pairs 10 --seeds A-B --out BENCH_<pr>.json
+    python tools/pairs.py --parent REV --workload W --seeds A-B --out BENCH_<pr>.json
 
 The parent tree is REV written out by `git archive REV | tar -x` into a
 temporary directory; the change tree is this checkout, as it stands. Each tree
 runs its own perfbench/run.py with --trace 0 and BENCHMARK.json's run_seconds,
 one run at a time, with PYTHONDONTWRITEBYTECODE=1 so that each run compiles what
-it imports, as in a fresh checkout. Pair i (from 1) runs both trees on seed
-number i of A-B, taken in turn when there are fewer seeds than pairs, the parent
-first on odd pairs and the change first on even ones. A run that exits nonzero
-or is not correct stops the command with exit 1.
+it imports, as in a fresh checkout. There is one pair per seed of A-B, at least
+two: pair i (from 1) runs both trees on seed number i, the parent first on odd
+pairs and the change first on even ones. A run that exits nonzero or is not
+correct stops the command with exit 1.
 
 The record in --out holds every end-to-end metric of every pair; per metric and
 tree, the median and quartiles (baseline.summary); per metric, the pairs the
 change wins and loses, ties counting for neither; and the gate's verdict. The
-gate passes when the change wins wall_s in at least 9 of every 10 pairs, its
-median wall_s is below the parent's by more than the parent's interquartile
-range, and no metric's median is worse than the parent's by more than its
-BENCHMARK.json bound. Every end-to-end metric there is lower-is-better. The
-command prints the pairs and the summary table, and exits 0 whether or not the
-gate passes. Only the standard library is used.
+gate passes when there are at least 10 pairs, the change wins wall_s in at
+least 9 of every 10 of them, its median wall_s is below the parent's by more
+than the parent's interquartile range, and no metric's median is worse than the
+parent's by more than its BENCHMARK.json bound. Every end-to-end metric there is
+lower-is-better. The command prints the pairs and the summary table, and exits
+0 whether or not the gate passes. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from baseline import WORKLOADS, seed_range, summary  # noqa: E402
 
 CLAIM = "wall_s"
+MIN_PAIRS = 10
 TREES = ("parent", "change")
 
 
@@ -67,12 +68,17 @@ def tally(pairs: list[dict], name: str, unit: str) -> dict:
     return row
 
 
-def gate(pairs: list[dict], metrics: dict[str, dict]) -> dict:
-    """The verdict on a gain in CLAIM over pairs of {"parent": {metric: value},
+def tabulate(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """The tally of every metric over pairs of {"parent": {metric: value},
     "change": {metric: value}}; metrics maps each lower-is-better metric's name
     to its BENCHMARK.json entry, with its unit and relative bound."""
-    table = {name: tally(pairs, name, m["unit"]) for name, m in metrics.items()}
+    return {name: tally(pairs, name, m["unit"]) for name, m in metrics.items()}
+
+
+def gate(table: dict, metrics: dict[str, dict]) -> dict:
+    """The verdict on a gain in CLAIM, from the table of tabulate(pairs, metrics)."""
     claim = table[CLAIM]
+    n = len(claim["parent"]["values"])
     gap = claim["parent"]["median"] - claim["change"]["median"]
     iqr = claim["parent"]["q3"] - claim["parent"]["q1"]
     over_bound = [name for name, row in table.items()
@@ -80,10 +86,10 @@ def gate(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     verdict = {
         "claim": CLAIM,
         "wins": claim["wins"],
-        "pairs": len(pairs),
+        "pairs": n,
         "median_gap": gap,
         "parent_iqr": iqr,
-        "enough_wins": 10 * claim["wins"] >= 9 * len(pairs),
+        "enough_wins": n >= MIN_PAIRS and 10 * claim["wins"] >= 9 * n,
         "gap_beyond_iqr": gap > iqr,
         "over_bound": over_bound,
     }
@@ -95,12 +101,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, to have quartiles")
+    if len(args.seeds) < 2:
+        parser.error("--seeds must name at least 2 seeds, to have quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
@@ -113,8 +118,7 @@ def main(argv=None) -> int:
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
-        for i in range(args.pairs):
-            seed = args.seeds[i % len(args.seeds)]
+        for i, seed in enumerate(args.seeds):
             order = TREES if i % 2 == 0 else TREES[::-1]
             pair: dict = {"pair": i + 1, "seed": seed, "first": order[0]}
             for tree in order:
@@ -124,8 +128,8 @@ def main(argv=None) -> int:
                   + ", ".join(f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}"
                               for name in metrics), flush=True)
 
-    verdict = gate(pairs, metrics)
-    table = {name: tally(pairs, name, m["unit"]) for name, m in metrics.items()}
+    table = tabulate(pairs, metrics)
+    verdict = gate(table, metrics)
     print(f"\n{'metric':12} {'parent median [q1, q3]':36} {'change median [q1, q3]':36} wins losses")
     for name, row in table.items():
         cells = [f"{row[t]['median']:.6g} [{row[t]['q1']:.6g}, {row[t]['q3']:.6g}] {metrics[name]['unit']}"
