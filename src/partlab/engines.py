@@ -39,8 +39,7 @@ from enum import Enum
 from itertools import compress
 from operator import mul
 
-from .coefficients import integrated_f, pentagonal_pairs, sigma_table
-from .errors import NonIntegralDivision
+from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
 
 
 class EngineKind(str, Enum):
@@ -141,10 +140,7 @@ class SigmaEngine(Engine):
         # sigma(1..m) against p(m-1)..p(0)
         total = sum(map(mul, self._sigma[1 : m + 1], reversed(self._p)))
         self.recurrent_terms += m
-        q, r = divmod(total, m)
-        if r != 0:
-            raise NonIntegralDivision(f"p({m}): {total} not divisible by {m}")
-        return q
+        return _exact_div(total, m, f"p({m})")
 
 
 class MinPartEngine(Engine):

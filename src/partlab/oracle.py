@@ -120,13 +120,11 @@ def enumerate_strict(n: int) -> Iterator[tuple[int, ...]]:
     """Return an iterator over the partitions of n into distinct parts,
     descending lexicographic; n is checked when this is called."""
     _check_n(n)
-    if n == 0:
-        return iter([()])
     return _strict(n)
 
 
 def _strict(n: int) -> Iterator[tuple[int, ...]]:
-    """Walk the strict partitions of n >= 1 in descending lexicographic order.
+    """Walk the strict partitions of n >= 0 in descending lexicographic order.
 
     x holds the parts placed so far, rest what is left to place and cap the
     largest part that may come next. Each step fills greedily, then lowers by

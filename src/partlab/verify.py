@@ -6,10 +6,13 @@ they stay honest under refactoring. Default caps in VerifyConfig are sized
 for an interactive run of a few seconds; the acceptance tests run these
 suites at their larger ``ACCEPTANCE`` bounds.
 
-Each check is one ``all()`` over a generator of its cases, or one comparison
-where there is a single case; no check keeps a flag that a loop clears. A
-case that needs several conditions gets a predicate named for its fact, such
-as ``_bounds_match_replay``.
+A check compares two whole sequences built by two routes, such as an engine's
+sweep against the oracle's counts, so a bound that shrinks on one side makes
+the lengths differ and the check fail. Only facts asked of each case on its
+own (a code, a reduction path, a word pair or a valuation j) stay as one
+``all()`` over a generator of the cases; a case that needs several conditions
+gets a predicate named for its fact, such as ``_bounds_match_replay``. No
+check keeps a flag that a loop clears.
 
 VerifyConfig, Check and VerifyReport are NamedTuples, so loading this module
 never loads dataclasses (and inspect with it); each equals the plain tuple of
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, count, islice
+from operator import eq
 from typing import NamedTuple
 
 from .coefficients import (
@@ -103,21 +107,23 @@ class VerifyReport(NamedTuple):
         return [c.line() for c in self.checks] + [tally]
 
 
+def _sweep(kind: EngineKind, limit: int) -> list[int]:
+    """p(0..limit) from a fresh engine of the given kind."""
+    p = make_engine(kind).p
+    return [p(n) for n in range(limit + 1)]
+
+
 def engines_suite(cfg: VerifyConfig) -> list[Check]:
     """Every counting engine against the exhaustive oracle and each other."""
-    reference = make_engine(EngineKind.INTEGRAL)
-    ok = all(reference.p(n) == p_oracle(n) for n in range(cfg.oracle_limit + 1))
+    exhaustive = [p_oracle(n) for n in range(cfg.oracle_limit + 1)]
+    ok = _sweep(EngineKind.INTEGRAL, cfg.oracle_limit) == exhaustive
     checks = [Check("engines", "integral-matches-exhaustive", ok, f"n<={cfg.oracle_limit}")]
-    base = make_engine(EngineKind.EULER)
-    base_vals = [base.p(n) for n in range(cfg.engine_limit + 1)]
+    lim = cfg.engine_limit
+    euler = _sweep(EngineKind.EULER, lim)
     for kind in EngineKind:
-        if kind is EngineKind.EULER:
-            continue
-        eng = make_engine(kind)
-        ok = all(eng.p(n) == base_vals[n] for n in range(cfg.engine_limit + 1))
-        checks.append(
-            Check("engines", f"{kind}-matches-euler", ok, f"n<={cfg.engine_limit}")
-        )
+        if kind is not EngineKind.EULER:
+            ok = _sweep(kind, lim) == euler
+            checks.append(Check("engines", f"{kind}-matches-euler", ok, f"n<={lim}"))
     return checks
 
 
@@ -125,47 +131,22 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
     """The coefficient quadrangle: product, integrated, and both divisor
     recurrences all describe the same two series, and the closed-form
     membership predicate marks exactly the indices where they agree. The
-    full product is -e termwise, so its negated prefix sums are the truncated
-    product too."""
+    full product is -e termwise, so by the first fact its negated prefix
+    sums are the truncated product too."""
     lim = cfg.series_limit
-    e = euler_seq(lim)
-    f = integrated_f(lim)
-    c = c_from_product(lim)
-    prod = euler_product(lim)
-    return [
-        Check(
-            "claim",
-            "integrated-is-prefix-sum",
-            all(f[n] == sum(e[i] for i in range(n + 1)) for n in range(lim + 1)),
-            f"n<={lim}",
-        ),
-        Check(
-            "claim",
-            "truncated-product-equals-integrated",
-            all(c[n] == f[n] for n in range(lim + 1))
-            and all(prod[n] == -e[n] for n in range(lim + 1))
-            and list(accumulate(-v for v in prod.values)) == list(c.values),
-            f"n<={lim}",
-        ),
-        Check(
-            "claim",
-            "divisor-recurrence-rebuilds-truncated-product",
-            c_from_recurrence(lim).values == c.values,
-            f"n<={lim}",
-        ),
-        Check(
-            "claim",
-            "divisor-recurrence-rebuilds-pentagonal",
-            e_from_recurrence(lim).values == e.values,
-            f"n<={lim}",
-        ),
-        Check(
-            "claim",
-            "equality-predicate-marks-agreement",
-            all((f[n] == e[n]) == f_equals_e_predicate(n) for n in range(lim + 1)),
-            f"n<={lim}",
-        ),
-    ]
+    e = euler_seq(lim).values
+    f = integrated_f(lim).values
+    c = c_from_product(lim).values
+    facts = {
+        "integrated-is-prefix-sum": list(accumulate(e)) == list(f),
+        "truncated-product-equals-integrated": c == f
+        and euler_product(lim).values == tuple(-v for v in e),
+        "divisor-recurrence-rebuilds-truncated-product": c_from_recurrence(lim).values == c,
+        "divisor-recurrence-rebuilds-pentagonal": e_from_recurrence(lim).values == e,
+        "equality-predicate-marks-agreement": list(map(eq, f, e))
+        == list(map(f_equals_e_predicate, range(lim + 1))),
+    }
+    return [Check("claim", name, ok, f"n<={lim}") for name, ok in facts.items()]
 
 
 def _codes_of_length(length: int):
@@ -253,8 +234,8 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
         Check(
             "lemmas",
             "pentagonal-language-valuations",
-            [valuation(c) for c in pents] == first_pentagonal
-            and all(polarity(c) == euler_e(valuation(c)) for c in pents),
+            list(map(valuation, pents)) == first_pentagonal
+            and list(map(polarity, pents)) == list(map(euler_e, first_pentagonal)),
             "12 codes",
         ),
         # Valuation of a concatenation from the two halves alone.
@@ -280,13 +261,17 @@ def _pairing_at(j: int, c) -> tuple[bool, bool, bool, bool]:
     """For one code of B_j + B_{j-1}: whether its image stays in the domain,
     whether the image maps back to it, whether the pair's signs follow the
     rule that paired them (rule one changes the valuation and keeps the sign,
-    rule two keeps the valuation and flips it), and whether it is fixed."""
+    rule two keeps the valuation and flips it), and whether it is fixed.
+    The middle two are not asked of an image outside the domain, where the
+    involution and polarity are undefined."""
     image = involution(j, c)
-    v_c, v_i = valuation(c), valuation(image)
+    v_i = valuation(image)
+    if image.bits[:1] != "1" or v_i not in (j, j - 1):
+        return False, True, True, False
     return (
-        image.bits[:1] == "1" and v_i in (j, j - 1),
+        True,
         involution(j, image) == c,
-        image == c or polarity(image) == (1 if v_i != v_c else -1) * polarity(c),
+        image == c or polarity(image) == (1 if v_i != valuation(c) else -1) * polarity(c),
         image == c,
     )
 
@@ -370,7 +355,7 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
         )
         ok = all(
             got.constant == constant
-            and all(got.coeffs[j] == want[j] for j in range(1, got.n_tilde + 1))
+            and tuple(got.coeffs.values()) == want.values[1 : got.n_tilde + 1]
             and got.reconstruct(p) == p(got.n_tilde)
             for got in extracted
         )

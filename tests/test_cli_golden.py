@@ -77,6 +77,8 @@ CASES = [
     ("verify lemmas --upto 8 --format json", None, 0, "100fff426b55e218", "e3b0c44298fc1c14"),
     ("verify involution --upto 10", None, 0, "78b06a8ddc30cb09", "e3b0c44298fc1c14"),
     ("verify involution --upto 1", None, 0, "a60d5ffe8b73a9db", "e3b0c44298fc1c14"),
+    ("verify engines", None, 0, "5124de71d77098f0", "e3b0c44298fc1c14"),
+    ("verify involution", None, 0, "7b3f83b914c6c163", "e3b0c44298fc1c14"),
     ("verify claim --upto 60", None, 0, "5b0de0e187ddf1b8", "83ffd3789d183f46"),
     ("dag minpart 6", None, 0, "64fe4e6713eb3ef5", "e3b0c44298fc1c14"),
     ("dag maxpart 6 --format dot", None, 0, "e2cc0f830ffa1d46", "e3b0c44298fc1c14"),

@@ -6,6 +6,7 @@ import partlab.verify
 from partlab import (
     Check,
     CoeffSeq,
+    PathCode,
     RewriteSystem,
     SUITES,
     VerifyConfig,
@@ -88,6 +89,71 @@ def test_product_check_needs_euler_product(monkeypatch):
     assert [(c.suite, c.name) for c in failures] == [
         ("claim", "truncated-product-equals-integrated")
     ]
+
+
+def _planted(label, suite, function, case, broken, at, names):
+    return pytest.param(suite, function, case, broken, at, names, id=label)
+
+
+def _domain(label, suite, function, case, broken, first, last, names):
+    """Rows planting a fault at the first and the last case of a sweep, which
+    fail the named checks, and one case past its end, which fails none."""
+    return [
+        _planted(f"{label}-{at}", suite, function, case, broken, at, want)
+        for at, want in ((first, names), (last, names), (last + 1, set()))
+    ]
+
+
+def _no(_):
+    return False
+
+
+EXTRACTION = {"maxpart-extraction-integrated", "minpart-extraction-pentagonal"}
+ADDITIVE = {"concatenation-valuation-additive"}
+
+# Each row: the suite, the verify function patched, the case a call of it
+# covers, what the call returns there instead of its result, the case that
+# gets the fault, and the checks that fail with it.
+PLANTED = [
+    *_domain("walk", "lemmas", "_bounds_match_replay", lambda n, bits: n, _no,
+             2, SMALL.walk_limit, {"termination-bounds-match-replay"}),
+    *_domain("path-walk", "lemmas", "_path_code_terminates", lambda n, path: n, _no,
+             2, SMALL.walk_limit, {"reduction-path-codes-terminate"}),
+    *_domain("code-length", "lemmas", "_bounds_match_replay", lambda n, bits: len(bits), _no,
+             1, SMALL.code_length_limit, {"termination-bounds-match-replay"}),
+    # in the images-stay-in-domain column
+    *_domain("involution-j", "involution", "_pairing_at", lambda j, c: j,
+             lambda row: (False, *row[1:]), 2, SMALL.involution_limit,
+             {"images-stay-in-domain"}),
+    *_domain("extraction", "rewrite", "extract_from_dag", lambda dag: dag.n_tilde,
+             lambda got: got._replace(constant=-1), 1, SMALL.dag_limit, EXTRACTION),
+    # seed 7 draws 3 empty prefixes and 2 empty suffixes
+    _planted("empty-prefix", "lemmas", "split_valuation", lambda p, s: len(p),
+             lambda v: v + 1, 0, ADDITIVE),
+    _planted("empty-suffix", "lemmas", "split_valuation", lambda p, s: len(s),
+             lambda v: v + 1, 0, ADDITIVE),
+    # 10001 in B_8 sent to 110, not to 1001: an image in the domain with the
+    # same sign, which 110 does not map back from
+    _planted("in-domain", "involution", "involution", lambda j, c: (j, str(c)),
+             lambda image: PathCode("110"), (8, "10001"), {"self-inverse"}),
+    # 1011 sent to 01011, outside the domain, where nothing maps back to 1011
+    # and 111 no longer round-trips through it
+    _planted("outside-domain", "involution", "involution", lambda j, c: str(c),
+             lambda image: PathCode("01011"), "1011",
+             {"images-stay-in-domain", "self-inverse"}),
+]
+
+
+@pytest.mark.parametrize("suite, function, case, broken, at, names", PLANTED)
+def test_planted_fault_fails_its_check(monkeypatch, suite, function, case, broken, at, names):
+    real = getattr(partlab.verify, function)
+
+    def planted(*args):
+        got = real(*args)
+        return broken(got) if case(*args) == at else got
+
+    monkeypatch.setattr(partlab.verify, function, planted)
+    assert failing(suite) == names
 
 
 def test_unknown_suite():
