@@ -11,7 +11,9 @@ Each sequence is also computable through an independent second route (product
 expansion or a divisor-sum recurrence with exact division), which the test
 suite plays against the definitions.
 
-The product routes still multiply by every factor (1 - x^j), as C-level slice
+The product routes still multiply by every factor (1 - x^j), largest j first:
+prod_{i>j} (1 - x^i) sums over partitions into distinct parts above j (Euler),
+so factor j moves only degree j and degrees above 2j: half the ascending slice
 updates. Both recurrences run through one loop that sums only the nonzero
 weights it has itself computed: e_t for e, and for c, summed by parts (Abel
 1826), its own changes c_t - c_{t-1}; both are nonzero only at the generalized
@@ -144,11 +146,16 @@ def sigma_table(upto: int) -> list[int]:
     return table
 
 
-def _shrink_by_factor(coeffs: list[int], j: int) -> None:
-    # multiply a truncated series by (1 - x^j), in place: coeffs[d] -= coeffs[d - j]
-    # for every d >= j, each reading the old value as a descending loop would;
-    # map stops with coeffs[j:], and the assignment reads it whole before writing
-    coeffs[j:] = map(sub, coeffs[j:], coeffs)
+def _truncated_product(upto: int, first: int) -> list[int]:
+    # prod_{first<=j<=upto} (1 - x^j) to degree upto, factor j = upto first; the
+    # series then has no degree 1..j, so coeffs[d] -= coeffs[d - j] moves only
+    # d = j (by coeffs[0] = 1) and d > 2j, each reading the old value
+    coeffs = [0] * (upto + 1)
+    coeffs[0] = 1
+    for j in range(upto, first - 1, -1):
+        coeffs[j] -= 1
+        coeffs[2 * j + 1 :] = map(sub, coeffs[2 * j + 1 :], coeffs[j + 1 :])
+    return coeffs
 
 
 def euler_product(upto: int) -> CoeffSeq:
@@ -158,21 +165,13 @@ def euler_product(upto: int) -> CoeffSeq:
     applies. Degree 0 coefficient is +1.
     """
     _check_upto(upto)
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for j in range(1, upto + 1):
-        _shrink_by_factor(coeffs, j)
-    return CoeffSeq("e", tuple(coeffs))
+    return CoeffSeq("e", tuple(_truncated_product(upto, 1)))
 
 
 def c_from_product(upto: int) -> CoeffSeq:
     """Coefficients of -prod_{2<=j<=upto} (1 - x^j), truncated at degree upto."""
     _check_upto(upto)
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for j in range(2, upto + 1):
-        _shrink_by_factor(coeffs, j)
-    return CoeffSeq("c", tuple(-v for v in coeffs))
+    return CoeffSeq("c", tuple(-v for v in _truncated_product(upto, 2)))
 
 
 def _exact_div(num: int, den: int, what: str) -> int:

@@ -61,6 +61,16 @@ def test_product_is_negated_e():
     prod = euler_product(120)
     e = euler_seq(120)
     assert all(prod[n] == -e[n] for n in range(121))
+    # at the top of the crosscheck workload's coefficient band
+    assert euler_product(1200).values == tuple(-v for v in euler_seq(1200).values)
+
+
+def test_larger_factors_have_no_low_degrees():
+    # the product routes apply factor j last among j..upto and rely on the
+    # factors above j leaving degrees 1..j empty (distinct parts above j)
+    for upto in range(61):
+        for j in range(upto):
+            assert not any(partlab.coefficients._truncated_product(upto, j + 1)[1 : j + 1])
 
 
 def test_product_annihilates_counts():
@@ -84,6 +94,7 @@ def test_integrated_is_prefix_sum():
 
 def test_truncated_product_equals_integrated():
     assert c_from_product(250).values == integrated_f(250).values
+    assert c_from_product(1200).values == integrated_f(1200).values
 
 
 def test_divisor_recurrences():
