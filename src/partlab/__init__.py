@@ -57,7 +57,6 @@ _EXPORTS = {
     ),
     **_owned_by(
         "dag",
-        "AuxVertex",
         "Dag",
         "DagEdge",
         "ExtractedRecurrence",
@@ -65,6 +64,7 @@ _EXPORTS = {
         "TerminalVertex",
         "TerminatingPath",
         "build_dag",
+        "dot_name",
         "emit_dot",
         "enumerate_terminating_paths",
         "extract_from_dag",

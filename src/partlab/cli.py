@@ -242,6 +242,7 @@ def _cmd_dag(args) -> int:
         raise _UsageError("--completion applies to the maxpart system only")
     from .dag import (
         build_dag,
+        dot_name,
         emit_dot,
         extract_from_dag,
         signed_multiplicities,
@@ -263,20 +264,20 @@ def _cmd_dag(args) -> int:
             f"constant {extracted.constant}"
         )
         for vertex in dag.vertices:
-            print(f"  {vertex.dot_name()}  multiplicity {mult[vertex]}")
+            print(f"  {dot_name(vertex)}  multiplicity {mult[vertex]}")
         return 0
     payload = {
         "system": system.name,
         "n_tilde": n_tilde,
         "vertices": [
             {
-                "name": v.dot_name(),
+                "name": dot_name(v),
                 "constant": dag.constant_at(v),
             }
             for v in dag.vertices
         ],
         "edges": [
-            {**e._asdict(), "source": e.source.dot_name(), "target": e.target.dot_name()}
+            {**e._asdict(), "source": dot_name(e.source), "target": dot_name(e.target)}
             for e in dag.edges
         ],
         "constant": extracted.constant,
@@ -286,7 +287,7 @@ def _cmd_dag(args) -> int:
     }
     if args.paths:
         payload["paths"] = [
-            {**path._asdict(), "vertices": [v.dot_name() for v in path.vertices]}
+            {**path._asdict(), "vertices": [dot_name(v) for v in path.vertices]}
             for path in terminating_paths(dag)
         ]
     _emit_json(payload)

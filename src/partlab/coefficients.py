@@ -78,16 +78,11 @@ def pentagonal_index(n: int) -> int | None:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0
     root = isqrt(24 * n + 1)
     if root * root != 24 * n + 1:
         return None
-    if root % 6 == 5:
-        return (root + 1) // 6
-    if root % 6 == 1:
-        return -((root - 1) // 6)
-    return None
+    q, r = divmod(root, 6)  # a square 24n + 1 has an odd root prime to 3: r is 5 or 1
+    return q + 1 if r == 5 else -q
 
 
 def euler_e(n: int) -> int:

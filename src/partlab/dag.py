@@ -23,24 +23,26 @@ extracts fine but its all-positive fans make path counts explode, so nothing
 here asserts anything about it beyond structural sanity.
 
 build_dag fires atoms through the rewrite layer's _fire, which reads the
-system's firing tables and raises NoRuleApplies, in one loop over the atoms
-it reaches. It keys every vertex but the root by the atom it stands for, and
-keeps one adjacency by vertex position: each vertex's out-edges sit together
-in Dag.edges, in fan order. The Kahn sort that checks acyclicity (its order
+system's firing tables and raises NoRuleApplies, in one loop over the
+vertices it reaches. An auxiliary vertex is the Auxiliary atom it stands for:
+the first one a fan returns. build_dag keys every vertex but the root by its
+atom, P(u) for terminal n~ - u and A(n, k) for itself, and keeps one
+adjacency by vertex position: each vertex's out-edges sit together in
+Dag.edges, in fan order. The Kahn sort that checks acyclicity (its order
 kept), signed_multiplicities and terminating_paths all read that adjacency;
 emit_dot sorts Dag.edges stably by source alone, which keeps fan order. A
-Dag's public fields are system_name, n_tilde, root, vertices, constants,
-edges and aux_sinks.
+Dag's public fields are system_name, n_tilde, root, vertices, constants and
+edges. Every dispatch on vertex kind sits in this module: dot_name, the DOT
+sort key and the DOT label.
 
-AuxVertex, TerminalVertex and DagEdge are NamedTuples, like the atoms, so the
-vertex keys hash and compare in C; a vertex equals the plain tuple of its
-fields, and AuxVertex(n, k) == Auxiliary(n, k). The records
-ExtractedRecurrence and TerminatingPath are NamedTuples as well, equal to the
-plain tuples of their fields, so loading this module never loads dataclasses.
-RootVertex is deliberately not a tuple but an immutable value (see _value):
-as a 1-tuple, RootVertex(n~) would equal TerminalVertex(n~), and both occur
-in one graph (maxpart at n~ = 6 reaches P(0), terminal j = 6), so
-Dag.constants and signed_multiplicities would merge them.
+TerminalVertex and DagEdge are NamedTuples, like the atoms, so the vertex
+keys hash and compare in C. The records ExtractedRecurrence and
+TerminatingPath are NamedTuples as well, equal to the plain tuples of their
+fields, so loading this module never loads dataclasses. RootVertex is
+deliberately not a tuple but an immutable value (see _value): as a 1-tuple,
+RootVertex(n~) would equal TerminalVertex(n~), and both occur in one graph
+(maxpart at n~ = 6 reaches P(0), terminal j = 6), so Dag.constants and
+signed_multiplicities would merge them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Callable, NamedTuple, Union
 from . import budget
 from ._value import Value
 from .errors import BudgetExceeded, CyclicReduction
-from .rewrite import Atom, Primary, RewriteSystem, RuleKind, _fire
+from .rewrite import Atom, Auxiliary, Primary, RewriteSystem, _fire
 
 
 class RootVertex(Value):
@@ -66,26 +68,12 @@ class RootVertex(Value):
     def __init__(self, n_tilde: int) -> None:
         object.__setattr__(self, "n_tilde", n_tilde)
 
-    def dot_name(self) -> str:
-        return f"R_{self.n_tilde}"
-
-
-class AuxVertex(NamedTuple):
-    n: int
-    k: int
-
-    def dot_name(self) -> str:
-        return f"A_{self.n}_{self.k}"
-
 
 class TerminalVertex(NamedTuple):
     j: int
 
-    def dot_name(self) -> str:
-        return f"P_{self.j}"
 
-
-Vertex = Union[RootVertex, AuxVertex, TerminalVertex]
+Vertex = Union[RootVertex, Auxiliary, TerminalVertex]
 
 
 class DagEdge(NamedTuple):
@@ -111,7 +99,6 @@ class Dag:
         self.vertices: list[Vertex] = [self.root]
         self.constants: dict[Vertex, int] = {self.root: 0}  # build_dag sets the root's
         self.edges: list[DagEdge] = []
-        self.aux_sinks: set[AuxVertex] = set()  # empty-fan termination vertices
 
     def terminal_vertices(self) -> list[TerminalVertex]:
         return [v for v in self.vertices if isinstance(v, TerminalVertex)]
@@ -135,33 +122,27 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
     vertices, edges, first, target = dag.vertices, dag.edges, [], []
 
     # positions in dag.vertices, keyed by the atom a vertex stands for: P(u) for
-    # terminal n~ - u, A(n, k) for its auxiliary vertex; the root is not keyed,
-    # since P(n~) reached by a fan is terminal 0
+    # terminal n~ - u, A(n, k) for itself; the root is not keyed, since P(n~)
+    # reached by a fan is terminal 0
     position: dict[Atom, int] = {}
-    atoms: list[Atom] = [Primary(n_tilde)]  # the atom at each position
 
-    # fire the root, then each auxiliary atom in the order reached; a vertex's
+    # fire the root, then each auxiliary vertex in the order reached; a vertex's
     # out-edges are appended together, in fan order, before the next vertex's
-    for s, atom in enumerate(atoms):  # atoms grows as fans reach new ones
+    for s, source in enumerate(vertices):  # vertices grows as fans reach new atoms
         first.append(len(edges))
-        source = vertices[s]
         if isinstance(source, TerminalVertex):
             continue
-        rule, constant, fan = _fire(system, atom)
+        rule, constant, fan = _fire(system, source if s else Primary(n_tilde))
         if constant:
             dag.constants[source] = constant
-        if rule.kind == RuleKind.TERMINATION and not fan:
-            dag.aux_sinks.add(source)
         name = rule.name
         for sign, reached in fan:
             t = position.get(reached)
             if t is None:
-                t = position[reached] = len(atoms)
-                atoms.append(reached)
+                t = position[reached] = len(vertices)
                 if isinstance(reached, Primary):
-                    vertices.append(TerminalVertex(n_tilde - reached.n))
-                else:
-                    vertices.append(AuxVertex(*reached))
+                    reached = TerminalVertex(n_tilde - reached.n)
+                vertices.append(reached)
                 if t >= limit:
                     raise BudgetExceeded(
                         f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
@@ -228,9 +209,10 @@ def extract_from_dag(dag: Dag) -> ExtractedRecurrence:
 class TerminatingPath(NamedTuple):
     """One root-to-terminal path.
 
-    j is the terminal coefficient index, or None when the path ends at an
-    auxiliary vertex whose termination rule has an empty fan (a constant-only
-    sink). sign is the product of edge signs along the path.
+    j is the terminal coefficient index, or None when the path ends at a
+    non-root vertex with no out-edges that is not a terminal: for the built-in
+    systems, an auxiliary vertex whose termination rule has an empty fan (a
+    constant-only sink). sign is the product of edge signs along the path.
     """
 
     vertices: tuple[Vertex, ...]
@@ -261,11 +243,9 @@ def terminating_paths(dag: Dag) -> list[TerminatingPath]:
         v, trail, sign = stack.pop()
         if first[v] == first[v + 1]:
             vertex = vertices[v]
-            if isinstance(vertex, TerminalVertex):
-                paths.append(TerminatingPath(trail, sign, vertex.j))
-            elif vertex in dag.aux_sinks:
-                paths.append(TerminatingPath(trail, sign, None))
-            # a bare root (primary ground instance) yields no paths
+            if v:  # a bare root (primary ground instance) yields no paths
+                j = vertex.j if isinstance(vertex, TerminalVertex) else None
+                paths.append(TerminatingPath(trail, sign, j))
             if len(paths) > limit:
                 raise BudgetExceeded(
                     f"{dag.system_name} path enumeration from {dag.n_tilde} "
@@ -289,18 +269,27 @@ def grouped_path_sums(paths: list[TerminatingPath]) -> dict[int, int]:
     return sums
 
 
-def _vertex_sort_key(v: Vertex) -> tuple:
+def dot_name(v: Vertex) -> str:
+    """DOT node name: R_<n~> for the root, A_<n>_<k> for an auxiliary vertex,
+    P_<j> for a terminal."""
     if isinstance(v, RootVertex):
-        return (0,)
-    if isinstance(v, AuxVertex):
-        return (1, v.n, v.k)
-    return (2, v.j)
+        return f"R_{v.n_tilde}"
+    if isinstance(v, Auxiliary):
+        return f"A_{v.n}_{v.k}"
+    return f"P_{v.j}"
+
+
+def _vertex_sort_key(v: Vertex) -> tuple:
+    """The root, then auxiliary vertices by (n, k), then terminals by j."""
+    if isinstance(v, RootVertex):
+        return ()
+    return (isinstance(v, TerminalVertex), *v)
 
 
 def _vertex_label(dag: Dag, v: Vertex) -> str:
     if isinstance(v, RootVertex):
         base = f"P({v.n_tilde})"
-    elif isinstance(v, AuxVertex):
+    elif isinstance(v, Auxiliary):
         base = f"A({v.n},{v.k})"
     else:
         base = f"j={v.j}"
@@ -311,25 +300,21 @@ def _vertex_label(dag: Dag, v: Vertex) -> str:
 def emit_dot(dag: Dag) -> str:
     """Deterministic DOT rendering of the reduction graph.
 
-    Node names follow the planes: R_<n~> for the root, A_<n>_<k> for
-    auxiliary vertices, P_<j> for terminal primary vertices. Edge labels
-    carry the sign: +, - or 0. Constants appear in vertex labels when nonzero.
+    Nodes are named by dot_name and listed in _vertex_sort_key's order. Edge
+    labels carry the sign: +, - or 0. Constants appear in vertex labels when
+    nonzero.
     """
     ordered = sorted(dag.vertices, key=_vertex_sort_key)
     position = {v: i for i, v in enumerate(ordered)}
+    name = {v: dot_name(v) for v in ordered}  # once per vertex, not per edge end
     lines = [f'digraph "{dag.system_name}_{dag.n_tilde}" {{']
     for v in ordered:
-        shape = "ellipse" if isinstance(v, AuxVertex) else "box"
-        lines.append(
-            f'  "{v.dot_name()}" [shape={shape}, label="{_vertex_label(dag, v)}"];'
-        )
+        shape = "ellipse" if isinstance(v, Auxiliary) else "box"
+        lines.append(f'  "{name[v]}" [shape={shape}, label="{_vertex_label(dag, v)}"];')
     # stable on the source alone: build_dag appends each source's edges
     # together, in fan order
     for e in sorted(dag.edges, key=lambda e: position[e.source]):
         label = "+" if e.sign > 0 else "-" if e.sign < 0 else "0"
-        lines.append(
-            f'  "{e.source.dot_name()}" -> "{e.target.dot_name()}" '
-            f'[label="{label}"];'
-        )
+        lines.append(f'  "{name[e.source]}" -> "{name[e.target]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ class BudgetExceeded(PartlabError):
 
 
 class CyclicReduction(PartlabError):
-    """Reduction graph contains a cycle; coefficient extraction is undefined."""
+    """A reduction revisits an atom under evaluation, or its graph has a cycle."""
 
 
 class InvalidCode(PartlabError):

@@ -38,11 +38,11 @@ pattern language; a rule family is one callable pair.
 
 Atoms are NamedTuples, so the memo lookups, cycle checks and DAG keys that
 evaluation makes for every atom hash and compare in C, and an atom is its own
-argument tuple: rules receive *atom. The price is tuple equality. An atom
-equals the plain tuple of its fields, Auxiliary(n, k) == (n, k), and so equals
-the DAG vertex AuxVertex(n, k); Primary(n) and Auxiliary(n, k) never compare
-equal, since their lengths differ. Grounding still checks every fan target
-with isinstance, so a body that returns a plain tuple is rejected.
+argument tuple: rules receive *atom, and an Auxiliary atom is its own DAG
+vertex. An atom equals the plain tuple of its fields; Primary(n) and
+Auxiliary(n, k) never compare equal, since their lengths differ. Grounding
+still checks every fan target with isinstance, so a body that returns a plain
+tuple is rejected.
 
 The record types Rule, Region, UnitarityReport and OrthogonalityReport are
 NamedTuples too, so loading this module never loads dataclasses (and inspect
@@ -60,7 +60,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 from . import budget
 from ._value import Value
-from .errors import AmbiguousRule, BudgetExceeded, NoRuleApplies
+from .errors import AmbiguousRule, BudgetExceeded, CyclicReduction, NoRuleApplies
 
 
 class Primary(NamedTuple):
@@ -268,9 +268,9 @@ def eval_atom(
     applications between primary atoms; primary atoms restart the chain
     (their values memoize whole). Each chain may apply at most
     10 * (|n| + |k| + 1) rules, measured at the atom that started it,
-    unless PLAB_BUDGET overrides the bound. Exceeding it, or
-    revisiting an atom already under evaluation, raises BudgetExceeded; the
-    built-in systems never come near the default bound.
+    unless PLAB_BUDGET overrides the bound. Exceeding it raises
+    BudgetExceeded; the built-in systems never come near the default bound.
+    Revisiting an atom already under evaluation raises CyclicReduction.
 
     The whole evaluation may reach at most budget.ATOM_BUDGET atoms: the one
     it starts from and every fan entry of every atom it grounds. Each entry
@@ -302,7 +302,7 @@ def eval_atom(
     target, depth, limit = atom, 0, override or _default_chain_limit(atom)
     while True:
         if target in in_progress:
-            raise BudgetExceeded(f"{system.name}: cyclic reduction through {target!r}")
+            raise CyclicReduction(f"{system.name}: cyclic reduction through {target!r}")
         if isinstance(target, Primary):
             depth, limit = 1, override or _default_chain_limit(target)
         else:

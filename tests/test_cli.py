@@ -247,6 +247,29 @@ def test_involution_csv(capsys):
     assert "11,5,-1,11,fixed" in lines
 
 
+def test_involution_relations_match_the_rows(capsys):
+    # at j = 9, 1100 <-> 111 is a rule-two pair; every label is checked against
+    # the valuation and polarity its own row and its image's row print
+    code, out, _ = run(capsys, "involution", "9", "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "code,valuation,polarity,image,relation"
+    rows = {}
+    for line in lines:
+        bits, v, sign, image, relation = line.split(",")
+        rows[bits] = (int(v), int(sign), image, relation)
+    assert rows["1100"][2:] == ("111", "opposite-sign-pair")
+    assert rows["111"][2:] == ("1100", "opposite-sign-pair")
+    for bits, (v, sign, image, relation) in rows.items():
+        image_v, image_sign = rows[image][:2]
+        if image == bits:
+            assert relation == "fixed"
+        elif image_v == v:
+            assert relation == "opposite-sign-pair" and image_sign == -sign
+        else:
+            assert relation == "same-sign-pair" and image_sign == sign
+
+
 def test_involution_json_difference(capsys):
     code, out, _ = run(capsys, "involution", "7", "--format", "json")
     assert code == 0

@@ -287,3 +287,24 @@ def test_code_of_path_rejects_bare_paths():
     bare = TerminatingPath((RootVertex(2), TerminalVertex(2)), 1, 2)
     with pytest.raises(ValueError):
         code_of_path(bare)
+
+
+def test_code_of_path_rejects_uncodable_steps():
+    from partlab import Auxiliary, RootVertex, TerminalVertex, TerminatingPath
+
+    def path(*aux):
+        return TerminatingPath((RootVertex(5), *aux, TerminalVertex(1)), 1, 1)
+
+    with pytest.raises(ValueError, match=r"^startup column 1 below 2 cannot be coded$"):
+        code_of_path(path(Auxiliary(5, 1)))
+    # a minpart path lowers k, which no maxpart step does
+    minpart = enumerate_terminating_paths(builtin_system("minpart"), 2)
+    with pytest.raises(ValueError, match=r"^not a unit k-step: A\(2,2\) -> A\(1,1\)$"):
+        code_of_path(next(p for p in minpart if p.j == 2))
+    with pytest.raises(ValueError, match=r"^not a rising or falling step: A\(5,2\) -> A\(4,3\)$"):
+        code_of_path(path(Auxiliary(5, 2), Auxiliary(4, 3)))
+
+
+def test_lemma51_rejects_all_zero_code():
+    with pytest.raises(InvalidCode, match=r"^termination predicates undefined for '000'$"):
+        lemma51(5, "000")

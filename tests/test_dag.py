@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from partlab import (
     BUILTIN_NAMES,
-    AuxVertex,
     BudgetExceeded,
     CyclicReduction,
     NoRuleApplies,
@@ -24,6 +23,7 @@ from partlab import (
     Auxiliary,
     build_dag,
     builtin_system,
+    dot_name,
     emit_dot,
     enumerate_terminating_paths,
     euler_seq,
@@ -59,15 +59,18 @@ def test_minpart_two_structure():
     dag = build_dag(builtin_system("minpart"), 2)
     assert isinstance(dag.root, RootVertex) and dag.root.n_tilde == 2
     assert len(dag.vertices) == 7
-    assert {v for v in dag.vertices if isinstance(v, AuxVertex)} == {
-        AuxVertex(2, 1),
-        AuxVertex(2, 2),
-        AuxVertex(1, 1),
-        AuxVertex(0, 1),
+    assert {v for v in dag.vertices if isinstance(v, Auxiliary)} == {
+        Auxiliary(2, 1),
+        Auxiliary(2, 2),
+        Auxiliary(1, 1),
+        Auxiliary(0, 1),
     }
     assert {v.j for v in dag.terminal_vertices()} == {1, 2}
     assert dag.constant_at(dag.root) == 0
-    assert dag.aux_sinks == {AuxVertex(0, 1)}  # the void sink
+    # the void sink: the one non-root, non-terminal vertex without out-edges
+    sources = {e.source for e in dag.edges}
+    sinks = [v for v in dag.vertices[1:] if v not in sources]
+    assert [v for v in sinks if not isinstance(v, TerminalVertex)] == [Auxiliary(0, 1)]
 
 
 def test_minpart_two_paths():
@@ -111,10 +114,10 @@ def test_zero_sign_edge_is_labelled_zero():
 def test_maxpart_four_structure():
     dag = build_dag(builtin_system("maxpart"), 4)
     assert dag.constant_at(dag.root) == 1
-    assert {v for v in dag.vertices if isinstance(v, AuxVertex)} == {
-        AuxVertex(4, 2),
-        AuxVertex(4, 3),
-        AuxVertex(4, 4),
+    assert {v for v in dag.vertices if isinstance(v, Auxiliary)} == {
+        Auxiliary(4, 2),
+        Auxiliary(4, 3),
+        Auxiliary(4, 4),
     }
     assert {v.j for v in dag.terminal_vertices()} == {2, 3, 4}
 
@@ -263,14 +266,12 @@ def test_cyclic_graph_rejected():
 
 def _vertex_of(n_tilde, atom):
     """The vertex a fan target lands on in the graph rooted at n_tilde."""
-    if isinstance(atom, Primary):
-        return TerminalVertex(n_tilde - atom.n)
-    return AuxVertex(*atom)
+    return TerminalVertex(n_tilde - atom.n) if isinstance(atom, Primary) else atom
 
 
 def _atom_of(dag, vertex):
     """The atom a root or auxiliary vertex stands for."""
-    return Primary(dag.n_tilde) if vertex == dag.root else Auxiliary(*vertex)
+    return Primary(dag.n_tilde) if vertex == dag.root else vertex
 
 
 SYSTEMS = {
@@ -296,8 +297,25 @@ def test_edges_follow_each_fan(name, n_tilde):
         ]
     # no source comes back, and every vertex with a nonempty fan is a source
     assert len(sources) == len(set(sources))
-    expanded = [dag.root, *(v for v in dag.vertices if isinstance(v, AuxVertex))]
+    expanded = [dag.root, *(v for v in dag.vertices if isinstance(v, Auxiliary))]
     assert set(sources) == {v for v in expanded if _fire(system, _atom_of(dag, v))[2]}
+    # past the root, a vertex is a terminal or the Auxiliary atom it reduces
+    assert all(isinstance(v, (TerminalVertex, Auxiliary)) for v in dag.vertices[1:])
+
+
+def test_any_non_terminal_sink_ends_an_open_path():
+    # an auxiliary rule whose fan is empty ends a path with j = None, as an
+    # empty termination fan does
+    stub = RewriteSystem(
+        "stub",
+        (
+            Rule("start", RuleKind.STARTUP, lambda n: True, lambda n: (0, ((-1, Auxiliary(n, 2)),))),
+            Rule("void", RuleKind.AUXILIARY, lambda n, k: True, lambda n, k: (1, ())),
+        ),
+    )
+    assert enumerate_terminating_paths(stub, 3) == [
+        TerminatingPath((RootVertex(3), Auxiliary(3, 2)), -1, None)
+    ]
 
 
 @pytest.mark.parametrize("name", ["minpart", "bounded", "maxpart"])
@@ -313,7 +331,7 @@ def test_terminal_vertices_shared():
     # both (4,2) and (4,4)... different startup columns can reach the same j;
     # check that equal j always lands on one vertex object
     dag = build_dag(builtin_system("minpart"), 6)
-    names = [v.dot_name() for v in dag.terminal_vertices()]
+    names = [dot_name(v) for v in dag.terminal_vertices()]
     assert len(names) == len(set(names))
     assert all(isinstance(v, TerminalVertex) for v in dag.terminal_vertices())
 
@@ -341,7 +359,7 @@ def test_root_vertex_contract():
     root = RootVertex(6)
     assert root == RootVertex(n_tilde=6) and hash(root) == hash(RootVertex(6))
     assert root != RootVertex(7) and root != (6,) and root != TerminalVertex(6)
-    assert len({root, TerminalVertex(6), AuxVertex(6, 6)}) == 3
+    assert len({root, TerminalVertex(6), Auxiliary(6, 6)}) == 3
     assert repr(root) == "RootVertex(n_tilde=6)"
     with pytest.raises(AttributeError):
         root.n_tilde = 7

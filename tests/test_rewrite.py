@@ -11,6 +11,7 @@ from partlab import (
     AmbiguousRule,
     Auxiliary,
     BudgetExceeded,
+    CyclicReduction,
     NoRuleApplies,
     OrthogonalityReport,
     Primary,
@@ -411,7 +412,8 @@ def test_cyclic_reduction_detected():
             ),
         ),
     )
-    with pytest.raises(BudgetExceeded, match=r"^loop: cyclic reduction through A\(2,2\)$"):
+    # a cycle is its own fault, not a budget: no budget setting would end it
+    with pytest.raises(CyclicReduction, match=r"^loop: cyclic reduction through A\(2,2\)$"):
         eval_atom(loop, Auxiliary(2, 2))
 
 
