@@ -60,8 +60,6 @@ _EXPORTS = {
         "Dag",
         "DagEdge",
         "ExtractedRecurrence",
-        "RootVertex",
-        "TerminalVertex",
         "TerminatingPath",
         "build_dag",
         "dot_name",

@@ -264,20 +264,24 @@ def _cmd_dag(args) -> int:
             f"constant {extracted.constant}"
         )
         for vertex in dag.vertices:
-            print(f"  {dot_name(vertex)}  multiplicity {mult[vertex]}")
+            print(f"  {dot_name(vertex, n_tilde)}  multiplicity {mult[vertex]}")
         return 0
     payload = {
         "system": system.name,
         "n_tilde": n_tilde,
         "vertices": [
             {
-                "name": dot_name(v),
+                "name": dot_name(v, n_tilde),
                 "constant": dag.constant_at(v),
             }
             for v in dag.vertices
         ],
         "edges": [
-            {**e._asdict(), "source": dot_name(e.source), "target": dot_name(e.target)}
+            {
+                **e._asdict(),
+                "source": dot_name(e.source, n_tilde),
+                "target": dot_name(e.target, n_tilde),
+            }
             for e in dag.edges
         ],
         "constant": extracted.constant,
@@ -287,7 +291,7 @@ def _cmd_dag(args) -> int:
     }
     if args.paths:
         payload["paths"] = [
-            {**path._asdict(), "vertices": [dot_name(v) for v in path.vertices]}
+            {**path._asdict(), "vertices": [dot_name(v, n_tilde) for v in path.vertices]}
             for path in terminating_paths(dag)
         ]
     _emit_json(payload)

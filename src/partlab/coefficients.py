@@ -123,12 +123,7 @@ def euler_seq(upto: int) -> CoeffSeq:
 def integrated_f(upto: int) -> CoeffSeq:
     """f_0 .. f_upto, the running sums of e."""
     e = euler_seq(upto)  # checks upto
-    values = []
-    acc = 0
-    for v in e.values:
-        acc += v
-        values.append(acc)
-    return CoeffSeq("f", tuple(values))
+    return CoeffSeq("f", tuple(accumulate(e.values)))
 
 
 def sigma_table(upto: int) -> list[int]:

@@ -24,67 +24,44 @@ here asserts anything about it beyond structural sanity.
 
 build_dag fires atoms through the rewrite layer's _fire, which reads the
 system's firing tables and raises NoRuleApplies, in one loop over the
-vertices it reaches. An auxiliary vertex is the Auxiliary atom it stands for:
-the first one a fan returns. build_dag keys every vertex but the root by its
-atom, P(u) for terminal n~ - u and A(n, k) for itself, and keeps one
-adjacency by vertex position: each vertex's out-edges sit together in
-Dag.edges, in fan order. The Kahn sort that checks acyclicity (its order
-kept), signed_multiplicities and terminating_paths all read that adjacency;
-emit_dot sorts Dag.edges stably by source alone, which keeps fan order. A
-Dag's public fields are system_name, n_tilde, root, vertices, constants and
-edges. Every dispatch on vertex kind sits in this module: dot_name, the DOT
-sort key and the DOT label.
+vertices it reaches. Every vertex is the atom it reduces: the root is
+Primary(n~), at position 0, an auxiliary vertex is A(n, k), and terminal j is
+P(n~ - j). build_dag keys every vertex by its atom and keeps one adjacency by
+vertex position: each vertex's out-edges sit together in Dag.edges, in fan
+order. A fan that reaches P(n~) is an edge back into the root, a cycle. The
+Kahn sort that checks acyclicity (its order kept), signed_multiplicities and
+terminating_paths all read that adjacency; emit_dot sorts Dag.edges stably by
+source alone, which keeps fan order. A Dag's public fields are system_name,
+n_tilde, root, vertices, constants and edges. Every dispatch on vertex kind
+sits in this module.
 
-TerminalVertex and DagEdge are NamedTuples, like the atoms, so the vertex
-keys hash and compare in C. The records ExtractedRecurrence and
-TerminatingPath are NamedTuples as well, equal to the plain tuples of their
-fields, so loading this module never loads dataclasses. RootVertex is
-deliberately not a tuple but an immutable value (see _value): as a 1-tuple,
-RootVertex(n~) would equal TerminalVertex(n~), and both occur in one graph
-(maxpart at n~ = 6 reaches P(0), terminal j = 6), so Dag.constants and
-signed_multiplicities would merge them.
+DagEdge is a NamedTuple, like the atoms, so the vertex keys and edges hash
+and compare in C. The records ExtractedRecurrence and TerminatingPath are
+NamedTuples as well, equal to the plain tuples of their fields, so loading
+this module never loads dataclasses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from . import budget
-from ._value import Value
 from .errors import BudgetExceeded, CyclicReduction
 from .rewrite import Atom, Auxiliary, Primary, RewriteSystem, _fire
 
 
-class RootVertex(Value):
-    """The root of a reduction graph, p(n~) in the primary plane.
-
-    Compared and hashed by n_tilde, and equal to no other vertex.
-    """
-
-    __slots__ = ("n_tilde",)
-
-    n_tilde: int
-
-    def __init__(self, n_tilde: int) -> None:
-        object.__setattr__(self, "n_tilde", n_tilde)
-
-
-class TerminalVertex(NamedTuple):
-    j: int
-
-
-Vertex = Union[RootVertex, Auxiliary, TerminalVertex]
-
-
 class DagEdge(NamedTuple):
-    source: Vertex
-    target: Vertex
+    source: Atom
+    target: Atom
     sign: int
     rule: str
 
 
 class Dag:
     """Reduction graph for one root; immutable once built.
+
+    Every vertex is the atom it reduces: root is Primary(n_tilde), always at
+    position 0; past it, each Primary P(u) is terminal j = n_tilde - u.
 
     The private adjacency is by position in vertices: the out-edges of the
     vertex at i are edges[_first[i]:_first[i + 1]], and edges[e] leads to the
@@ -95,15 +72,15 @@ class Dag:
     def __init__(self, system_name: str, n_tilde: int) -> None:
         self.system_name = system_name
         self.n_tilde = n_tilde
-        self.root = RootVertex(n_tilde)
-        self.vertices: list[Vertex] = [self.root]
-        self.constants: dict[Vertex, int] = {self.root: 0}  # build_dag sets the root's
+        self.root = Primary(n_tilde)
+        self.vertices: list[Atom] = [self.root]
+        self.constants: dict[Atom, int] = {self.root: 0}  # build_dag sets the root's
         self.edges: list[DagEdge] = []
 
-    def terminal_vertices(self) -> list[TerminalVertex]:
-        return [v for v in self.vertices if isinstance(v, TerminalVertex)]
+    def terminal_vertices(self) -> list[Primary]:
+        return [v for v in self.vertices[1:] if isinstance(v, Primary)]
 
-    def constant_at(self, v: Vertex) -> int:
+    def constant_at(self, v: Atom) -> int:
         return self.constants.get(v, 0)
 
 
@@ -115,24 +92,22 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
     budget (PLAB_BUDGET, else budget.DAG_VERTEX_BUDGET, one million), and
     propagates AmbiguousRule from grounding.
     Acyclicity is verified structurally before returning, by a topological
-    sort whose order the graph keeps.
+    sort whose order the graph keeps; CyclicReduction when it fails, a fan
+    back to Primary(n_tilde) included.
     """
     limit = budget.resolve(budget.DAG_VERTEX_BUDGET)
     dag = Dag(system.name, n_tilde)
     vertices, edges, first, target = dag.vertices, dag.edges, [], []
 
-    # positions in dag.vertices, keyed by the atom a vertex stands for: P(u) for
-    # terminal n~ - u, A(n, k) for itself; the root is not keyed, since P(n~)
-    # reached by a fan is terminal 0
-    position: dict[Atom, int] = {}
+    position: dict[Atom, int] = {dag.root: 0}  # positions in dag.vertices
 
     # fire the root, then each auxiliary vertex in the order reached; a vertex's
     # out-edges are appended together, in fan order, before the next vertex's
     for s, source in enumerate(vertices):  # vertices grows as fans reach new atoms
         first.append(len(edges))
-        if isinstance(source, TerminalVertex):
+        if s and isinstance(source, Primary):  # a terminal
             continue
-        rule, constant, fan = _fire(system, source if s else Primary(n_tilde))
+        rule, constant, fan = _fire(system, source)
         if constant:
             dag.constants[source] = constant
         name = rule.name
@@ -140,8 +115,6 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
             t = position.get(reached)
             if t is None:
                 t = position[reached] = len(vertices)
-                if isinstance(reached, Primary):
-                    reached = TerminalVertex(n_tilde - reached.n)
                 vertices.append(reached)
                 if t >= limit:
                     raise BudgetExceeded(
@@ -153,11 +126,12 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
     dag._first, dag._target = first, target
 
     # Kahn's sort by position, the acyclicity check on every build; only the
-    # root starts with no in-edge, since every other vertex was reached by one
+    # root can start with no in-edge, since every other vertex was reached by
+    # one, and an in-edge into the root closes a cycle, so it never re-enters
     indeg = [0] * len(vertices)
     for t in target:
         indeg[t] += 1
-    order = [0]
+    order = [] if indeg[0] else [0]
     for v in order:  # order grows as vertices lose their last in-edge
         for t in target[first[v] : first[v + 1]]:
             indeg[t] -= 1
@@ -183,7 +157,7 @@ class ExtractedRecurrence(NamedTuple):
         )
 
 
-def signed_multiplicities(dag: Dag) -> dict[Vertex, int]:
+def signed_multiplicities(dag: Dag) -> dict[Atom, int]:
     """Signed count of root-to-vertex paths, by one topological sweep."""
     first, target, edges = dag._first, dag._target, dag.edges
     mult = [0] * len(dag.vertices)
@@ -200,22 +174,25 @@ def signed_multiplicities(dag: Dag) -> dict[Vertex, int]:
 def extract_from_dag(dag: Dag) -> ExtractedRecurrence:
     mult = signed_multiplicities(dag)
     constant = sum(c * mult[v] for v, c in dag.constants.items())
-    coeffs = {j: 0 for j in range(1, dag.n_tilde + 1)}
+    n_tilde = dag.n_tilde
+    coeffs = {j: 0 for j in range(1, n_tilde + 1)}
     for v in dag.terminal_vertices():
-        coeffs[v.j] = mult[v]
+        coeffs[n_tilde - v.n] = mult[v]
     return ExtractedRecurrence(dag.n_tilde, constant, coeffs)
 
 
 class TerminatingPath(NamedTuple):
     """One root-to-terminal path.
 
-    j is the terminal coefficient index, or None when the path ends at a
-    non-root vertex with no out-edges that is not a terminal: for the built-in
-    systems, an auxiliary vertex whose termination rule has an empty fan (a
-    constant-only sink). sign is the product of edge signs along the path.
+    vertices are the atoms along the path, from Primary(n~). j is the terminal
+    coefficient index n~ - u of a path ending at P(u), or None when the path
+    ends at a non-root vertex with no out-edges that is not a terminal: for
+    the built-in systems, an auxiliary vertex whose termination rule has an
+    empty fan (a constant-only sink). sign is the product of edge signs along
+    the path.
     """
 
-    vertices: tuple[Vertex, ...]
+    vertices: tuple[Atom, ...]
     sign: int
     j: int | None
 
@@ -238,13 +215,13 @@ def terminating_paths(dag: Dag) -> list[TerminatingPath]:
     vertices, edges, first, target = dag.vertices, dag.edges, dag._first, dag._target
     paths: list[TerminatingPath] = []
     # (position, vertices so far, sign so far)
-    stack: list[tuple[int, tuple[Vertex, ...], int]] = [(0, (dag.root,), 1)]
+    stack: list[tuple[int, tuple[Atom, ...], int]] = [(0, (dag.root,), 1)]
     while stack:
         v, trail, sign = stack.pop()
         if first[v] == first[v + 1]:
             vertex = vertices[v]
             if v:  # a bare root (primary ground instance) yields no paths
-                j = vertex.j if isinstance(vertex, TerminalVertex) else None
+                j = dag.n_tilde - vertex.n if isinstance(vertex, Primary) else None
                 paths.append(TerminatingPath(trail, sign, j))
             if len(paths) > limit:
                 raise BudgetExceeded(
@@ -269,48 +246,39 @@ def grouped_path_sums(paths: list[TerminatingPath]) -> dict[int, int]:
     return sums
 
 
-def dot_name(v: Vertex) -> str:
-    """DOT node name: R_<n~> for the root, A_<n>_<k> for an auxiliary vertex,
-    P_<j> for a terminal."""
-    if isinstance(v, RootVertex):
-        return f"R_{v.n_tilde}"
+def dot_name(v: Atom, n_tilde: int) -> str:
+    """DOT node name in the graph rooted at n_tilde: R_<n~> for the root,
+    A_<n>_<k> for an auxiliary vertex, P_<j> for terminal j = n~ - u."""
     if isinstance(v, Auxiliary):
         return f"A_{v.n}_{v.k}"
-    return f"P_{v.j}"
+    return f"R_{v.n}" if v.n == n_tilde else f"P_{n_tilde - v.n}"
 
 
-def _vertex_sort_key(v: Vertex) -> tuple:
-    """The root, then auxiliary vertices by (n, k), then terminals by j."""
-    if isinstance(v, RootVertex):
-        return ()
-    return (isinstance(v, TerminalVertex), *v)
-
-
-def _vertex_label(dag: Dag, v: Vertex) -> str:
-    if isinstance(v, RootVertex):
-        base = f"P({v.n_tilde})"
-    elif isinstance(v, Auxiliary):
-        base = f"A({v.n},{v.k})"
-    else:
-        base = f"j={v.j}"
-    c = dag.constant_at(v)
-    return f"{base} c={c}" if c else base
+def _vertex_sort_key(v: Atom) -> tuple:
+    """Auxiliary vertices by (n, k), then terminals P(u) by j = n~ - u."""
+    return (False, *v) if isinstance(v, Auxiliary) else (True, -v.n)
 
 
 def emit_dot(dag: Dag) -> str:
     """Deterministic DOT rendering of the reduction graph.
 
-    Nodes are named by dot_name and listed in _vertex_sort_key's order. Edge
-    labels carry the sign: +, - or 0. Constants appear in vertex labels when
-    nonzero.
+    Nodes are named by dot_name and listed root first, then in
+    _vertex_sort_key's order. A terminal is labelled j=<j>, the root and an
+    auxiliary vertex by their atom. Edge labels carry the sign: +, - or 0.
+    Constants appear in vertex labels when nonzero.
     """
-    ordered = sorted(dag.vertices, key=_vertex_sort_key)
+    n_tilde = dag.n_tilde
+    ordered = [dag.root, *sorted(dag.vertices[1:], key=_vertex_sort_key)]
     position = {v: i for i, v in enumerate(ordered)}
-    name = {v: dot_name(v) for v in ordered}  # once per vertex, not per edge end
-    lines = [f'digraph "{dag.system_name}_{dag.n_tilde}" {{']
-    for v in ordered:
+    name = {v: dot_name(v, n_tilde) for v in ordered}  # once per vertex, not per edge end
+    lines = [f'digraph "{dag.system_name}_{n_tilde}" {{']
+    for i, v in enumerate(ordered):
+        label = f"j={n_tilde - v.n}" if i and isinstance(v, Primary) else repr(v)
+        c = dag.constant_at(v)
+        if c:
+            label += f" c={c}"
         shape = "ellipse" if isinstance(v, Auxiliary) else "box"
-        lines.append(f'  "{name[v]}" [shape={shape}, label="{_vertex_label(dag, v)}"];')
+        lines.append(f'  "{name[v]}" [shape={shape}, label="{label}"];')
     # stable on the source alone: build_dag appends each source's edges
     # together, in fan order
     for e in sorted(dag.edges, key=lambda e: position[e.source]):

@@ -38,11 +38,10 @@ pattern language; a rule family is one callable pair.
 
 Atoms are NamedTuples, so the memo lookups, cycle checks and DAG keys that
 evaluation makes for every atom hash and compare in C, and an atom is its own
-argument tuple: rules receive *atom, and an Auxiliary atom is its own DAG
-vertex. An atom equals the plain tuple of its fields; Primary(n) and
-Auxiliary(n, k) never compare equal, since their lengths differ. Grounding
-still checks every fan target with isinstance, so a body that returns a plain
-tuple is rejected.
+argument tuple: rules receive *atom, and every atom is its own DAG vertex. An
+atom equals the plain tuple of its fields; Primary(n) and Auxiliary(n, k)
+never compare equal, since their lengths differ. Grounding still checks every
+fan target with isinstance, so a body that returns a plain tuple is rejected.
 
 The record types Rule, Region, UnitarityReport and OrthogonalityReport are
 NamedTuples too, so loading this module never loads dataclasses (and inspect

@@ -282,18 +282,18 @@ def test_code_of_path_ending_at_a_sink():
 
 
 def test_code_of_path_rejects_bare_paths():
-    from partlab import RootVertex, TerminalVertex, TerminatingPath
+    from partlab import Primary, TerminatingPath
 
-    bare = TerminatingPath((RootVertex(2), TerminalVertex(2)), 1, 2)
+    bare = TerminatingPath((Primary(2), Primary(0)), 1, 2)
     with pytest.raises(ValueError):
         code_of_path(bare)
 
 
 def test_code_of_path_rejects_uncodable_steps():
-    from partlab import Auxiliary, RootVertex, TerminalVertex, TerminatingPath
+    from partlab import Auxiliary, Primary, TerminatingPath
 
     def path(*aux):
-        return TerminatingPath((RootVertex(5), *aux, TerminalVertex(1)), 1, 1)
+        return TerminatingPath((Primary(5), *aux, Primary(4)), 1, 1)
 
     with pytest.raises(ValueError, match=r"^startup column 1 below 2 cannot be coded$"):
         code_of_path(path(Auxiliary(5, 1)))

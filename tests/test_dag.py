@@ -1,7 +1,5 @@
 """Reduction graphs: structure, extraction, paths, and DOT output."""
 
-import copy
-import pickle
 from itertools import groupby
 from operator import attrgetter
 
@@ -14,11 +12,9 @@ from partlab import (
     CyclicReduction,
     NoRuleApplies,
     Primary,
-    RootVertex,
     Rule,
     RuleKind,
     RewriteSystem,
-    TerminalVertex,
     TerminatingPath,
     Auxiliary,
     build_dag,
@@ -27,6 +23,7 @@ from partlab import (
     emit_dot,
     enumerate_terminating_paths,
     euler_seq,
+    eval_atom,
     extract_from_dag,
     grouped_path_sums,
     integrated_f,
@@ -57,7 +54,7 @@ digraph "minpart_2" {
 
 def test_minpart_two_structure():
     dag = build_dag(builtin_system("minpart"), 2)
-    assert isinstance(dag.root, RootVertex) and dag.root.n_tilde == 2
+    assert dag.root == dag.vertices[0] == Primary(2)
     assert len(dag.vertices) == 7
     assert {v for v in dag.vertices if isinstance(v, Auxiliary)} == {
         Auxiliary(2, 1),
@@ -65,18 +62,18 @@ def test_minpart_two_structure():
         Auxiliary(1, 1),
         Auxiliary(0, 1),
     }
-    assert {v.j for v in dag.terminal_vertices()} == {1, 2}
+    assert dag.terminal_vertices() == [Primary(1), Primary(0)]  # j = 1, 2
     assert dag.constant_at(dag.root) == 0
     # the void sink: the one non-root, non-terminal vertex without out-edges
     sources = {e.source for e in dag.edges}
     sinks = [v for v in dag.vertices[1:] if v not in sources]
-    assert [v for v in sinks if not isinstance(v, TerminalVertex)] == [Auxiliary(0, 1)]
+    assert [v for v in sinks if not isinstance(v, Primary)] == [Auxiliary(0, 1)]
 
 
 def test_minpart_two_paths():
     paths = enumerate_terminating_paths(builtin_system("minpart"), 2)
     assert [(p.sign, p.j) for p in paths] == [(-1, None), (1, 2), (1, 1)]
-    assert all(p.vertices[0] == RootVertex(2) for p in paths)
+    assert all(p.vertices[0] == Primary(2) for p in paths)
 
 
 def test_minpart_two_dot():
@@ -107,6 +104,7 @@ def test_zero_sign_edge_is_labelled_zero():
         ),
     )
     dag = build_dag(zero, 2)
+    assert dag.terminal_vertices() == [Primary(1)]
     assert '  "R_2" -> "P_1" [label="0"];\n' in emit_dot(dag)
     assert extract_from_dag(dag).coeffs[1] == 0
 
@@ -119,7 +117,7 @@ def test_maxpart_four_structure():
         Auxiliary(4, 3),
         Auxiliary(4, 4),
     }
-    assert {v.j for v in dag.terminal_vertices()} == {2, 3, 4}
+    assert set(dag.terminal_vertices()) == {Primary(2), Primary(1), Primary(0)}
 
 
 @pytest.mark.parametrize("name", ["minpart", "bounded", "maxpart"])
@@ -264,14 +262,48 @@ def test_cyclic_graph_rejected():
         build_dag(bouncing, 4)
 
 
-def _vertex_of(n_tilde, atom):
-    """The vertex a fan target lands on in the graph rooted at n_tilde."""
-    return TerminalVertex(n_tilde - atom.n) if isinstance(atom, Primary) else atom
+_BACK = Rule(
+    "back", RuleKind.TERMINATION, lambda n, k: k == 3, lambda n, k: (0, ((1, Primary(n)),))
+)
+FAN_BACK = {
+    # P(n) -> A(n, 2), A(n, 3); A(n, 2) is a sink, and A(n, 3) goes back to
+    # P(n) itself, not to the vertex after it
+    "sibling": (
+        Rule(
+            "start",
+            RuleKind.STARTUP,
+            lambda n: True,
+            lambda n: (0, ((1, Auxiliary(n, 2)), (1, Auxiliary(n, 3)))),
+        ),
+        Rule("stop", RuleKind.TERMINATION, lambda n, k: k == 2, lambda n, k: (0, ())),
+        _BACK,
+    ),
+    # P(n) -> A(n, 2) -> A(n, 3), A(n, 4); A(n, 3) goes back to P(n), and
+    # A(n, 4) loops on itself, so a second pass over the root would balance a
+    # count of sorted vertices that misses A(n, 4)
+    "spin": (
+        Rule("start", RuleKind.STARTUP, lambda n: True, lambda n: (0, ((1, Auxiliary(n, 2)),))),
+        Rule(
+            "fork",
+            RuleKind.AUXILIARY,
+            lambda n, k: k == 2,
+            lambda n, k: (0, ((1, Auxiliary(n, 3)), (1, Auxiliary(n, 4)))),
+        ),
+        _BACK,
+        Rule(
+            "spin", RuleKind.AUXILIARY, lambda n, k: k == 4, lambda n, k: (0, ((1, Auxiliary(n, 4)),))
+        ),
+    ),
+}
 
 
-def _atom_of(dag, vertex):
-    """The atom a root or auxiliary vertex stands for."""
-    return Primary(dag.n_tilde) if vertex == dag.root else vertex
+@pytest.mark.parametrize("name", sorted(FAN_BACK))
+def test_fan_back_to_the_root_is_a_cycle(name):
+    loop = RewriteSystem(name, FAN_BACK[name])
+    with pytest.raises(CyclicReduction):
+        eval_atom(loop, Primary(3))
+    with pytest.raises(CyclicReduction, match=f"^{name} reduction from 3 is cyclic$"):
+        build_dag(loop, 3)
 
 
 SYSTEMS = {
@@ -291,16 +323,26 @@ def test_edges_follow_each_fan(name, n_tilde):
     sources = []
     for source, edges in groupby(dag.edges, key=attrgetter("source")):
         sources.append(source)
-        rule, _, fan = _fire(system, _atom_of(dag, source))
+        rule, _, fan = _fire(system, source)
         assert [(e.target, e.sign, e.rule) for e in edges] == [
-            (_vertex_of(n_tilde, target), sign, rule.name) for sign, target in fan
+            (target, sign, rule.name) for sign, target in fan
         ]
     # no source comes back, and every vertex with a nonempty fan is a source
     assert len(sources) == len(set(sources))
     expanded = [dag.root, *(v for v in dag.vertices if isinstance(v, Auxiliary))]
-    assert set(sources) == {v for v in expanded if _fire(system, _atom_of(dag, v))[2]}
-    # past the root, a vertex is a terminal or the Auxiliary atom it reduces
-    assert all(isinstance(v, (TerminalVertex, Auxiliary)) for v in dag.vertices[1:])
+    assert set(sources) == {v for v in expanded if _fire(system, v)[2]}
+    # past the root, a primary vertex is a terminal P(u), u < n~
+    assert all(isinstance(v, Auxiliary) or v.n < n_tilde for v in dag.vertices[1:])
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_graph_and_evaluator_reach_the_same_atoms(name):
+    # every vertex is an atom that evaluating the root memoizes
+    system = SYSTEMS[name]
+    for n_tilde in range(31):
+        memo = {}
+        eval_atom(system, Primary(n_tilde), memo)
+        assert set(build_dag(system, n_tilde).vertices) <= memo.keys()
 
 
 def test_any_non_terminal_sink_ends_an_open_path():
@@ -314,7 +356,7 @@ def test_any_non_terminal_sink_ends_an_open_path():
         ),
     )
     assert enumerate_terminating_paths(stub, 3) == [
-        TerminatingPath((RootVertex(3), Auxiliary(3, 2)), -1, None)
+        TerminatingPath((Primary(3), Auxiliary(3, 2)), -1, None)
     ]
 
 
@@ -331,9 +373,9 @@ def test_terminal_vertices_shared():
     # both (4,2) and (4,4)... different startup columns can reach the same j;
     # check that equal j always lands on one vertex object
     dag = build_dag(builtin_system("minpart"), 6)
-    names = [dot_name(v) for v in dag.terminal_vertices()]
+    names = [dot_name(v, 6) for v in dag.terminal_vertices()]
     assert len(names) == len(set(names))
-    assert all(isinstance(v, TerminalVertex) for v in dag.terminal_vertices())
+    assert all(name.startswith("P_") for name in names)
 
 
 def test_paths_are_edge_connected():
@@ -346,23 +388,10 @@ def test_paths_are_edge_connected():
 
 
 def test_root_and_terminal_with_equal_index_stay_apart():
-    # maxpart at n~ = 6 reaches P(0), whose terminal vertex has j = 6 = n~
+    # maxpart at n~ = 6 reaches P(0), terminal j = 6 = n~
     dag = build_dag(builtin_system("maxpart"), 6)
-    assert dag.root != TerminalVertex(6)
-    assert TerminalVertex(6) in dag.vertices
+    assert Primary(0) in dag.vertices
+    assert (dot_name(dag.root, 6), dot_name(Primary(0), 6)) == ("R_6", "P_6")
     mult = signed_multiplicities(dag)
     assert len(mult) == len(dag.vertices)
     assert mult[dag.root] == 1
-
-
-def test_root_vertex_contract():
-    root = RootVertex(6)
-    assert root == RootVertex(n_tilde=6) and hash(root) == hash(RootVertex(6))
-    assert root != RootVertex(7) and root != (6,) and root != TerminalVertex(6)
-    assert len({root, TerminalVertex(6), Auxiliary(6, 6)}) == 3
-    assert repr(root) == "RootVertex(n_tilde=6)"
-    with pytest.raises(AttributeError):
-        root.n_tilde = 7
-    with pytest.raises(AttributeError):
-        del root.n_tilde
-    assert copy.copy(root) == pickle.loads(pickle.dumps(root)) == root
