@@ -22,8 +22,8 @@ pentagonal sign sequence e with constant 0. The bounded system builds and
 extracts fine but its all-positive fans make path counts explode, so nothing
 here asserts anything about it beyond structural sanity.
 
-build_dag fires atoms through the rewrite layer's _fire, which reads the
-system's firing tables and raises NoRuleApplies, in one loop over the
+build_dag fires atoms through the rewrite layer's _fire, which scans the
+rules of the owning group and raises NoRuleApplies, in one loop over the
 vertices it reaches. Every vertex is the atom it reduces: the root is
 Primary(n~), at position 0, an auxiliary vertex is A(n, k), and terminal j is
 P(n~ - j). build_dag keys every vertex by its atom and keeps one adjacency by

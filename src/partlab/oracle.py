@@ -30,8 +30,6 @@ from .errors import InvalidPartition, OracleLimitError
 
 ORACLE_CAP = 80
 
-CONSTRAINTS = ("none", "parts_below", "parts_above", "max_part", "min_part")
-
 # Each constraint as a test on (largest part, smallest part, k) of a nonempty
 # partition. The empty partition satisfies exactly the vacuous ones.
 _HOLDS = {
@@ -178,7 +176,7 @@ def count_constrained(
     The empty partition of 0 satisfies "none", "parts_below" and "parts_above"
     vacuously, and never satisfies "max_part" or "min_part".
     """
-    if constraint not in CONSTRAINTS:
+    if constraint not in _HOLDS:
         raise ValueError(f"unknown constraint {constraint!r}")
     walk = _walk(n, family)
     if k is None and constraint != "none":

@@ -257,10 +257,52 @@ def test_overlap_detected():
     ):
         build_dag(_started(naive, Auxiliary(5, 2)), 5)
     # and no rule that does not apply
-    never = Rule("never", RuleKind.AUXILIARY, lambda n, k: False, lambda n, k: (0, ()))
-    three = RewriteSystem(naive.name, (naive.rules[0], never, naive.rules[1]))
     with pytest.raises(AmbiguousRule, match=r"rules \[removal, split\] all apply"):
-        eval_atom(three, Auxiliary(5, 2))
+        eval_atom(_with_never(naive), Auxiliary(5, 2))
+
+
+def _with_never(naive):
+    """naive with a rule that applies nowhere between its two rules."""
+    never = Rule("never", RuleKind.AUXILIARY, lambda n, k: False, lambda n, k: (0, ()))
+    return RewriteSystem(naive.name, (naive.rules[0], never, naive.rules[1]))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        builtin_system("minpart"),
+        builtin_system("bounded"),
+        builtin_system("maxpart"),
+        builtin_system("maxpart", completion=True),
+        overlapping_minpart_rules(),
+        _with_never(overlapping_minpart_rules()),
+    ],
+    ids=lambda system: f"{system.name}-{len(system.rules)}",
+)
+def test_fire_and_check_orthogonal_scan_alike(system):
+    # over a region, _fire is ambiguous exactly where check_orthogonal lists an
+    # atom, and names the same rules; it fails where no rule of the owning
+    # group applies, and returns the one that does everywhere else
+    region = Region(n_max=12, k_max=12)
+    overlaps = dict(check_orthogonal(system, region).overlaps)
+    for atom in region.atoms():
+        group = [r for r in system.rules if r.lhs_primary == isinstance(atom, Primary)]
+        applies = [r for r in group if r.domain(*atom)]
+        if len(applies) > 1:
+            names = tuple(r.name for r in applies)
+            assert overlaps.pop(atom) == names
+            with pytest.raises(AmbiguousRule) as raised:
+                _fire(system, atom)
+            assert str(raised.value) == (
+                f"{system.name}: rules [{', '.join(names)}] all apply at {atom!r}"
+            )
+        elif not applies:
+            with pytest.raises(NoRuleApplies) as raised:
+                _fire(system, atom)
+            assert str(raised.value) == f"{system.name}: no rule applies at {atom!r}"
+        else:
+            assert _fire(system, atom)[0] is applies[0]
+    assert overlaps == {}
 
 
 def test_naive_fans_are_identities():
@@ -366,6 +408,18 @@ def test_rhs_family_enforced():
         build_dag(leaky_startup, 3)
     with pytest.raises(ValueError, match=r"^rule 'start' \(startup\) produced a Primary"):
         eval_atom(leaky_startup, Primary(3))
+    # check_unitary grounds through the same family check, and fails at the
+    # first atom of the region that the rule fires on
+    for system, first in (
+        (wrong, Auxiliary(0, 0)),
+        (bare, Auxiliary(0, 0)),
+        (leaky_startup, Primary(0)),
+    ):
+        with pytest.raises(ValueError) as unitary:
+            check_unitary(system, Region(n_max=3, k_max=3))
+        with pytest.raises(ValueError) as evaluated:
+            eval_atom(system, first)
+        assert str(unitary.value) == str(evaluated.value)
 
 
 def test_runaway_chain_hits_budget(monkeypatch):
