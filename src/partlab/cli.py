@@ -184,10 +184,11 @@ VERIFY_DAG_CAP = 60
 
 def _cmd_verify(args) -> int:
     from . import verify as verify_mod
-    from .oracle import ORACLE_CAP  # loaded by verify already
 
     config = None
     if args.upto is not None:
+        from .oracle import ORACLE_CAP
+
         defaults = verify_mod.VerifyConfig()
         caps = {
             "oracle_limit": VERIFY_ORACLE_CAP,

@@ -17,6 +17,13 @@ check keeps a flag that a loop clears.
 VerifyConfig, Check and VerifyReport are NamedTuples, so loading this module
 never loads dataclasses (and inspect with it); each equals the plain tuple of
 its fields, and a config with other bounds is made with VerifyConfig._replace.
+
+Loading this module loads no layer it checks. Each suite and helper reaches a
+layer as an attribute of the package, such as ``partlab.codes``, which imports
+it on first access (PEP 562), so ``verify claim`` loads the coefficient layer
+alone. That is two attribute reads, where an import statement in a function
+costs about a microsecond per call, so the helpers run once per case use it
+too. A test that replaces a function in the layer that defines it is seen here.
 """
 
 from __future__ import annotations
@@ -24,42 +31,12 @@ from __future__ import annotations
 import random
 from itertools import accumulate, count, islice
 from operator import eq
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .coefficients import (
-    c_from_product,
-    c_from_recurrence,
-    e_from_recurrence,
-    euler_e,
-    euler_product,
-    euler_seq,
-    f_equals_e_predicate,
-    integrated_f,
-    pentagonal_index,
-)
-from .codes import (
-    Classification,
-    code_of_path,
-    decode_path,
-    enumerate_Bj,
-    involution,
-    lemma51,
-    pentagonal_codes,
-    polarity,
-    split_valuation,
-    valuation,
-)
-from .dag import build_dag, enumerate_terminating_paths, extract_from_dag
-from .engines import EngineKind, make_engine
-from .oracle import p_oracle
-from .rewrite import (
-    BUILTIN_NAMES,
-    Region,
-    builtin_system,
-    check_orthogonal,
-    check_unitary,
-    overlapping_minpart_rules,
-)
+import partlab
+
+if TYPE_CHECKING:
+    from .engines import EngineKind
 
 
 class VerifyConfig(NamedTuple):
@@ -109,12 +86,14 @@ class VerifyReport(NamedTuple):
 
 def _sweep(kind: EngineKind, limit: int) -> list[int]:
     """p(0..limit) from a fresh engine of the given kind."""
-    p = make_engine(kind).p
+    p = partlab.engines.make_engine(kind).p
     return [p(n) for n in range(limit + 1)]
 
 
 def engines_suite(cfg: VerifyConfig) -> list[Check]:
     """Every counting engine against the exhaustive oracle and each other."""
+    EngineKind = partlab.engines.EngineKind
+    p_oracle = partlab.oracle.p_oracle
     exhaustive = [p_oracle(n) for n in range(cfg.oracle_limit + 1)]
     ok = _sweep(EngineKind.INTEGRAL, cfg.oracle_limit) == exhaustive
     checks = [Check("engines", "integral-matches-exhaustive", ok, f"n<={cfg.oracle_limit}")]
@@ -133,18 +112,21 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
     membership predicate marks exactly the indices where they agree. The
     full product is -e termwise, so by the first fact its negated prefix
     sums are the truncated product too."""
+    coefficients = partlab.coefficients
     lim = cfg.series_limit
-    e = euler_seq(lim).values
-    f = integrated_f(lim).values
-    c = c_from_product(lim).values
+    e = coefficients.euler_seq(lim).values
+    f = coefficients.integrated_f(lim).values
+    c = coefficients.c_from_product(lim).values
     facts = {
         "integrated-is-prefix-sum": list(accumulate(e)) == list(f),
         "truncated-product-equals-integrated": c == f
-        and euler_product(lim).values == tuple(-v for v in e),
-        "divisor-recurrence-rebuilds-truncated-product": c_from_recurrence(lim).values == c,
-        "divisor-recurrence-rebuilds-pentagonal": e_from_recurrence(lim).values == e,
+        and coefficients.euler_product(lim).values == tuple(-v for v in e),
+        "divisor-recurrence-rebuilds-truncated-product":
+        coefficients.c_from_recurrence(lim).values == c,
+        "divisor-recurrence-rebuilds-pentagonal":
+        coefficients.e_from_recurrence(lim).values == e,
         "equality-predicate-marks-agreement": list(map(eq, f, e))
-        == list(map(f_equals_e_predicate, range(lim + 1))),
+        == list(map(coefficients.f_equals_e_predicate, range(lim + 1))),
     }
     return [Check("claim", name, ok, f"n<={lim}") for name, ok in facts.items()]
 
@@ -155,23 +137,23 @@ def _codes_of_length(length: int):
         yield format(mask, f"0{length}b")
 
 
-_TERMINATING = (Classification.TERMINATING_BELOW, Classification.TERMINATING_AT)
-
-
 def _bounds_match_replay(n_tilde: int, bits: str) -> bool:
     """lemma51's arithmetic termination bounds agree with replaying the walk.
 
     Walks that touch the wedge before their last vertex pass: they never
     arise as reduction paths, and the bounds do not apply to them.
     """
-    cls = decode_path(n_tilde, bits).classification
-    if cls is Classification.ENTERS_EARLY:
+    codes = partlab.codes
+    cls = codes.decode_path(n_tilde, bits).classification
+    kinds = codes.Classification
+    if cls is kinds.ENTERS_EARLY:
         return True
-    rep = lemma51(n_tilde, bits)
-    below = cls is Classification.TERMINATING_BELOW
+    rep = codes.lemma51(n_tilde, bits)
+    below = cls is kinds.TERMINATING_BELOW
+    at = cls is kinds.TERMINATING_AT
     return (
-        rep.terminating == (cls in _TERMINATING)
-        and rep.at_boundary == (cls is Classification.TERMINATING_AT)
+        rep.terminating == (below or at)
+        and rep.at_boundary == at
         and rep.strictly_below == below
         and (rep.leftmost_one or not below)
     )
@@ -181,14 +163,16 @@ def _path_code_terminates(n_tilde: int, path) -> bool:
     """The code of a reduction path decodes to a terminating walk that ends
     at the path's terminal index, satisfies the bounds, and carries the
     path's sign as its polarity."""
-    code = code_of_path(path)
-    walked = decode_path(n_tilde, code)
+    codes = partlab.codes
+    code = codes.code_of_path(path)
+    walked = codes.decode_path(n_tilde, code)
     final_n, final_k = walked.walk[-1]
+    kinds = codes.Classification
     return (
-        walked.classification in _TERMINATING
-        and lemma51(n_tilde, code).terminating
+        walked.classification in (kinds.TERMINATING_BELOW, kinds.TERMINATING_AT)
+        and codes.lemma51(n_tilde, code).terminating
         and path.j == n_tilde - (final_n - final_k)
-        and path.sign == polarity(code)
+        and path.sign == codes.polarity(code)
     )
 
 
@@ -199,12 +183,13 @@ def _word_pair(rng: random.Random, limit: int) -> tuple[str, ...]:
 
 
 def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
+    codes, euler_e = partlab.codes, partlab.coefficients.euler_e
     walks = range(2, cfg.walk_limit + 1)
-    maxpart = builtin_system("maxpart")
+    maxpart = partlab.rewrite.builtin_system("maxpart")
     # The (100)*(1+011) language: valuations are exactly the generalized
     # pentagonal numbers >= 2 in length order, one code each, and each code's
     # polarity is the pentagonal coefficient at its valuation.
-    pents = pentagonal_codes(12)
+    pents = codes.pentagonal_codes(12)
     first_pentagonal = list(islice((v for v in count(2) if euler_e(v)), 12))
     rng = random.Random(cfg.seed)
     pairs = (_word_pair(rng, cfg.pair_length_limit) for _ in range(cfg.pair_samples))
@@ -226,7 +211,7 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
             all(
                 _path_code_terminates(n_tilde, path)
                 for n_tilde in walks
-                for path in enumerate_terminating_paths(maxpart, n_tilde)
+                for path in partlab.dag.enumerate_terminating_paths(maxpart, n_tilde)
                 if path.j is not None
             ),
             f"n~<={cfg.walk_limit}",
@@ -234,15 +219,15 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
         Check(
             "lemmas",
             "pentagonal-language-valuations",
-            list(map(valuation, pents)) == first_pentagonal
-            and list(map(polarity, pents)) == list(map(euler_e, first_pentagonal)),
+            list(map(codes.valuation, pents)) == first_pentagonal
+            and list(map(codes.polarity, pents)) == list(map(euler_e, first_pentagonal)),
             "12 codes",
         ),
         # Valuation of a concatenation from the two halves alone.
         Check(
             "lemmas",
             "concatenation-valuation-additive",
-            all(valuation(p + s) == split_valuation(p, s) for p, s in pairs),
+            all(codes.valuation(p + s) == codes.split_valuation(p, s) for p, s in pairs),
             f"{cfg.pair_samples} samples",
         ),
     ]
@@ -264,14 +249,16 @@ def _pairing_at(j: int, c) -> tuple[bool, bool, bool, bool]:
     rule two keeps the valuation and flips it), and whether it is fixed.
     The middle two are not asked of an image outside the domain, where the
     involution and polarity are undefined."""
-    image = involution(j, c)
-    v_i = valuation(image)
+    codes = partlab.codes
+    image = codes.involution(j, c)
+    v_i = codes.valuation(image)
     if image.bits[:1] != "1" or v_i not in (j, j - 1):
         return False, True, True, False
+    sign = 1 if v_i != codes.valuation(c) else -1
     return (
         True,
-        involution(j, image) == c,
-        image == c or polarity(image) == (1 if v_i != valuation(c) else -1) * polarity(c),
+        codes.involution(j, image) == c,
+        image == c or codes.polarity(image) == sign * codes.polarity(c),
         image == c,
     )
 
@@ -282,8 +269,10 @@ def _involution_facts(j: int) -> tuple[bool, ...]:
     Each code's image is built once, and only one j's codes are held at a
     time, so memory stays bounded by the largest j rather than by the sweep.
     """
-    b_here = enumerate_Bj(j)
-    b_prev = enumerate_Bj(j - 1)
+    valuation, polarity = partlab.codes.valuation, partlab.codes.polarity
+    euler_e = partlab.coefficients.euler_e
+    b_here = partlab.codes.enumerate_Bj(j)
+    b_prev = partlab.codes.enumerate_Bj(j - 1)
     codes = b_here + b_prev
     rows = [_pairing_at(j, c) for c in codes]
     fixed = [c for c, row in zip(codes, rows) if row[3]]
@@ -291,7 +280,7 @@ def _involution_facts(j: int) -> tuple[bool, ...]:
     # sit at valuation j only: exactly one when j = k(3k-1)/2, the run
     # 1^k 0^(k-2) for k > 0 and 1^|k| 0^(|k|-1) for k < 0, carrying the
     # pentagonal coefficient as sign.
-    k = pentagonal_index(j)
+    k = partlab.coefficients.pentagonal_index(j)
     shape = [] if k is None else ["1" * abs(k) + "0" * (k - 2 if k > 0 else -k - 1)]
     return (
         all(row[0] for row in rows),
@@ -314,8 +303,10 @@ def involution_suite(cfg: VerifyConfig) -> list[Check]:
 
 
 def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
-    region = Region(n_max=cfg.region_bound, k_max=cfg.region_bound)
-    systems = [builtin_system(name) for name in BUILTIN_NAMES]
+    rewrite, dag, coefficients = partlab.rewrite, partlab.dag, partlab.coefficients
+    builtin_system = rewrite.builtin_system
+    region = rewrite.Region(n_max=cfg.region_bound, k_max=cfg.region_bound)
+    systems = [builtin_system(name) for name in rewrite.BUILTIN_NAMES]
     systems.append(builtin_system("maxpart", completion=True))
     checks = [
         Check(
@@ -325,14 +316,17 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
             f"bound {cfg.region_bound}",
         )
         for system in systems
-        for prop, hygiene in (("unitary", check_unitary), ("orthogonal", check_orthogonal))
+        for prop, hygiene in (
+            ("unitary", rewrite.check_unitary),
+            ("orthogonal", rewrite.check_orthogonal),
+        )
     ]
     # Every overlap of the naive variant is between its two rules. The first
     # overlap is A(3, 2), since one needs 2 <= k < n, so the region scanned
     # has bound at least 3.
     naive_bound = max(cfg.region_bound, 3)
-    o = check_orthogonal(
-        overlapping_minpart_rules(), Region(n_max=naive_bound, k_max=naive_bound)
+    o = rewrite.check_orthogonal(
+        rewrite.overlapping_minpart_rules(), rewrite.Region(n_max=naive_bound, k_max=naive_bound)
     )
     flagged = not o.ok and all(names == ("removal", "split") for _, names in o.overlaps)
     checks.append(
@@ -344,13 +338,14 @@ def rewrite_suite(cfg: VerifyConfig) -> list[Check]:
         )
     )
 
-    p = make_engine(EngineKind.EULER).p
+    engines = partlab.engines
+    p = engines.make_engine(engines.EngineKind.EULER).p
     for name, constant, want, check in (
-        ("maxpart", 1, integrated_f(cfg.dag_limit), "maxpart-extraction-integrated"),
-        ("minpart", 0, euler_seq(cfg.dag_limit), "minpart-extraction-pentagonal"),
+        ("maxpart", 1, coefficients.integrated_f(cfg.dag_limit), "maxpart-extraction-integrated"),
+        ("minpart", 0, coefficients.euler_seq(cfg.dag_limit), "minpart-extraction-pentagonal"),
     ):
         extracted = (
-            extract_from_dag(build_dag(builtin_system(name), n_tilde))
+            dag.extract_from_dag(dag.build_dag(builtin_system(name), n_tilde))
             for n_tilde in range(1, cfg.dag_limit + 1)
         )
         ok = all(

@@ -1,6 +1,9 @@
 """The enumeration oracle itself, against hand-countable cases and a
 minimal recursive reference that shares no code with partlab."""
 
+from collections import Counter
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +19,7 @@ from partlab import (
     s_oracle,
     validate_partition,
 )
+from partlab.oracle import _zs1
 
 KNOWN_P = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 KNOWN_S = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
@@ -169,3 +173,23 @@ def test_caps_checked_before_iteration(enumerate_):
         enumerate_(ORACLE_CAP + 1)
     # the cap itself is allowed; nothing walks the 1.6e7 partitions of 80 here
     enumerate_(ORACLE_CAP)
+
+
+def test_runs_count_as_their_partitions():
+    # Every constraint reads only (largest, smallest, k), so counting by runs
+    # is exact when each run's weight on its (largest, smallest) pair adds up
+    # to what the listing, one partition at a time, gives.
+    for n in range(1, 46):
+        by_run = Counter()
+        for x, m, c in _zs1(n):
+            by_run[x[0], x[m - 1]] += c
+        assert by_run == Counter(map(itemgetter(0, -1), enumerate_partitions(n))), n
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_all_twos_run_ends_at_ones(n):
+    # 2^(n/2) splits down to 2 1^(n-2) in one run, and the first part's own
+    # split, to 1^n, is a run of its own
+    steps = [(x[0], x[m - 1], c) for x, m, c in _zs1(n)]
+    twos = [(2, 2, 1)] + ([(2, 1, n // 2 - 1)] if n > 2 else [])
+    assert steps[-len(twos) - 1 :] == twos + [(1, 1, 1)]

@@ -246,6 +246,29 @@ def test_codes_commands_load_no_reduction_layer():
     assert not {"partlab.dag", "partlab.rewrite"} & set(got["loaded"])
 
 
+def test_verify_suites_load_only_the_layers_they_check():
+    # claim checks the coefficient series alone; rewrite needs the engines
+    # but neither the path codes nor the oracle beneath them
+    got = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from partlab.cli import main\n"
+        "runs = {}\n"
+        "for suite in ('claim', 'rewrite'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(['verify', suite])\n"
+        "    runs[suite] = [code, " + LOADED + "]\n"
+        "print(json.dumps(runs))"
+    )
+    claim_code, after_claim = got["claim"]
+    rewrite_code, after_rewrite = got["rewrite"]
+    assert (claim_code, rewrite_code) == (0, 0)
+    assert "partlab.coefficients" in after_claim
+    layers = {f"partlab.{name}" for name in ("codes", "dag", "engines", "oracle", "rewrite")}
+    assert not layers & set(after_claim)
+    assert {"partlab.dag", "partlab.rewrite"} <= set(after_rewrite)
+    assert not {"partlab.codes", "partlab.oracle"} & set(after_rewrite)
+
+
 def test_first_access_loads_the_owner_once():
     got = _fresh(
         "import json, sys\nimport partlab\n"

@@ -1,6 +1,10 @@
-"""The gate of tools/pairs.py on synthetic pairs, and its check on --seeds."""
+"""The gate of tools/pairs.py on synthetic pairs, its check on --seeds, and the
+command its tier1 workload runs."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,32 @@ def test_one_seed_is_a_usage_error(tmp_path, capsys):
                     "--out", str(tmp_path / "bench.json")])
     assert stop.value.code == 2 and "at least 2 seeds" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_tier1_runs_the_tier1_verify_command(tmp_path, monkeypatch):
+    # no pytest runs: subprocess.run is replaced by a recorder
+    (tmp_path / "src" / "partlab").mkdir(parents=True)
+    (tmp_path / "src" / "partlab" / "oracle.py").write_text("ORACLE_CAP = 80\n")
+    calls = []
+
+    def recorded(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return subprocess.CompletedProcess(argv, 0, "544 passed in 10.0s\n", "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", recorded)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    metrics, meta = pairs.run_tier1(tmp_path)
+    argv, kwargs = calls[0]
+    assert argv == [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONPATH"] == os.pathsep.join((str(tmp_path / "src"), "elsewhere"))
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert list(metrics) == ["wall_s"] and metrics["wall_s"] >= 0
+    assert len(meta["partlab_src_sha256"]) == 64
+    # a failing tier-1 run is no measurement
+    monkeypatch.setattr(
+        pairs.subprocess, "run",
+        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 1, "1 failed\n", ""),
+    )
+    with pytest.raises(SystemExit, match="tier-1: exited 1"):
+        pairs.run_tier1(tmp_path)

@@ -2,7 +2,7 @@
 
 import pytest
 
-import partlab.verify
+from partlab import codes, coefficients, dag, rewrite, verify
 from partlab import (
     Check,
     CoeffSeq,
@@ -47,9 +47,9 @@ def failing(suite: str) -> set[str]:
 
 
 def test_termination_check_needs_leftmost_one(monkeypatch):
-    real = partlab.verify.lemma51
+    real = codes.lemma51
     monkeypatch.setattr(
-        partlab.verify,
+        codes,
         "lemma51",
         lambda n_tilde, code: real(n_tilde, code)._replace(leftmost_one=False),
     )
@@ -57,49 +57,53 @@ def test_termination_check_needs_leftmost_one(monkeypatch):
 
 
 def test_fixed_point_check_needs_pentagonal_shape(monkeypatch):
-    real = partlab.verify.pentagonal_index
+    real = coefficients.pentagonal_index
+    # euler_e reads pentagonal_index too; its values are kept, so that only the
+    # fixed points' expected shape moves
+    signs = {j: coefficients.euler_e(j) for j in range(SMALL.involution_limit + 1)}
     monkeypatch.setattr(
-        partlab.verify, "pentagonal_index", lambda n: None if real(n) is None else real(n) + 1
+        coefficients, "pentagonal_index", lambda n: None if real(n) is None else real(n) + 1
     )
+    monkeypatch.setattr(coefficients, "euler_e", signs.__getitem__)
     assert failing("involution") == {"fixed-points-pentagonal"}
 
 
 def test_overlap_check_needs_both_rule_names(monkeypatch):
-    real = partlab.verify.overlapping_minpart_rules
+    real = rewrite.overlapping_minpart_rules
 
     def renamed():
         system = real()
         split = system.rules[1]._replace(name="two-term")
         return RewriteSystem(system.name, (system.rules[0], split))
 
-    monkeypatch.setattr(partlab.verify, "overlapping_minpart_rules", renamed)
+    monkeypatch.setattr(rewrite, "overlapping_minpart_rules", renamed)
     assert failing("rewrite") == {"overlapping-variant-flagged"}
 
 
 def test_product_check_needs_euler_product(monkeypatch):
-    real = partlab.verify.euler_product
+    real = coefficients.euler_product
 
     def flipped(upto):
         values = list(real(upto).values)
         values[7] = -values[7]  # the pentagonal term at 7, nonzero
         return CoeffSeq("e", tuple(values))
 
-    monkeypatch.setattr(partlab.verify, "euler_product", flipped)
+    monkeypatch.setattr(coefficients, "euler_product", flipped)
     failures = run_verify("all", SMALL).failures
     assert [(c.suite, c.name) for c in failures] == [
         ("claim", "truncated-product-equals-integrated")
     ]
 
 
-def _planted(label, suite, function, case, broken, at, names):
-    return pytest.param(suite, function, case, broken, at, names, id=label)
+def _planted(label, suite, module, function, case, broken, at, names):
+    return pytest.param(suite, module, function, case, broken, at, names, id=label)
 
 
-def _domain(label, suite, function, case, broken, first, last, names):
+def _domain(label, suite, module, function, case, broken, first, last, names):
     """Rows planting a fault at the first and the last case of a sweep, which
     fail the named checks, and one case past its end, which fails none."""
     return [
-        _planted(f"{label}-{at}", suite, function, case, broken, at, want)
+        _planted(f"{label}-{at}", suite, module, function, case, broken, at, want)
         for at, want in ((first, names), (last, names), (last + 1, set()))
     ]
 
@@ -111,48 +115,51 @@ def _no(_):
 EXTRACTION = {"maxpart-extraction-integrated", "minpart-extraction-pentagonal"}
 ADDITIVE = {"concatenation-valuation-additive"}
 
-# Each row: the suite, the verify function patched, the case a call of it
-# covers, what the call returns there instead of its result, the case that
-# gets the fault, and the checks that fail with it.
+# Each row: the suite, the function patched in the module that defines it, the
+# case a call of it covers, what the call returns there instead of its result,
+# the case that gets the fault, and the checks that fail with it.
 PLANTED = [
-    *_domain("walk", "lemmas", "_bounds_match_replay", lambda n, bits: n, _no,
+    *_domain("walk", "lemmas", verify, "_bounds_match_replay", lambda n, bits: n, _no,
              2, SMALL.walk_limit, {"termination-bounds-match-replay"}),
-    *_domain("path-walk", "lemmas", "_path_code_terminates", lambda n, path: n, _no,
+    *_domain("path-walk", "lemmas", verify, "_path_code_terminates", lambda n, path: n, _no,
              2, SMALL.walk_limit, {"reduction-path-codes-terminate"}),
-    *_domain("code-length", "lemmas", "_bounds_match_replay", lambda n, bits: len(bits), _no,
+    *_domain("code-length", "lemmas", verify, "_bounds_match_replay",
+             lambda n, bits: len(bits), _no,
              1, SMALL.code_length_limit, {"termination-bounds-match-replay"}),
     # in the images-stay-in-domain column
-    *_domain("involution-j", "involution", "_pairing_at", lambda j, c: j,
+    *_domain("involution-j", "involution", verify, "_pairing_at", lambda j, c: j,
              lambda row: (False, *row[1:]), 2, SMALL.involution_limit,
              {"images-stay-in-domain"}),
-    *_domain("extraction", "rewrite", "extract_from_dag", lambda dag: dag.n_tilde,
+    *_domain("extraction", "rewrite", dag, "extract_from_dag", lambda dag: dag.n_tilde,
              lambda got: got._replace(constant=-1), 1, SMALL.dag_limit, EXTRACTION),
     # seed 7 draws 3 empty prefixes and 2 empty suffixes
-    _planted("empty-prefix", "lemmas", "split_valuation", lambda p, s: len(p),
+    _planted("empty-prefix", "lemmas", codes, "split_valuation", lambda p, s: len(p),
              lambda v: v + 1, 0, ADDITIVE),
-    _planted("empty-suffix", "lemmas", "split_valuation", lambda p, s: len(s),
+    _planted("empty-suffix", "lemmas", codes, "split_valuation", lambda p, s: len(s),
              lambda v: v + 1, 0, ADDITIVE),
     # 10001 in B_8 sent to 110, not to 1001: an image in the domain with the
     # same sign, which 110 does not map back from
-    _planted("in-domain", "involution", "involution", lambda j, c: (j, str(c)),
+    _planted("in-domain", "involution", codes, "involution", lambda j, c: (j, str(c)),
              lambda image: PathCode("110"), (8, "10001"), {"self-inverse"}),
     # 1011 sent to 01011, outside the domain, where nothing maps back to 1011
     # and 111 no longer round-trips through it
-    _planted("outside-domain", "involution", "involution", lambda j, c: str(c),
+    _planted("outside-domain", "involution", codes, "involution", lambda j, c: str(c),
              lambda image: PathCode("01011"), "1011",
              {"images-stay-in-domain", "self-inverse"}),
 ]
 
 
-@pytest.mark.parametrize("suite, function, case, broken, at, names", PLANTED)
-def test_planted_fault_fails_its_check(monkeypatch, suite, function, case, broken, at, names):
-    real = getattr(partlab.verify, function)
+@pytest.mark.parametrize("suite, module, function, case, broken, at, names", PLANTED)
+def test_planted_fault_fails_its_check(
+    monkeypatch, suite, module, function, case, broken, at, names
+):
+    real = getattr(module, function)
 
     def planted(*args):
         got = real(*args)
         return broken(got) if case(*args) == at else got
 
-    monkeypatch.setattr(partlab.verify, function, planted)
+    monkeypatch.setattr(module, function, planted)
     assert failing(suite) == names
 
 

@@ -1,5 +1,5 @@
-"""Alternated parent/change pairs of one perfbench workload, and the gate that a
-claimed gain in wall_s must pass.
+"""Alternated parent/change pairs of one perfbench workload, or of tier-1, and
+the gate that a claimed gain in wall_s must pass.
 
     python tools/pairs.py --parent REV --workload W --seeds A-B --out BENCH_<pr>.json
 
@@ -11,6 +11,12 @@ it imports, as in a fresh checkout. There is one pair per seed of A-B, at least
 two: pair i (from 1) runs both trees on seed number i, the parent first on odd
 pairs and the change first on even ones. A run that exits nonzero or is not
 correct stops the command with exit 1.
+
+--workload tier1 runs the Tier-1 verify command in place of run.py, in each
+tree with that tree's src/ first on PYTHONPATH: `python -m pytest -q
+--continue-on-collection-errors`. Its one metric is wall_s, the seconds the
+command takes from start to exit; the seeds only number the pairs, and a run
+that does not pass every test stops the command with exit 1.
 
 The record in --out holds every end-to-end metric of every pair; per metric and
 tree, the median and quartiles (baseline.summary); per metric, the pairs the
@@ -28,18 +34,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from hashlib import sha256
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from baseline import WORKLOADS, seed_range, summary  # noqa: E402
+from run import cpu_model  # noqa: E402
 
 CLAIM = "wall_s"
 MIN_PAIRS = 10
 TREES = ("parent", "change")
+TIER1 = "tier1"
+TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -57,6 +69,34 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     if not result["correct"]:
         raise SystemExit(f"{tree} seed {seed}: not correct: {child.stderr[-500:]}")
     return {name: m["value"] for name, m in result["metrics"].items()}, json.loads(lines[0])
+
+
+def run_tier1(tree: Path) -> tuple[dict, dict]:
+    """(wall_s, metadata) of one Tier-1 verify run in tree."""
+    src = str(tree / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    start = perf_counter()
+    child = subprocess.run(
+        [sys.executable, *TIER1_COMMAND], capture_output=True, text=True, cwd=tree,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": path},
+    )
+    wall = perf_counter() - start
+    if child.returncode != 0:
+        raise SystemExit(f"{tree} tier-1: exited {child.returncode}: {child.stdout[-500:]}")
+    digest = sha256()
+    for file in sorted((tree / "src" / "partlab").glob("*.py")):
+        digest.update(file.name.encode() + b"\0" + file.read_bytes())
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
+                            text=True).stdout.strip()
+    meta = {
+        "partlab_commit": commit or None,
+        "partlab_src_sha256": digest.hexdigest(),
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model(),
+        "python": platform.python_version(),
+    }
+    return {CLAIM: wall}, meta
 
 
 def tally(pairs: list[dict], name: str, unit: str) -> dict:
@@ -100,14 +140,15 @@ def gate(table: dict, metrics: dict[str, dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, TIER1))
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("--seeds must name at least 2 seeds, to have quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]
+               if args.workload != TIER1 or m["name"] == CLAIM}
     seconds = spec["run_seconds"]
     parent_rev = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
                                 cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
@@ -122,7 +163,10 @@ def main(argv=None) -> int:
             order = TREES if i % 2 == 0 else TREES[::-1]
             pair: dict = {"pair": i + 1, "seed": seed, "first": order[0]}
             for tree in order:
-                pair[tree], metas[tree] = run(trees[tree], args.workload, seed, seconds)
+                if args.workload == TIER1:
+                    pair[tree], metas[tree] = run_tier1(trees[tree])
+                else:
+                    pair[tree], metas[tree] = run(trees[tree], args.workload, seed, seconds)
             pairs.append(pair)
             print(f"pair {i + 1} seed {seed} {order[0]} first: "
                   + ", ".join(f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}"
@@ -141,7 +185,8 @@ def main(argv=None) -> int:
           f"{', '.join(verdict['over_bound']) or 'none'})")
 
     record = {
-        "about": "alternated parent/change pairs of one perfbench workload (tools/pairs.py): "
+        "about": "alternated parent/change pairs of one perfbench workload or of tier-1 "
+                 "(tools/pairs.py): "
                  "every end-to-end metric per pair, medians and quartiles per tree, wins "
                  "and losses of the change per metric, and the gate on a gain in wall_s",
         "workload": args.workload,
