@@ -5,17 +5,22 @@ only grows, and a work counter .recurrent_terms. Asking for p(n) appends
 _next(m) for m = len(table) .. n, in order, so _next(m) may read p(0..m-1)
 and whatever side tables earlier calls built. Each engine supplies only its
 _next(m): the recurrence body, which returns p(m) and adds to the counter
-one for each previously computed table value it reads. Constants do not
-count. The counter is what makes the cost claims testable: the euler engine
-touches O(sqrt n) terms per step, the integral engine Theta(n), so euler's
-cumulative counter stays strictly below integral's from n = 20 on. A sweep
-p(0..n) and a cold p(n) build the same tables and read the same terms.
+one for each term of its recurrence that reads a previously computed table
+value. Constants do not count. The counter counts the recurrence's terms,
+not machine reads, so it does not move with how an engine forms its sums.
+It is what makes the cost claims testable: the euler recurrence has
+O(sqrt n) terms per step, the integral one Theta(n), so euler's cumulative
+counter stays strictly below integral's from n = 20 on. A sweep p(0..n) and
+a cold p(n) build the same tables and count the same terms.
 
 euler and integral sum exactly the terms they count, through C-level sums
 with no multiplications: euler over two lists of pentagonal offsets, one per
 sign of e_k, and integral through byte masks of the k with f_k = 1 and with
 f_k = -1. The masks rely on |f_k| <= 1, which integral checks as it builds
-them.
+them. sigma's sum is an online convolution, since sigma is known in advance
+and p arrives one value at a time: it sums its short lags directly and its
+long ones in products of aligned blocks of p, each made as soon as its block
+is complete and packed into one C-level integer multiply.
 
 Engines:
 
@@ -36,8 +41,8 @@ between threads.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul
 
 from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
 
@@ -128,19 +133,63 @@ class IntegralEngine(Engine):
 
 
 class SigmaEngine(Engine):
-    """Divisor-sum recurrence with checked exact division."""
+    """Divisor-sum recurrence with checked exact division, summed online.
+
+    p(m) needs sum_{k=1..m} sigma(k) p(m-k). The lags k < SHORT are summed at
+    step m. A lag k >= SHORT has the level L = 2^floor(log2 k) >= SHORT, and
+    the pairs of level L meet block by block: once p(m-1) closes an aligned
+    block p[m-L : m], one product of it and sigma[L : 2L] gives the block's
+    sums for steps m .. m+2L-2, which wait in _acc. So each pair (k, m-k) is
+    summed once, by its level, no later than step m. SHORT is a power of two,
+    and the blocks of size SHORT, 2 SHORT, .., up to the largest power of two
+    dividing m, are those that close at step m.
+    """
+
+    SHORT = 32
 
     def __init__(self) -> None:
         super().__init__()
-        self._sigma: list[int] = []  # the first _next builds it
+        # sigma(0..2L-1) for the largest block size L closed so far, or SHORT
+        self._sigma = sigma_table(2 * self.SHORT - 1)
+        self._acc = [0] * self.SHORT  # _acc[m]: the block sums for step m
 
     def _next(self, m: int) -> int:
-        if len(self._sigma) <= m:
-            self._sigma = sigma_table(2 * m)
-        # sigma(1..m) against p(m-1)..p(0)
-        total = sum(map(mul, self._sigma[1 : m + 1], reversed(self._p)))
+        short, p, acc = self.SHORT, self._p, self._acc
+        low = m & -m  # the largest power of two dividing m
+        if len(self._sigma) == low:  # m = 2L: the first block of size 2L closes
+            self._sigma = sigma_table(2 * low - 1)
+        sig = self._sigma
+        size = short
+        while size <= low:
+            sums = _product_coefficients(p[m - size : m], sig[size : 2 * size])
+            end = m + len(sums)
+            acc.extend(repeat(0, end - len(acc)))
+            acc[m:end] = map(add, acc[m:end], sums)
+            size *= 2
+        # sigma(1..SHORT-1) against p(m-1), p(m-2), ..; map stops at p(0)
+        total = sum(map(mul, sig[1:short], reversed(p))) + acc[m]
         self.recurrent_terms += m
         return _exact_div(total, m, f"p({m})")
+
+
+def _product_coefficients(a: list[int], b: list[int]) -> list[int]:
+    """The coefficients of (sum_i a_i x^i)(sum_j b_j x^j), for lists a and b of
+    nonnegative ints of one length L, through one integer product.
+
+    Each list is packed into an int, one w-byte slot per value (Kronecker
+    substitution). A coefficient sums at most L products, so it stays below
+    2^(bits(max a) + bits(max b) + bits(L)) <= 2^(8w): no slot carries into the
+    next, and the product's slots are the coefficients, exactly.
+    """
+    w = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
+    size = w * (len(a) + len(b) - 1)
+    data = (_pack(a, w) * _pack(b, w)).to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + w], "little") for i in range(0, size, w)]
+
+
+def _pack(values: list[int], w: int) -> int:
+    slots = map(int.to_bytes, values, repeat(w), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little")
 
 
 class MinPartEngine(Engine):

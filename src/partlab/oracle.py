@@ -7,9 +7,10 @@ enumeration, so it is slow and trusted.
 All partitions are walked by ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for
 generating integer partitions", 1998): one mutable buffer, rewritten in place
 in descending lexicographic order at constant amortised cost per partition.
-Strict partitions are walked in the same order over one list of parts, with a
-fresh tuple per partition. p(80) is about 1.6e7 partitions, so enumeration
-refuses n > ORACLE_CAP.
+Strict partitions are walked in the same order over one list of parts, which
+the walk rewrites in place as ZS1 does its buffer; only listing copies it into
+a tuple. p(80) is about 1.6e7 partitions, so enumeration refuses
+n > ORACLE_CAP.
 
 Listing visits every partition and copies the buffer once for each. Counting
 reads only the largest and the smallest part of a partition, and takes each
@@ -150,10 +151,10 @@ def enumerate_strict(n: int) -> Iterator[tuple[int, ...]]:
     """Return an iterator over the partitions of n into distinct parts,
     descending lexicographic; n is checked when this is called."""
     _check_n(n)
-    return _strict(n)
+    return map(tuple, _strict(n))
 
 
-def _strict(n: int) -> Iterator[tuple[int, ...]]:
+def _strict(n: int) -> Iterator[list[int]]:
     """Walk the strict partitions of n >= 0 in descending lexicographic order.
 
     x holds the parts placed so far, rest what is left to place and cap the
@@ -161,7 +162,8 @@ def _strict(n: int) -> Iterator[tuple[int, ...]]:
     one the last part that can be lowered: the new part nxt and the parts
     after it must sum to rest, the sum from that part on, which distinct
     parts up to nxt can do exactly when nxt(nxt+1)/2 >= rest. A part that
-    cannot be lowered by one cannot be lowered further.
+    cannot be lowered by one cannot be lowered further. Each partition is
+    yielded as x itself, which the next step rewrites.
     """
     x: list[int] = []
     rest = cap = n
@@ -171,7 +173,7 @@ def _strict(n: int) -> Iterator[tuple[int, ...]]:
             x.append(part)
             rest -= part
             cap = part - 1
-        yield tuple(x)
+        yield x
         while x:
             part = x.pop()
             rest += part

@@ -169,9 +169,25 @@ def test_dense_engines_match_plain_loops(kind, ref):
     assert engine.recurrent_terms == want_terms
 
 
-@pytest.mark.parametrize("at", [2, 7, 40])
+# The sigma engine sums its lags from SigmaEngine.SHORT = 32 on in products of
+# aligned blocks of p; a block of size L closes at each step m that L divides.
+# p(2^11 + 1) lies past the close of p[0:1024] and of p[1024:2048].
+BLOCK_BOUNDARIES = sorted({2**i + d for i in range(12) for d in (-1, 0, 1)})
+
+
+def test_sigma_engine_at_block_boundaries():
+    euler = make_engine("euler")
+    sweep = make_engine("sigma")
+    top = BLOCK_BOUNDARIES[-1]
+    assert [sweep.p(n) for n in range(top + 1)] == [euler.p(n) for n in range(top + 1)]
+    for n in BLOCK_BOUNDARIES:
+        assert make_engine("sigma").p(n) == euler.p(n), n
+
+
+@pytest.mark.parametrize("at", [2, 7, 40, 100, 300])
 def test_sigma_engine_checks_every_division(monkeypatch, at):
-    # sigma(at) off by one moves the p(0) term of p(at) by one
+    # sigma(at) off by one moves the p(0) term of p(at) by one; from at = 32 on,
+    # that term is summed inside a block product
     real = sigma_table
 
     def perturbed(upto):
@@ -183,7 +199,7 @@ def test_sigma_engine_checks_every_division(monkeypatch, at):
     monkeypatch.setattr(partlab.engines, "sigma_table", perturbed)
     engine = make_engine("sigma")
     with pytest.raises(NonIntegralDivision, match=rf"^p\({at}\):"):
-        engine.p(60)
+        engine.p(max(60, at))
 
 
 @pytest.mark.parametrize("at", [2, 7, 40])

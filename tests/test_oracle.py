@@ -81,6 +81,13 @@ def test_strict_enumeration():
     assert all(len(set(parts)) == len(parts) for parts in enumerate_strict(10))
 
 
+def test_strict_listing_yields_distinct_tuples():
+    # the walk rewrites one list in place; listing must copy each partition
+    listed = list(enumerate_strict(20))
+    assert all(type(parts) is tuple for parts in listed)
+    assert len(set(listed)) == len(listed) == s_oracle(20) == 64
+
+
 @pytest.mark.parametrize(
     "n, strict", [(n, False) for n in range(26)] + [(n, True) for n in range(41)]
 )

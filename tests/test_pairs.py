@@ -1,5 +1,5 @@
-"""The gate of tools/pairs.py on synthetic pairs, its check on --seeds, and the
-command its tier1 workload runs."""
+"""The gate of tools/pairs.py on synthetic pairs, its check on --seeds, the
+command its tier1 workload runs, and how its record names the change."""
 
 import importlib.util
 import os
@@ -113,3 +113,24 @@ def test_tier1_runs_the_tier1_verify_command(tmp_path, monkeypatch):
     )
     with pytest.raises(SystemExit, match="tier-1: exited 1"):
         pairs.run_tier1(tmp_path)
+
+
+def test_change_is_head_with_a_dirty_flag(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "engines.py").write_text("SHORT = 32\n")
+    git("add", "engines.py")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "HEAD")
+    assert pairs.checkout(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "engines.py").write_text("SHORT = 64\n")
+    assert pairs.checkout(tmp_path) == {"commit": head, "dirty": True}
+    git("checkout", "-q", "engines.py")
+    (tmp_path / "new.py").write_text("")
+    assert pairs.checkout(tmp_path) == {"commit": head, "dirty": True}

@@ -18,12 +18,15 @@ tree with that tree's src/ first on PYTHONPATH: `python -m pytest -q
 command takes from start to exit; the seeds only number the pairs, and a run
 that does not pass every test stops the command with exit 1.
 
-The record in --out holds every end-to-end metric of every pair; per metric and
-tree, the median and quartiles (baseline.summary); per metric, the pairs the
-change wins and loses, ties counting for neither; and the gate's verdict. The
-gate passes when there are at least 10 pairs, the change wins wall_s in at
-least 9 of every 10 of them, its median wall_s is below the parent's by more
-than the parent's interquartile range, and no metric's median is worse than the
+The record in --out names the parent by its commit, and the change by the
+commit checked out here with a dirty flag: true when `git status --porcelain`
+lists a file, as it does while a change is measured before it is committed.
+It holds every end-to-end metric of every pair; per metric and tree, the
+median and quartiles (baseline.summary); per metric, the pairs the change wins
+and loses, ties counting for neither; and the gate's verdict. The gate passes
+when there are at least 10 pairs, the change wins wall_s in at least 9 of
+every 10 of them, its median wall_s is below the parent's by more than the
+parent's interquartile range, and no metric's median is worse than the
 parent's by more than its BENCHMARK.json bound. Every end-to-end metric there is
 lower-is-better. The command prints the pairs and the summary table, and exits
 0 whether or not the gate passes. Only the standard library is used.
@@ -86,10 +89,7 @@ def run_tier1(tree: Path) -> tuple[dict, dict]:
     digest = sha256()
     for file in sorted((tree / "src" / "partlab").glob("*.py")):
         digest.update(file.name.encode() + b"\0" + file.read_bytes())
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                            text=True).stdout.strip()
     meta = {
-        "partlab_commit": commit or None,
         "partlab_src_sha256": digest.hexdigest(),
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
@@ -97,6 +97,16 @@ def run_tier1(tree: Path) -> tuple[dict, dict]:
         "python": platform.python_version(),
     }
     return {CLAIM: wall}, meta
+
+
+def checkout(tree: Path) -> dict:
+    """The commit checked out in the git working tree tree, and whether the
+    tree has edits on top of it: changed, staged or untracked files."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True,
+                              check=True).stdout
+    return {"commit": git("rev-parse", "HEAD").strip(),
+            "dirty": bool(git("status", "--porcelain"))}
 
 
 def tally(pairs: list[dict], name: str, unit: str) -> dict:
@@ -152,6 +162,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     parent_rev = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
                                 cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    change = checkout(ROOT)
 
     pairs, metas = [], {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
@@ -191,7 +202,7 @@ def main(argv=None) -> int:
                  "and losses of the change per metric, and the gate on a gain in wall_s",
         "workload": args.workload,
         "parent": parent_rev,
-        "change": metas["change"]["partlab_commit"],
+        "change": change,
         "src_sha256": {tree: metas[tree]["partlab_src_sha256"] for tree in TREES},
         "run_seconds": seconds,
         "machine": {k: metas["change"][k] for k in ("nproc", "cpus_usable", "cpu_model", "python")},
