@@ -13,14 +13,12 @@ O(sqrt n) terms per step, the integral one Theta(n), so euler's cumulative
 counter stays strictly below integral's from n = 20 on. A sweep p(0..n) and
 a cold p(n) build the same tables and count the same terms.
 
-euler and integral sum exactly the terms they count, through C-level sums
-with no multiplications: euler over two lists of pentagonal offsets, one per
-sign of e_k, and integral through byte masks of the k with f_k = 1 and with
-f_k = -1. The masks rely on |f_k| <= 1, which integral checks as it builds
-them. sigma's sum is an online convolution, since sigma is known in advance
-and p arrives one value at a time: it sums its short lags directly and its
-long ones in products of aligned blocks of p, each made as soon as its block
-is complete and packed into one C-level integer multiply.
+euler sums over two lists of pentagonal offsets, one per sign of e_k, and
+integral by parts, over two lists of f's changes (at pentagonal offsets)
+against prefix sums of p: O(sqrt n) reads a step, as C-level sums with no
+multiplications. sigma's sum is an online convolution, since sigma is known
+in advance and p arrives one value at a time: short lags are summed directly,
+long ones in products of aligned blocks of p, each one C-level multiply.
 
 Engines:
 
@@ -41,7 +39,7 @@ between threads.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, mul
 
 from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
@@ -107,29 +105,31 @@ class EulerEngine(Engine):
 class IntegralEngine(Engine):
     """Integrated recurrence p(n) = 1 + sum f_k p(n-k); counts only nonzero f_k.
 
-    Every f_k is -1, 0 or 1, so the sum is that of the p(n-k) with f_k = 1
-    less that of those with f_k = -1. _pos and _neg mark those k, one byte per
-    k, and are rebuilt with _f; the rebuild checks that they cover every
-    nonzero f_k.
+    The sum is taken by parts against S(i) = p(0) + .. + p(i), as
+    sum_{j=1..m} (f_j - f_{j-1}) S(m-j), f_0 read as 0. Each change d at j
+    lists |d| copies of -j, in _up or _down by its sign: exact for any int f.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._f: tuple[int, ...] = ()  # the first _next builds it, with _pos and _neg
+        self._f: tuple[int, ...] = ()  # f_0 read as 0; the first _next builds it
+        self._sums = [0]  # S(-1), S(0), ..: at step m its item -j is S(m - j)
+        self._up: list[int] = []
+        self._down: list[int] = []
+        self._nonzero = 0  # of f_1..f_m at step m
 
     def _next(self, m: int) -> int:
         if len(self._f) <= m:
-            f = integrated_f(2 * m).values
-            pos, neg = bytes(v == 1 for v in f), bytes(v == -1 for v in f)
-            if pos.count(1) + neg.count(1) != len(f) - f.count(0):
-                k, v = next((k, v) for k, v in enumerate(f) if v not in (-1, 0, 1))
-                raise ValueError(f"f-sequence value f_{k} = {v} outside -1..1")
-            self._f, self._pos, self._neg = f, pos, neg
-        # f_1..f_m against p(m-1)..p(0); a zero f_k adds nothing and reads no p
-        pos, neg = self._pos[1 : m + 1], self._neg[1 : m + 1]
-        self.recurrent_terms += pos.count(1) + neg.count(1)
-        p = self._p
-        return 1 + sum(compress(reversed(p), pos)) - sum(compress(reversed(p), neg))
+            self._f = (0, *integrated_f(2 * m).values[1:])
+        f, sums = self._f, self._sums
+        sums.append(sums[-1] + self._p[m - 1])
+        d = f[m] - f[m - 1]
+        if d:
+            (self._up if d > 0 else self._down).extend(repeat(-m, abs(d)))
+        self._nonzero += f[m] != 0
+        self.recurrent_terms += self._nonzero
+        get = sums.__getitem__
+        return 1 + sum(map(get, self._up)) - sum(map(get, self._down))
 
 
 class SigmaEngine(Engine):

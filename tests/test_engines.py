@@ -1,6 +1,7 @@
 """The six counting engines: values, work counters, and failure modes."""
 
 from functools import cache
+from itertools import takewhile
 from types import SimpleNamespace
 
 import pytest
@@ -116,7 +117,7 @@ def test_make_engine_accepts_strings():
 
 # The euler, integral and sigma recurrences as plain Python loops, kept as the
 # reference for the engines' C-level sums: (p(0..n), recurrent_terms) of a
-# sweep.
+# sweep. _ref_integral also takes any integer f_0..f_n.
 
 
 def _ref_euler(n):
@@ -132,8 +133,9 @@ def _ref_euler(n):
     return p, terms
 
 
-def _ref_integral(n):
-    f = integrated_f(n).values
+def _ref_integral(n, f=None):
+    if f is None:
+        f = integrated_f(n).values
     p, terms = [1], 0
     for m in range(1, n + 1):
         total = 1
@@ -202,21 +204,42 @@ def test_sigma_engine_checks_every_division(monkeypatch, at):
         engine.p(max(60, at))
 
 
-@pytest.mark.parametrize("at", [2, 7, 40])
-def test_integral_engine_checks_f_range(monkeypatch, at):
-    # a CoeffSeq refuses a 2, so the perturbed table bypasses it
+# The integral engine sums by parts over f's changes, each listed |change|
+# times, so it is exact for any integer f, not only for f's values -1, 0, 1.
+@pytest.mark.parametrize("at, value", [(2, 2), (7, 2), (40, 2), (7, -3), (90, 5), (3, 0)])
+def test_integral_engine_sums_any_integer_f(monkeypatch, at, value):
+    # a CoeffSeq refuses an f value outside -1..1, so the perturbed table bypasses it
     real = integrated_f
 
     def perturbed(upto):
         values = list(real(upto).values)
         if upto >= at:
-            values[at] = 2
+            values[at] = value
         return SimpleNamespace(values=tuple(values))
 
     monkeypatch.setattr(partlab.engines, "integrated_f", perturbed)
-    engine = make_engine("integral")
-    with pytest.raises(ValueError, match=rf"f_{at} = 2 outside -1\.\.1"):
-        engine.p(60)
+    want_p, want_terms = _ref_integral(200, perturbed(200).values)
+    sweep = make_engine("integral")
+    assert [sweep.p(n) for n in range(201)] == want_p
+    assert sweep.recurrent_terms == want_terms
+    cold = make_engine("integral")
+    assert cold.p(200) == want_p[200]
+    assert cold.recurrent_terms == want_terms
+
+
+# The integral engine lists an offset at each generalized pentagonal g, where
+# f changes, and rebuilds its f table past each power of two.
+PENTAGONAL = [g for g, _ in takewhile(lambda pair: pair[0] <= 2100, pentagonal_pairs())]
+GROWTH_BOUNDARIES = sorted({g + d for g in PENTAGONAL for d in (-1, 0, 1)} | set(BLOCK_BOUNDARIES))
+
+
+def test_integral_engine_at_growth_boundaries():
+    euler = make_engine("euler")
+    sweep = make_engine("integral")
+    top = GROWTH_BOUNDARIES[-1]
+    assert [sweep.p(n) for n in range(top + 1)] == [euler.p(n) for n in range(top + 1)]
+    for n in GROWTH_BOUNDARIES:
+        assert make_engine("integral").p(n) == euler.p(n), n
 
 
 @cache
@@ -225,9 +248,9 @@ def _sweep(kind):
     return [engine.p(n) for n in range(201)]
 
 
-# Tables and side tables (euler's offset lists, integral's masks, sigma's
-# divisor sums) grow at boundaries that depend on the call order; any order
-# must give a sweep's values and a cold call's counter.
+# Tables and side tables (euler's offset lists, integral's offset lists and
+# prefix sums, sigma's divisor sums) grow at boundaries that depend on the call
+# order; any order must give a sweep's values and a cold call's counter.
 @pytest.mark.parametrize("kind", list(EngineKind))
 @settings(max_examples=20)
 @given(ns=st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=6))
