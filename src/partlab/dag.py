@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import budget
-from .errors import BudgetExceeded, CyclicReduction
+from .errors import CyclicReduction
 from .rewrite import Atom, Auxiliary, Primary, RewriteSystem, _fire
 
 
@@ -89,13 +89,12 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
 
     Raises NoRuleApplies when a reachable atom has no rule, BudgetExceeded
     when the reachable set, root and terminals included, outgrows the vertex
-    budget (PLAB_BUDGET, else budget.DAG_VERTEX_BUDGET, one million), and
-    propagates AmbiguousRule from grounding.
+    budget of budget.py, and propagates AmbiguousRule from grounding.
     Acyclicity is verified structurally before returning, by a topological
     sort whose order the graph keeps; CyclicReduction when it fails, a fan
     back to Primary(n_tilde) included.
     """
-    limit = budget.resolve(budget.DAG_VERTEX_BUDGET)
+    limit = budget.env_budget() or budget.DAG_VERTEX_BUDGET
     dag = Dag(system.name, n_tilde)
     vertices, edges, first, target = dag.vertices, dag.edges, [], []
 
@@ -117,9 +116,7 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
                 t = position[reached] = len(vertices)
                 vertices.append(reached)
                 if t >= limit:
-                    raise BudgetExceeded(
-                        f"{system.name} reduction from {n_tilde} exceeded {limit} vertices"
-                    )
+                    raise budget.exceeded("vertex", limit, t + 1, system.name, n_tilde)
             edges.append(DagEdge(source, vertices[t], sign, name))
             target.append(t)
     first.append(len(edges))
@@ -202,16 +199,16 @@ def enumerate_terminating_paths(
 ) -> list[TerminatingPath]:
     """Every root-to-terminal path, with sign products and terminal indices.
 
-    Exponential in general; guarded by a path budget (PLAB_BUDGET, else
-    budget.PATH_BUDGET, one million). Grouping signs by j reproduces the
-    extracted coefficients, which the test suite checks.
+    Exponential in general; guarded by the path budget of budget.py.
+    Grouping signs by j reproduces the extracted coefficients, which the test
+    suite checks.
     """
     return terminating_paths(build_dag(system, n_tilde))
 
 
 def terminating_paths(dag: Dag) -> list[TerminatingPath]:
     """enumerate_terminating_paths over a graph already built."""
-    limit = budget.resolve(budget.PATH_BUDGET)
+    limit = budget.env_budget() or budget.PATH_BUDGET
     vertices, edges, first, target = dag.vertices, dag.edges, dag._first, dag._target
     paths: list[TerminatingPath] = []
     # (position, vertices so far, sign so far)
@@ -224,10 +221,7 @@ def terminating_paths(dag: Dag) -> list[TerminatingPath]:
                 j = dag.n_tilde - vertex.n if isinstance(vertex, Primary) else None
                 paths.append(TerminatingPath(trail, sign, j))
             if len(paths) > limit:
-                raise BudgetExceeded(
-                    f"{dag.system_name} path enumeration from {dag.n_tilde} "
-                    f"exceeded {limit}"
-                )
+                raise budget.exceeded("path", limit, len(paths), dag.system_name, dag.n_tilde)
             continue
         # last edge first keeps first fan branches on top of the stack
         for e in range(first[v + 1] - 1, first[v] - 1, -1):

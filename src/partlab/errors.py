@@ -31,7 +31,9 @@ class NoRuleApplies(PartlabError):
 
 
 class BudgetExceeded(PartlabError):
-    """A recursion chain, reachable set, or path enumeration outgrew its budget."""
+    """A rewrite chain or evaluation, reachable set or path listing outgrew its
+    budget. budget.exceeded sets kind (chain, atom, vertex or path), variable,
+    limit (the bound in force) and reached (the first count past it)."""
 
 
 class CyclicReduction(PartlabError):

@@ -57,7 +57,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 from . import budget
 from ._value import Value
-from .errors import AmbiguousRule, BudgetExceeded, CyclicReduction, NoRuleApplies
+from .errors import AmbiguousRule, CyclicReduction, NoRuleApplies
 
 
 class Primary(NamedTuple):
@@ -242,10 +242,6 @@ def check_orthogonal(system: RewriteSystem, region: Region) -> OrthogonalityRepo
     return report
 
 
-def _default_chain_limit(atom: Atom) -> int:
-    return 10 * (sum(map(abs, atom)) + 1)
-
-
 _MISSING = object()
 
 
@@ -258,17 +254,10 @@ def eval_atom(
 
     The recursion is run on an explicit stack. A chain is a run of rule
     applications between primary atoms; primary atoms restart the chain
-    (their values memoize whole). Each chain may apply at most
-    10 * (|n| + |k| + 1) rules, measured at the atom that started it,
-    unless PLAB_BUDGET overrides the bound. Exceeding it raises
-    BudgetExceeded; the built-in systems never come near the default bound.
-    Revisiting an atom already under evaluation raises CyclicReduction.
-
-    The whole evaluation may reach at most budget.ATOM_BUDGET atoms: the one
-    it starts from and every fan entry of every atom it grounds. Each entry
-    costs one memo lookup, so this bounds the time as well as the memo, which
-    for P(n) grows like n^2 / 3. PLAB_BUDGET may raise that limit but not
-    lower it. PLAB_BUDGET is read once per call, not once per chain.
+    (their values memoize whole). The chain and atom budgets of budget.py
+    bound each chain's rule applications and the atoms the whole evaluation
+    reaches, its root and every fan entry it grounds; exceeding either raises
+    BudgetExceeded. Revisiting an atom under evaluation raises CyclicReduction.
 
     Atoms are fired through _fire, as build_dag fires them, in the one loop
     that also sums fans: a fan is summed over its memoized prefix, and the
@@ -284,31 +273,26 @@ def eval_atom(
         return value
 
     override = budget.env_budget()  # read once; when set, it bounds every chain
-    atom_limit = max(override or 0, budget.ATOM_BUDGET)  # raised, never lowered
+    atom_limit, chain_default = budget.atom_limit(override), budget.chain_default
     reached = 1  # atoms reached: the root, then the fan of every atom grounded
     in_progress: set[Atom] = set()
     stack: list[tuple] = []  # (atom, fan iterator, sign, acc, depth, limit)
     get = memo.get
     # the atom to ground next, and the depth and limit of the chain it extends
-    target, depth, limit = atom, 0, override or _default_chain_limit(atom)
+    target, depth, limit = atom, 0, override or chain_default(atom)
     while True:
         if target in in_progress:
             raise CyclicReduction(f"{system.name}: cyclic reduction through {target!r}")
         if isinstance(target, Primary):
-            depth, limit = 1, override or _default_chain_limit(target)
+            depth, limit = 1, override or chain_default(target)
         else:
             depth += 1
         if depth > limit:
-            raise BudgetExceeded(
-                f"{system.name}: chain exceeded {limit} applications at {target!r}"
-            )
+            raise budget.exceeded("chain", limit, depth, system.name, target)
         _, acc, fan = _fire(system, target)
         reached += len(fan)
         if reached > atom_limit:
-            raise BudgetExceeded(
-                f"{system.name}: evaluating {atom!r} reached {reached} atoms, past "
-                f"the atom budget of {atom_limit} ({budget.ENV_VAR} can raise it)"
-            )
+            raise budget.exceeded("atom", atom_limit, reached, system.name, atom)
         in_progress.add(target)
         top, entries = target, iter(fan)
         while True:

@@ -1,7 +1,9 @@
-"""The gate of tools/pairs.py on synthetic pairs, its check on --seeds, the
-command its tier1 workload runs, and how its record names the change."""
+"""The gate of tools/pairs.py on synthetic pairs and on a recorded A/A set, its
+check on --seeds, the command its tier1 workload runs, and how its record
+names the change."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +11,8 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
@@ -76,6 +77,19 @@ def test_fewer_than_ten_pairs_never_pass():
     assert (verdict["wins"], verdict["pairs"]) == (3, 3)
     assert verdict["gap_beyond_iqr"] and verdict["over_bound"] == []
     assert not verdict["enough_wins"] and not verdict["passed"]
+
+
+def test_recorded_a_a_pairs_fail_the_gate():
+    # BENCH_28_aa.json pairs one clean tree with itself on crosscheck: both
+    # sides run the same source, so the gate must not see a gain
+    record = json.loads((ROOT / "BENCH_28_aa.json").read_text())
+    assert record["change"] == {"commit": record["parent"], "dirty": False}
+    assert record["src_sha256"]["parent"] == record["src_sha256"]["change"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    verdict = pairs.gate(pairs.tabulate(record["pairs"], metrics), metrics)
+    assert verdict["pairs"] >= pairs.MIN_PAIRS and not verdict["passed"]
+    assert verdict == record["gate"]
 
 
 def test_one_seed_is_a_usage_error(tmp_path, capsys):
