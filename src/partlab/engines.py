@@ -19,6 +19,10 @@ against prefix sums of p: O(sqrt n) reads a step, as C-level sums with no
 multiplications. sigma's sum is an online convolution, since sigma is known
 in advance and p arrives one value at a time: short lags are summed directly,
 long ones in products of aligned blocks of p, each one C-level multiply.
+bounded and maxpart fill each column or diagonal of their two-parameter table
+as one C-level running sum (itertools.accumulate) with no per-cell Python
+loop: bounded's column m is a running sum of reads along an anti-diagonal,
+and maxpart's diagonal d a running difference from p(d) down.
 
 Engines:
 
@@ -38,9 +42,11 @@ between threads.
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
-from itertools import repeat
-from operator import add, mul
+from itertools import accumulate, chain, count, islice, repeat
+from math import isqrt
+from operator import add, getitem, mul, or_, sub
 
 from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
 
@@ -224,25 +230,38 @@ class BoundedEngine(Engine):
 
     blt[k][j] holds the number of partitions of j with every part < k, for
     k >= 2: blt[k][j] = p(j) for j < k, blt[2][j] = 1 for j >= 2, and
-    blt[k][j] = sum_i blt[k-1][j - i(k-1)] otherwise. Growing to m appends
-    column m to rows 2..m-1 and adds row m; p(m) = 1 + blt[m][m].
+    blt[k][j] = blt[k-1][j] + blt[k][j-k+1] for j >= k - 1 (a partition
+    either has no part k-1, or one can be taken off). So column m is one
+    running sum from blt[2][m] = 1 over the reads blt[k][m-k+1], k = 3..m,
+    and p(m) = 1 + blt[m][m]. The reads with k > (m+1)//2 fall in the wedge
+    j < k and come from the p table. Row k >= 3 stores only its cells j >= k,
+    as a queue: step j appends blt[k][j], and step j+k-1, its one read, pops
+    it. Row 2, all ones, is never read.
+
+    The counter adds, at step m, the terms of the stepped form blt[k+1][m] =
+    sum_i blt[k][m - ik] over k = 2..m-1, the m reads p(0..m-1) of row m's
+    wedge and the read of blt[m][m]: m - 2 + D(m) in all, with D(m) =
+    sum_{k=1..m} m//k, summed up to isqrt(m) by the hyperbola method.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._p.append(1)
-        self._blt: list[list[int]] = [[], []]  # rows 0 and 1 unused
+        self._rows: list[deque[int]] = [deque(), deque()]  # rows 0 and 1 unused
 
     def _next(self, m: int) -> int:
-        blt = self._blt
-        blt.append(self._p[:m])  # row m below the diagonal reads p(0..m-1)
-        blt[2].append(1)
-        terms = m + 1  # those reads, and blt[m][m] when p(m) closes
-        for step in range(2, m):
-            blt[step + 1].append(sum(blt[step][m % step :: step]))
-            terms += m // step + 1
-        self.recurrent_terms += terms
-        return 1 + blt[m][m]
+        rows, h = self._rows, (m + 1) // 2
+        reads = chain(map(deque.popleft, islice(rows, 3, h + 1)), reversed(self._p[1 : m - h + 1]))
+        # + allocates each sum one spare digit, so a two-digit sum takes a
+        # 48-byte pymalloc block, not a 32-byte one; | 0 copies it at its
+        # exact size
+        column = map(or_, accumulate(reads, initial=1), repeat(0))
+        rows.append(deque())
+        # column m into rows 2..m; append returns None, so any() runs to the end
+        any(map(deque.append, islice(rows, 2, None), column))
+        s = isqrt(m)
+        self.recurrent_terms += m - 2 + 2 * sum(map(m.__floordiv__, range(1, s + 1))) - s * s
+        return 1 + rows[m][0]
 
 
 class MaxPartEngine(Engine):
@@ -256,10 +275,11 @@ class MaxPartEngine(Engine):
 
     The first step stays on the diagonal n - k = d; the second, aux(d, k+1),
     lies in row d < n, which an earlier call already filled. So the table is
-    kept by diagonal: diag[d][k] holds aux(d + k, k) for 2 <= k <= d. Row
+    kept by diagonal: diag[d][k - 2] holds aux(d + k, k) for 2 <= k <= d. Row
     m = d + 2 is the first to need diagonal d; the chain from (m, 2) climbs
-    it to the terminal (2d, d), so _next(m) fills it from that terminal
-    back down, then sums row m: p(m) = 1 + sum_{k=2..m} aux(m, k).
+    it to the terminal (2d, d), so _next(m) fills it as one running
+    difference from that terminal back down, reading p for the wedge, then
+    sums row m: p(m) = 1 + sum_{k=2..m} aux(m, k).
     """
 
     def __init__(self) -> None:
@@ -267,23 +287,25 @@ class MaxPartEngine(Engine):
         self._p.append(1)
         self._diag: list[list[int]] = []  # row m appends diagonal m - 2
 
-    def _aux(self, n: int, k: int) -> int:
-        d = n - k
-        return self._diag[d][k] if k <= d else self._p[d]
-
     def _next(self, m: int) -> int:
-        d = m - 2
-        diag = [0] * (d + 1)
+        p, diags, d = self._p, self._diag, m - 2
+        diag: list[int] = []
         if d >= 2:
-            diag[d] = self._p[d]
-            for k in range(d - 1, 1, -1):
-                diag[k] = diag[k + 1] - self._aux(d, k + 1)
+            # aux(d, j) for j = d down to 3: p(d - j) while j > d // 2, then
+            # diag[d - j][j - 2]; map stops with the range, at j = 3
+            w = max(d // 2, 2)
+            reads = chain(p[: d - w], map(getitem, diags[d - w :], range(w - 2, 0, -1)))
+            diag += accumulate(reads, sub, initial=p[d])
+            diag.reverse()
             # the terminal, then two reads per step
             self.recurrent_terms += 2 * d - 3
-        self._diag.append(diag)
+        diags.append(diag)
         # wedge cells of row m read p(m - k) once each; then the row sum
         self.recurrent_terms += (m + 1) // 2 + m - 1
-        return 1 + sum(self._aux(m, k) for k in range(2, m + 1))
+        # aux(m, k) for k > m // 2 is p(m - k), else diag[m - k][k - 2]
+        half = m // 2
+        wedge = sum(p[: m - half])
+        return 1 + wedge + sum(map(getitem, reversed(diags[m - half :]), count()))
 
 
 _ENGINE_CLASSES = {

@@ -115,9 +115,9 @@ def test_make_engine_accepts_strings():
         make_engine("fibonacci")
 
 
-# The euler, integral and sigma recurrences as plain Python loops, kept as the
-# reference for the engines' C-level sums: (p(0..n), recurrent_terms) of a
-# sweep. _ref_integral also takes any integer f_0..f_n.
+# The euler, integral, sigma, bounded and maxpart recurrences as plain Python
+# loops, kept as the reference for the engines' C-level sums: (p(0..n),
+# recurrent_terms) of a sweep. _ref_integral also takes any integer f_0..f_n.
 
 
 def _ref_euler(n):
@@ -161,14 +161,73 @@ def _ref_sigma(n):
     return p, terms
 
 
+def _ref_bounded(n):
+    # blt[k][j]: partitions of j with every part < k, each cell a stepped sum
+    p, terms, blt = [1, 1], 0, [[], []]
+    for m in range(2, n + 1):
+        blt.append(p[:m])
+        blt[2].append(1)
+        terms += m + 1
+        for step in range(2, m):
+            blt[step + 1].append(sum(blt[step][m % step :: step]))
+            terms += m // step + 1
+        p.append(1 + blt[m][m])
+    return p[: n + 1], terms
+
+
+def _ref_maxpart(n):
+    # diags[d][k]: aux(d + k, k), partitions of d + k with largest part k
+    p, terms, diags = [1, 1], 0, []
+
+    def aux(n, k):
+        d = n - k
+        return diags[d][k] if k <= d else p[d]
+
+    for m in range(2, n + 1):
+        d = m - 2
+        diag = [0] * (d + 1)
+        if d >= 2:
+            diag[d] = p[d]
+            for k in range(d - 1, 1, -1):
+                diag[k] = diag[k + 1] - aux(d, k + 1)
+            terms += 2 * d - 3
+        diags.append(diag)
+        terms += (m + 1) // 2 + m - 1
+        p.append(1 + sum(aux(m, k) for k in range(2, m + 1)))
+    return p[: n + 1], terms
+
+
 @pytest.mark.parametrize(
-    "kind, ref", [("euler", _ref_euler), ("integral", _ref_integral), ("sigma", _ref_sigma)]
+    "kind, ref",
+    [
+        ("euler", _ref_euler),
+        ("integral", _ref_integral),
+        ("sigma", _ref_sigma),
+        ("bounded", _ref_bounded),
+        ("maxpart", _ref_maxpart),
+    ],
 )
 def test_dense_engines_match_plain_loops(kind, ref):
     want_p, want_terms = ref(250)
     engine = make_engine(kind)
     assert [engine.p(n) for n in range(251)] == want_p
     assert engine.recurrent_terms == want_terms
+
+
+# The composite engines' tables start at small n (bounded's first read row is
+# 3, maxpart's first filled diagonal 2), and the engines workload asks bounded
+# for 100..400 and maxpart for 80..300.
+SMALL_AND_BAND_EDGES = [*range(13), 80, 100, 300, 400]
+
+
+@pytest.mark.parametrize("kind", ["minpart", "bounded", "maxpart"])
+def test_composite_engines_at_small_and_band_edges(kind):
+    euler = make_engine("euler")
+    sweep = make_engine(kind)
+    top = SMALL_AND_BAND_EDGES[-1]
+    assert [sweep.p(n) for n in range(top + 1)] == [euler.p(n) for n in range(top + 1)]
+    for n in SMALL_AND_BAND_EDGES:
+        assert make_engine(kind).p(n) == euler.p(n), n
 
 
 # The sigma engine sums its lags from SigmaEngine.SHORT = 32 on in products of

@@ -1,6 +1,6 @@
 """The gate of tools/pairs.py on synthetic pairs and on a recorded A/A set, its
-check on --seeds, the command its tier1 workload runs, and how its record
-names the change."""
+check on --seeds, the command its tier1 workload runs, where it writes the two
+trees, and how its record names the change."""
 
 import importlib.util
 import json
@@ -129,13 +129,47 @@ def test_tier1_runs_the_tier1_verify_command(tmp_path, monkeypatch):
         pairs.run_tier1(tmp_path)
 
 
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=repo, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def test_both_trees_are_written_out_side_by_side(tmp_path):
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    repo.mkdir()
+    out.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "src").mkdir()
+    (repo / "src" / "engines.py").write_text("SHORT = 32\n")
+    (repo / "gone.py").write_text("")
+    (repo / ".gitignore").write_text("perfbench/out/\n")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "first")
+    head = _git(repo, "rev-parse", "HEAD")
+    # uncommitted: an edit, a deletion, a new file, and an ignored one
+    (repo / "src" / "engines.py").write_text("SHORT = 64\n")
+    (repo / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("NEW = 1\n")
+    (repo / "perfbench" / "out").mkdir(parents=True)
+    (repo / "perfbench" / "out" / "run.json").write_text("{}")
+
+    trees = pairs.write_trees(repo, head, out)
+    assert trees == {"parent": out / "parent", "change": out / "change"}
+    assert (trees["parent"] / "src" / "engines.py").read_text() == "SHORT = 32\n"
+    assert (trees["parent"] / "gone.py").exists()
+    assert (trees["change"] / "src" / "engines.py").read_text() == "SHORT = 64\n"
+    assert (trees["change"] / "src" / "new.py").read_text() == "NEW = 1\n"
+    assert not (trees["change"] / "gone.py").exists()
+    assert not (trees["change"] / "perfbench").exists()
+    assert (trees["change"] / ".gitignore").is_file()
+
+
 def test_change_is_head_with_a_dirty_flag(tmp_path):
     def git(*args):
-        return subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
-             "-c", "commit.gpgsign=false", *args],
-            cwd=tmp_path, capture_output=True, text=True, check=True,
-        ).stdout.strip()
+        return _git(tmp_path, *args)
 
     git("init", "-q")
     (tmp_path / "engines.py").write_text("SHORT = 32\n")

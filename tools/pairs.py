@@ -3,8 +3,10 @@ the gate that a claimed gain in wall_s must pass.
 
     python tools/pairs.py --parent REV --workload W --seeds A-B --out BENCH_<pr>.json
 
-The parent tree is REV written out by `git archive REV | tar -x` into a
-temporary directory; the change tree is this checkout, as it stands. Each tree
+Both trees are written out into one temporary directory, so that they run
+from the same kind of place: the parent as REV by `git archive REV | tar -x`,
+and the change as this checkout stands, its tracked files and its untracked
+files that .gitignore does not exclude, as `git ls-files` lists them. Each tree
 runs its own perfbench/run.py with --trace 0 and BENCHMARK.json's run_seconds,
 one run at a time, with PYTHONDONTWRITEBYTECODE=1 so that each run compiles what
 it imports, as in a fresh checkout. There is one pair per seed of A-B, at least
@@ -38,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -97,6 +100,24 @@ def run_tier1(tree: Path) -> tuple[dict, dict]:
         "python": platform.python_version(),
     }
     return {CLAIM: wall}, meta
+
+
+def write_trees(root: Path, parent_rev: str, tmp: Path) -> dict[str, Path]:
+    """The parent and change trees of the git working tree root, written out
+    under tmp: parent_rev as committed, and root as it stands."""
+    trees = {tree: tmp / tree for tree in TREES}
+    trees["parent"].mkdir()
+    archive = subprocess.run(["git", "archive", parent_rev], cwd=root, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, capture_output=True, text=True, check=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source, target = root / name, trees["change"] / name
+        if source.is_file():  # a tracked file deleted in the checkout is not
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+    return trees
 
 
 def checkout(tree: Path) -> dict:
@@ -166,10 +187,7 @@ def main(argv=None) -> int:
 
     pairs, metas = [], {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = write_trees(ROOT, parent_rev, Path(tmp))
         for i, seed in enumerate(args.seeds):
             order = TREES if i % 2 == 0 else TREES[::-1]
             pair: dict = {"pair": i + 1, "seed": seed, "first": order[0]}
