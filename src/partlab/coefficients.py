@@ -24,9 +24,9 @@ and checks every division, so no route reads another route or the closed form.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, count
 from math import isqrt
-from operator import sub
+from operator import add, sub
 from typing import Iterator
 
 from ._value import Value
@@ -127,12 +127,16 @@ def integrated_f(upto: int) -> CoeffSeq:
 
 
 def sigma_table(upto: int) -> list[int]:
-    """sigma(1..upto) by a divisor sieve; index 0 is a 0 filler."""
+    """sigma(1..upto) by a divisor sieve; index 0 is a 0 filler.
+
+    Each n = s q with s <= q has s <= isqrt(n), so the sieve runs over s and
+    adds s + q to n = s q for each q > s, and s alone to n = s^2.
+    """
     _check_upto(upto)
     table = [0] * (upto + 1)
-    for d in range(1, upto + 1):
-        for m in range(d, upto + 1, d):
-            table[m] += d
+    for s in range(1, isqrt(upto) + 1):
+        table[s * s] += s
+        table[s * (s + 1) :: s] = map(add, table[s * (s + 1) :: s], count(2 * s + 1))
     return table
 
 

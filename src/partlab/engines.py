@@ -16,9 +16,11 @@ a cold p(n) build the same tables and count the same terms.
 euler sums over two lists of pentagonal offsets, one per sign of e_k, and
 integral by parts, over two lists of f's changes (at pentagonal offsets)
 against prefix sums of p: O(sqrt n) reads a step, as C-level sums with no
-multiplications. sigma's sum is an online convolution, since sigma is known
-in advance and p arrives one value at a time: short lags are summed directly,
-long ones in products of aligned blocks of p, each one C-level multiply.
+multiplications, each list read by an itemgetter rebuilt only when it grows.
+sigma's sum is an online convolution, since sigma is known in advance and p
+arrives one value at a time: short lags are summed directly, long ones in
+products of aligned blocks of p, each one C-level multiply; the blocks that
+close at one step are summed as one packed int and unpacked once.
 bounded and maxpart fill each column or diagonal of their two-parameter table
 as one C-level running sum (itertools.accumulate) with no per-cell Python
 loop: bounded's column m is a running sum of reads along an anti-diagonal,
@@ -46,7 +48,8 @@ from collections import deque
 from enum import Enum
 from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
-from operator import add, getitem, mul, or_, sub
+from operator import add, getitem, itemgetter, mul, or_, sub
+from typing import Callable, Sequence
 
 from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
 
@@ -94,18 +97,19 @@ class EulerEngine(Engine):
         super().__init__()
         self._plus: list[int] = []
         self._minus: list[int] = []
+        self._read_plus = self._read_minus = _reader([])
         self._pairs = pentagonal_pairs()
         self._g, self._sign = next(self._pairs)  # the next offset, not yet listed
 
     def _next(self, m: int) -> int:
         if m == self._g:
             (self._plus if self._sign > 0 else self._minus).append(-m)
+            self._read_plus, self._read_minus = _reader(self._plus), _reader(self._minus)
             self._g, self._sign = next(self._pairs)
-        plus, minus = self._plus, self._minus
-        self.recurrent_terms += len(plus) + len(minus)
+        self.recurrent_terms += len(self._plus) + len(self._minus)
         # the table holds p(0..m-1), so its item -g is p(m - g)
-        get = self._p.__getitem__
-        return sum(map(get, plus)) - sum(map(get, minus))
+        p = self._p
+        return sum(self._read_plus(p)) - sum(self._read_minus(p))
 
 
 class IntegralEngine(Engine):
@@ -122,6 +126,7 @@ class IntegralEngine(Engine):
         self._sums = [0]  # S(-1), S(0), ..: at step m its item -j is S(m - j)
         self._up: list[int] = []
         self._down: list[int] = []
+        self._read_up = self._read_down = _reader([])
         self._nonzero = 0  # of f_1..f_m at step m
 
     def _next(self, m: int) -> int:
@@ -132,10 +137,22 @@ class IntegralEngine(Engine):
         d = f[m] - f[m - 1]
         if d:
             (self._up if d > 0 else self._down).extend(repeat(-m, abs(d)))
+            self._read_up, self._read_down = _reader(self._up), _reader(self._down)
         self._nonzero += f[m] != 0
         self.recurrent_terms += self._nonzero
-        get = sums.__getitem__
-        return 1 + sum(map(get, self._up)) - sum(map(get, self._down))
+        return 1 + sum(self._read_up(sums)) - sum(self._read_down(sums))
+
+
+def _reader(offsets: list[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """The items of a table at offsets, read in one C-level pass.
+
+    itemgetter needs one index at least and returns the bare item for exactly
+    one, so lists of fewer than two offsets, held by the first steps, are read
+    by a comprehension.
+    """
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    return lambda table: [table[i] for i in offsets]
 
 
 class SigmaEngine(Engine):
@@ -148,7 +165,9 @@ class SigmaEngine(Engine):
     sums for steps m .. m+2L-2, which wait in _acc. So each pair (k, m-k) is
     summed once, by its level, no later than step m. SHORT is a power of two,
     and the blocks of size SHORT, 2 SHORT, .., up to the largest power of two
-    dividing m, are those that close at step m.
+    dividing m, are those that close at step m. Their sums all start at step
+    m, so one packed sum of their products (_block_sums) gives them all, with
+    one unpack and one pass over _acc per step.
     """
 
     SHORT = 32
@@ -165,31 +184,36 @@ class SigmaEngine(Engine):
         if len(self._sigma) == low:  # m = 2L: the first block of size 2L closes
             self._sigma = sigma_table(2 * low - 1)
         sig = self._sigma
-        size = short
-        while size <= low:
-            sums = _product_coefficients(p[m - size : m], sig[size : 2 * size])
+        if low >= short:
+            sizes = [short << i for i in range((low // short).bit_length())]
+            sums = _block_sums(p[m - low : m], [sig[size : 2 * size] for size in sizes])
             end = m + len(sums)
             acc.extend(repeat(0, end - len(acc)))
             acc[m:end] = map(add, acc[m:end], sums)
-            size *= 2
         # sigma(1..SHORT-1) against p(m-1), p(m-2), ..; map stops at p(0)
         total = sum(map(mul, sig[1:short], reversed(p))) + acc[m]
         self.recurrent_terms += m
         return _exact_div(total, m, f"p({m})")
 
 
-def _product_coefficients(a: list[int], b: list[int]) -> list[int]:
-    """The coefficients of (sum_i a_i x^i)(sum_j b_j x^j), for lists a and b of
-    nonnegative ints of one length L, through one integer product.
+def _block_sums(a: list[int], blocks: list[list[int]]) -> list[int]:
+    """The 2 len(a) - 1 coefficients of the sum, over the lists b in blocks,
+    of (sum_i a_i x^i)(sum_j b_j x^j), a read as its last len(b) values; for
+    nonnegative ints, each b no longer than a and none empty.
 
     Each list is packed into an int, one w-byte slot per value (Kronecker
-    substitution). A coefficient sums at most L products, so it stays below
-    2^(bits(max a) + bits(max b) + bits(L)) <= 2^(8w): no slot carries into the
-    next, and the product's slots are the coefficients, exactly.
+    substitution), a once, and a's last len(b) values are its top slots. The
+    products are summed as ints and unpacked once. A coefficient sums at most
+    len(b) products per block, so it stays below 2^(bits(max a) + bits(max of
+    the b) + bits(sum of len(b))) <= 2^(8w): no slot carries into the next, and
+    the sum's slots are the coefficients, exactly.
     """
-    w = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
-    size = w * (len(a) + len(b) - 1)
-    data = (_pack(a, w) * _pack(b, w)).to_bytes(size, "little")
+    bits = max(a).bit_length() + max(map(max, blocks)).bit_length()
+    w = (bits + sum(map(len, blocks)).bit_length() + 7) // 8
+    packed = _pack(a, w)
+    total = sum((packed >> 8 * w * (len(a) - len(b))) * _pack(b, w) for b in blocks)
+    size = w * (2 * len(a) - 1)
+    data = total.to_bytes(size, "little")
     return [int.from_bytes(data[i : i + w], "little") for i in range(0, size, w)]
 
 
@@ -204,13 +228,15 @@ class MinPartEngine(Engine):
     row_m[k] holds the number of partitions of m with smallest part k:
     row_m[1] = p(m-1), row_m[k] = row_{m-1}[k-1] - row_{m-k}[k-1], and the
     count is zero once k exceeds the argument, so the second read is zero
-    for k > (m+1)/2. p(m) sums the row. Each cell k >= 2 counts its two
-    reads, zero or not.
+    for k > (m+1)/2. p(m) sums the row; past (m+1)/2 the row holds zeros,
+    then row_m[m] = 1, so it sums the cells up to (m+1)/2 and adds 1. Each
+    cell k >= 2 counts its two reads, zero or not. No step past m reads a row
+    below (m+1)//2, so step m drops row (m+1)//2 - 1.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._rows: list[list[int]] = [[]]
+        self._rows: list[list[int] | None] = [[]]
 
     def _next(self, m: int) -> int:
         rows = self._rows
@@ -218,11 +244,15 @@ class MinPartEngine(Engine):
         half = (m + 1) // 2
         row = [0, self._p[m - 1]]  # index 0 unused
         row += [prev[k - 1] - rows[m - k][k - 1] for k in range(2, half + 1)]
+        # past half the row holds zeros, then row_m[m] = 1; at m = 1 nothing
+        total = sum(row) + (m > 1)
         row += prev[half:m]
         rows.append(row)
+        # step m + 1 reads rows m + 1 - k for k <= (m + 2) // 2, none below half
+        rows[half - 1] = None
         # p(m-1), two reads per cell k = 2..m, then m reads for the row sum
         self.recurrent_terms += 3 * m - 1
-        return sum(row)
+        return total
 
 
 class BoundedEngine(Engine):
@@ -279,13 +309,14 @@ class MaxPartEngine(Engine):
     m = d + 2 is the first to need diagonal d; the chain from (m, 2) climbs
     it to the terminal (2d, d), so _next(m) fills it as one running
     difference from that terminal back down, reading p for the wedge, then
-    sums row m: p(m) = 1 + sum_{k=2..m} aux(m, k).
+    sums row m: p(m) = 1 + sum_{k=2..m} aux(m, k). No step after the fill of
+    diagonal 2i reads diagonal i, so that fill drops it.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._p.append(1)
-        self._diag: list[list[int]] = []  # row m appends diagonal m - 2
+        self._diag: list[list[int] | None] = []  # row m appends diagonal m - 2
 
     def _next(self, m: int) -> int:
         p, diags, d = self._p, self._diag, m - 2
@@ -297,6 +328,11 @@ class MaxPartEngine(Engine):
             reads = chain(p[: d - w], map(getitem, diags[d - w :], range(w - 2, 0, -1)))
             diag += accumulate(reads, sub, initial=p[d])
             diag.reverse()
+            if d % 2 == 0:
+                # no later step reads diagonal d // 2: from d = 4 on, diags[d - w:]
+                # starts at d // 2 here and above it from the next step on, and
+                # each row sum's diags[m - half:] starts above it (0 and 1 are empty)
+                diags[d // 2] = None
             # the terminal, then two reads per step
             self.recurrent_terms += 2 * d - 3
         diags.append(diag)

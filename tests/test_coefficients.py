@@ -115,10 +115,11 @@ def test_equality_predicate():
 
 
 def test_sigma():
-    table = sigma_table(400)
-    assert table[0] == 0
-    # against divisor sums by trial division
-    assert table[1:] == [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, 401)]
+    # against divisor sums by trial division, at 400 and at every size through
+    # 70, which takes the sieve over each square and each step of isqrt
+    want = [0] + [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, 401)]
+    for upto in [*range(71), 400]:
+        assert sigma_table(upto) == want[: upto + 1], upto
 
 
 def test_coeffseq_validation():

@@ -2,6 +2,7 @@
 
 from functools import cache
 from itertools import takewhile
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -17,14 +18,17 @@ from partlab import (
     sigma_table,
 )
 
-KNOWN = {0: 1, 1: 1, 4: 5, 10: 42, 30: 5604, 50: 204226, 100: 190569292}
+KNOWN = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 10: 42, 30: 5604, 50: 204226, 100: 190569292}
 
 
+# p(0..6) in order is a sweep; euler's and integral's offset lists hold no or
+# one offset there, as first steps do
 @pytest.mark.parametrize("kind", list(EngineKind))
 def test_known_values(kind):
     engine = make_engine(kind)
     for n, want in KNOWN.items():
         assert engine.p(n) == want
+        assert make_engine(kind).p(n) == want, n
 
 
 @pytest.mark.parametrize("kind", list(EngineKind))
@@ -230,10 +234,23 @@ def test_composite_engines_at_small_and_band_edges(kind):
         assert make_engine(kind).p(n) == euler.p(n), n
 
 
+# minpart drops row r and maxpart diagonal i once no later step reads them,
+# after step 2r + 1 and the fill of diagonal 2i: a cold minpart p(700) keeps
+# rows 350..700, and a cold maxpart p(300) diagonals 150..298 and the empty 0.
+@pytest.mark.parametrize(
+    "kind, table, n, live", [("minpart", "_rows", 700, 351), ("maxpart", "_diag", 300, 150)]
+)
+def test_composite_engines_drop_what_no_step_reads(kind, table, n, live):
+    engine = make_engine(kind)
+    engine.p(n)
+    assert sum(row is not None for row in getattr(engine, table)) == live
+
+
 # The sigma engine sums its lags from SigmaEngine.SHORT = 32 on in products of
 # aligned blocks of p; a block of size L closes at each step m that L divides.
-# p(2^11 + 1) lies past the close of p[0:1024] and of p[1024:2048].
-BLOCK_BOUNDARIES = sorted({2**i + d for i in range(12) for d in (-1, 0, 1)})
+# p(2^11 + 1) lies past the close of p[0:1024] and of p[1024:2048]; at 3072
+# the blocks of sizes 32..1024 close, at 4096 those of sizes 32..4096.
+BLOCK_BOUNDARIES = sorted({m + d for m in (*(2**i for i in range(13)), 3072) for d in (-1, 0, 1)})
 
 
 def test_sigma_engine_at_block_boundaries():
@@ -243,6 +260,26 @@ def test_sigma_engine_at_block_boundaries():
     assert [sweep.p(n) for n in range(top + 1)] == [euler.p(n) for n in range(top + 1)]
     for n in BLOCK_BOUNDARIES:
         assert make_engine("sigma").p(n) == euler.p(n), n
+
+
+# The blocks that close at step m are summed in one packed sum, with slots of
+# bits(max p) + bits(max sigma) + bits(sum of sizes) bits. At m = 1024 the
+# blocks of sizes 32..1024 close; every value at the top of its bit width fills
+# each slot as far as it can be filled.
+def test_block_sums_at_worst_case_values():
+    sizes = [32 << i for i in range(6)]
+    top = (1 << make_engine("euler").p(1023).bit_length()) - 1
+    sigma_top = (1 << max(sigma_table(2047)).bit_length()) - 1
+    a = [top] * sizes[-1]
+    blocks = [[sigma_top] * size for size in sizes]
+    want = [0] * (2 * len(a) - 1)
+    for b in blocks:
+        tail, n = a[len(a) - len(b) :], len(b)
+        # coefficient t sums tail[i] b[t - i] over i = lo..hi
+        for t in range(2 * n - 1):
+            lo, hi = max(0, t - n + 1), min(t, n - 1)
+            want[t] += sum(map(mul, tail[lo : hi + 1], reversed(b[t - hi : t - lo + 1])))
+    assert partlab.engines._block_sums(a, blocks) == want
 
 
 @pytest.mark.parametrize("at", [2, 7, 40, 100, 300])
