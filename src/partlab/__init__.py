@@ -76,6 +76,7 @@ _EXPORTS = {
         "AmbiguousRule",
         "BudgetExceeded",
         "CyclicReduction",
+        "InvalidArgument",
         "InvalidCode",
         "InvalidPartition",
         "NoRuleApplies",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidArgument
 
 ENV_VAR = "PLAB_BUDGET"
 
@@ -37,8 +37,8 @@ MESSAGES = {
 
 
 def env_budget() -> int | None:
-    """The PLAB_BUDGET override, or None when unset. Raises ValueError, naming
-    the variable and its value, when it is set to anything but a positive integer."""
+    """The PLAB_BUDGET override, or None when unset. Raises InvalidArgument (a
+    ValueError) naming the variable and its value unless it is a positive integer."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return None
@@ -47,7 +47,7 @@ def env_budget() -> int | None:
     except ValueError:
         value = 0
     if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+        raise InvalidArgument(f"{ENV_VAR} must be a positive integer, got {raw!r}")
     return value
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain or
-computation error (bad input ranges, exhausted budgets, and the like).
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a PartlabError
+(bad input, an exhausted budget); a bug escapes with its traceback.
 
 Large counts are printed as decimal strings in JSON output so nothing
 downstream has to parse big integers. A record's JSON keys are its own
@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import budget
-from .errors import PartlabError
+from .errors import InvalidArgument, PartlabError
 
 # str(kind) for kind in EngineKind, rewrite.BUILTIN_NAMES and sorted(verify.SUITES)
 ENGINE_NAMES = ("euler", "integral", "sigma", "minpart", "bounded", "maxpart")
@@ -63,7 +63,7 @@ def _once(args, name: str, what: str, flag: str):
 def _check_budget_setting() -> None:
     try:
         budget.env_budget()
-    except ValueError as exc:
+    except InvalidArgument as exc:
         raise _UsageError(exc) from None
 
 
@@ -569,7 +569,7 @@ def main(argv=None) -> int:
     try:
         _check_budget_setting()
         return args.func(args)
-    except (_UsageError, PartlabError, ValueError) as exc:
+    except (_UsageError, PartlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 3
 

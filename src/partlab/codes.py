@@ -42,7 +42,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value
-from .errors import InvalidCode, InvalidPartition, NotInDomain
+from .errors import InvalidArgument, InvalidCode, InvalidPartition, NotInDomain
 from .oracle import enumerate_strict, validate_partition
 
 if TYPE_CHECKING:
@@ -197,20 +197,20 @@ def code_of_path(path: TerminatingPath) -> PathCode:
     """
     aux = path.vertices[1:] if path.j is None else path.vertices[1:-1]
     if not aux:
-        raise ValueError("path has no auxiliary vertices, nothing to encode")
+        raise InvalidArgument("path has no auxiliary vertices, nothing to encode")
     k0 = aux[0].k
     if k0 < 2:
-        raise ValueError(f"startup column {k0} below 2 cannot be coded")
+        raise InvalidArgument(f"startup column {k0} below 2 cannot be coded")
     step_bits = []
     for prev, nxt in zip(aux, aux[1:]):
         if nxt.k != prev.k + 1:
-            raise ValueError(f"not a unit k-step: {prev} -> {nxt}")
+            raise InvalidArgument(f"not a unit k-step: {prev} -> {nxt}")
         if nxt.n == prev.n - prev.k:
             step_bits.append("1")
         elif nxt.n == prev.n + 1:
             step_bits.append("0")
         else:
-            raise ValueError(f"not a rising or falling step: {prev} -> {nxt}")
+            raise InvalidArgument(f"not a rising or falling step: {prev} -> {nxt}")
     return PathCode("".join(reversed(step_bits)) + "1" + "0" * (k0 - 2))
 
 
@@ -245,7 +245,7 @@ def enumerate_Bj(j: int) -> tuple[PathCode, ...]:
     """All leading-1 codes with valuation j, via strict partitions of j with
     parts >= 2, in the oracle's descending-lexicographic order."""
     if j < 0:
-        raise ValueError(f"valuation must be nonnegative, got {j}")
+        raise InvalidArgument(f"valuation must be nonnegative, got {j}")
     return tuple(
         _code_of_parts(parts) for parts in enumerate_strict(j) if parts and parts[-1] >= 2
     )
@@ -299,7 +299,7 @@ def pentagonal_codes(count: int) -> tuple[PathCode, ...]:
     fixed points.
     """
     if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+        raise InvalidArgument(f"count must be nonnegative, got {count}")
     out: list[PathCode] = []
     m = 0
     while len(out) < count:

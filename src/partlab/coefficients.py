@@ -30,7 +30,7 @@ from operator import add, sub
 from typing import Iterator
 
 from ._value import Value
-from .errors import NonIntegralDivision
+from .errors import InvalidArgument, NonIntegralDivision
 
 _KIND_NAMES = ("e", "f", "c")
 
@@ -51,15 +51,15 @@ class CoeffSeq(Value):
 
     def __init__(self, kind: str, values: tuple[int, ...]) -> None:
         if kind not in _KIND_NAMES:
-            raise ValueError(f"kind must be one of {_KIND_NAMES}, got {kind!r}")
+            raise InvalidArgument(f"kind must be one of {_KIND_NAMES}, got {kind!r}")
         bad = [v for v in values if v not in (-1, 0, 1)]
         if bad:
-            raise ValueError(f"{kind}-sequence values outside -1..1: {bad[:4]}")
+            raise InvalidArgument(f"{kind}-sequence values outside -1..1: {bad[:4]}")
         if kind == "c":
             if values and values[0] != -1:
-                raise ValueError("c-sequence must start with -1")
+                raise InvalidArgument("c-sequence must start with -1")
             if len(values) > 1 and values[1] != 0:
-                raise ValueError("c-sequence must have 0 at index 1")
+                raise InvalidArgument("c-sequence must have 0 at index 1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
 
@@ -77,7 +77,7 @@ def pentagonal_index(n: int) -> int | None:
     and 0 answers n = 0. At most one k exists for a given n.
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise InvalidArgument(f"n must be nonnegative, got {n}")
     root = isqrt(24 * n + 1)
     if root * root != 24 * n + 1:
         return None
@@ -105,7 +105,7 @@ def pentagonal_pairs() -> Iterator[tuple[int, int]]:
 
 def _check_upto(upto: int) -> None:
     if upto < 0:
-        raise ValueError(f"upto must be nonnegative, got {upto}")
+        raise InvalidArgument(f"upto must be nonnegative, got {upto}")
 
 
 def euler_seq(upto: int) -> CoeffSeq:
@@ -169,9 +169,10 @@ def c_from_product(upto: int) -> CoeffSeq:
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
+    """num // den, checked; the label what.format(den) is built only on a remainder."""
     q, r = divmod(num, den)
     if r != 0:
-        raise NonIntegralDivision(f"{what}: {num} not divisible by {den}")
+        raise NonIntegralDivision(f"{what.format(den)}: {num} not divisible by {den}")
     return q
 
 
@@ -180,9 +181,10 @@ def _divisor_sum_recurrence(kernel: list[int], kind: str, by_parts: bool) -> Coe
     # exact; w_t = v_t, or by_parts w_t = v_t - v_{t-1} with v_{-1} = 0
     values = [-1]
     weights = [(0, -1)]  # (t, w_t) for every nonzero w_t
+    label = kind + "_{}"
     for n in range(1, len(kernel)):
         total = sum(kernel[n - t] * w for t, w in weights)
-        v = _exact_div(-total, n, f"{kind}_{n}")
+        v = _exact_div(-total, n, label)
         w = v - values[-1] if by_parts else v
         values.append(v)
         if w:
@@ -217,7 +219,7 @@ def f_equals_e_predicate(n: int) -> bool:
     """True exactly when f_n = e_n: at n = 0 and on the closed-open bands
     k(3k-1)/2 < n <= k(3k+1)/2 for positive k."""
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise InvalidArgument(f"n must be nonnegative, got {n}")
     if n == 0:
         return True
     k = 1

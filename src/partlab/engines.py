@@ -52,6 +52,7 @@ from operator import add, getitem, itemgetter, mul, or_, sub
 from typing import Callable, Sequence
 
 from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
+from .errors import InvalidArgument
 
 
 class EngineKind(str, Enum):
@@ -75,14 +76,10 @@ class Engine:
 
     def p(self, n: int) -> int:
         if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+            raise InvalidArgument(f"n must be nonnegative, got {n}")
         while len(self._p) <= n:
             self._p.append(self._next(len(self._p)))
         return self._p[n]
-
-    def _next(self, m: int) -> int:
-        """p(m), given p(0..m-1) in the table."""
-        raise NotImplementedError
 
 
 class EulerEngine(Engine):
@@ -193,7 +190,7 @@ class SigmaEngine(Engine):
         # sigma(1..SHORT-1) against p(m-1), p(m-2), ..; map stops at p(0)
         total = sum(map(mul, sig[1:short], reversed(p))) + acc[m]
         self.recurrent_terms += m
-        return _exact_div(total, m, f"p({m})")
+        return _exact_div(total, m, "p({})")
 
 
 def _block_sums(a: list[int], blocks: list[list[int]]) -> list[int]:

@@ -1,13 +1,17 @@
 """Shared exception types.
 
-Everything raised on purpose by this package derives from PartlabError, so
-callers (in particular the CLI) can distinguish our invariant failures from
-plain bugs.
+Everything this package raises on purpose is a PartlabError, so callers, the
+CLI in particular, can tell bad arguments (InvalidArgument, also a ValueError)
+and broken invariants from bugs. tests/test_package.py checks every raise.
 """
 
 
 class PartlabError(Exception):
     """Base class for all partlab errors."""
+
+
+class InvalidArgument(PartlabError, ValueError):
+    """An argument outside the function's domain, such as a negative n."""
 
 
 class OracleLimitError(PartlabError):

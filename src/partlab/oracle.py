@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .errors import InvalidPartition, OracleLimitError
+from .errors import InvalidArgument, InvalidPartition, OracleLimitError
 
 ORACLE_CAP = 80
 
@@ -65,7 +65,7 @@ _VACUOUS = ("none", "parts_below", "parts_above")
 
 def _check_n(n: int) -> None:
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise InvalidArgument(f"n must be nonnegative, got {n}")
     if n > ORACLE_CAP:
         raise OracleLimitError(
             f"oracle enumeration capped at n <= {ORACLE_CAP}, got {n}"
@@ -194,7 +194,7 @@ def _walk(n: int, family: str) -> Iterator[tuple[Sequence[int], int, int]]:
     x may be a buffer reused by the next step; read it before advancing.
     """
     if family not in ("P", "S"):
-        raise ValueError(f"family must be 'P' or 'S', got {family!r}")
+        raise InvalidArgument(f"family must be 'P' or 'S', got {family!r}")
     _check_n(n)
     if n == 0:
         return iter(())
@@ -212,10 +212,10 @@ def count_constrained(
     vacuously, and never satisfies "max_part" or "min_part".
     """
     if constraint not in _HOLDS:
-        raise ValueError(f"unknown constraint {constraint!r}")
+        raise InvalidArgument(f"unknown constraint {constraint!r}")
     walk = _walk(n, family)
     if k is None and constraint != "none":
-        raise ValueError(f"constraint {constraint!r} needs k")
+        raise InvalidArgument(f"constraint {constraint!r} needs k")
     holds = _HOLDS[constraint]
     empty = int(n == 0 and constraint in _VACUOUS)
     if holds is None:

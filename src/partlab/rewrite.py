@@ -57,7 +57,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 from . import budget
 from ._value import Value
-from .errors import AmbiguousRule, CyclicReduction, NoRuleApplies
+from .errors import AmbiguousRule, CyclicReduction, InvalidArgument, NoRuleApplies
 
 
 class Primary(NamedTuple):
@@ -144,7 +144,7 @@ def _ground(rule: Rule, atom: Atom) -> tuple[Rule, int, Fan]:
     family = _FAMILIES[rule[1]][1]
     for _, target in fan:
         if not isinstance(target, family):
-            raise ValueError(
+            raise InvalidArgument(
                 f"rule {rule.name!r} ({rule.kind.value}) produced a "
                 f"{type(target).__name__} target at {atom!r}"
             )
@@ -438,14 +438,14 @@ def builtin_system(name: str, *, completion: bool = False) -> RewriteSystem:
     analysis never needs them, so they default off.
     """
     if completion and name != "maxpart":
-        raise ValueError(f"completion rules only exist for maxpart, not {name!r}")
+        raise InvalidArgument(f"completion rules only exist for maxpart, not {name!r}")
     if name == "minpart":
         return _minpart_system()
     if name == "bounded":
         return _bounded_system()
     if name == "maxpart":
         return _maxpart_system(completion)
-    raise ValueError(f"unknown system {name!r}; choose from {BUILTIN_NAMES}")
+    raise InvalidArgument(f"unknown system {name!r}; choose from {BUILTIN_NAMES}")
 
 
 def overlapping_minpart_rules() -> RewriteSystem:

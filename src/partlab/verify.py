@@ -34,6 +34,7 @@ from operator import eq
 from typing import TYPE_CHECKING, NamedTuple
 
 import partlab
+from partlab.errors import InvalidArgument
 
 if TYPE_CHECKING:
     from .engines import EngineKind
@@ -375,7 +376,7 @@ def run(suite: str = "all", config: VerifyConfig | None = None) -> VerifyReport:
     elif suite in SUITES:
         names = [suite]
     else:
-        raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES)}, all")
+        raise InvalidArgument(f"unknown suite {suite!r}; pick from {', '.join(SUITES)}, all")
     checks: list[Check] = []
     for name in names:
         checks.extend(SUITES[name](cfg))

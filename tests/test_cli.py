@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from partlab import BUILTIN_NAMES, ORACLE_CAP, SUITES, EngineKind, dag, verify
+from partlab import BUILTIN_NAMES, ORACLE_CAP, SUITES, EngineKind, dag, engines, verify
 from partlab.cli import (
     ENGINE_NAMES,
     SUITE_NAMES,
@@ -65,6 +65,18 @@ def test_count_oracle_refuses_large(capsys):
     code, _, err = run(capsys, "count", "90", "--method", "oracle")
     assert code == 3
     assert "80" in err
+
+
+def test_a_bug_escapes_main(capsys, monkeypatch):
+    # exit 3 is a PartlabError; any other exception is a bug and keeps its traceback
+    def broken(self, m):
+        raise ValueError("not enough values to unpack")
+
+    monkeypatch.setattr(engines.SigmaEngine, "_next", broken)
+    with pytest.raises(ValueError, match="^not enough values to unpack$") as raised:
+        main(["count", "5", "--method", "sigma"])
+    assert type(raised.value) is ValueError
+    assert capsys.readouterr().err == ""
 
 
 def test_count_usage_error(capsys):

@@ -100,6 +100,7 @@ CASES = [
     ("dag minpart 4 --completion", None, 2, "e3b0c44298fc1c14", "5992ae126ec421f1"),
     ("dag minpart", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),
     ("dag minpart 4 --n 4", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),
+    ("dag 6 7 --system maxpart", None, 2, "e3b0c44298fc1c14", "d0e62d08fad8be3c"),
     ("dag --n 4", None, 2, "e3b0c44298fc1c14", "fd339b72eb861fef"),
     ("dag minpart 4 --system minpart", None, 2, "e3b0c44298fc1c14", "fd339b72eb861fef"),
     ("involution 7", None, 0, "e7ebe39d2ce5c402", "e3b0c44298fc1c14"),

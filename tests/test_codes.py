@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from partlab import (
     Classification,
+    InvalidArgument,
     InvalidCode,
     InvalidPartition,
     NotInDomain,
@@ -155,7 +156,7 @@ def test_enumerate_Bj_small():
     assert [c.bits for c in enumerate_Bj(5)] == ["1000", "11"]
     assert [c.bits for c in enumerate_Bj(7)] == ["100000", "1001", "110"]
     assert enumerate_Bj(0) == () and enumerate_Bj(1) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         enumerate_Bj(-1)
 
 
@@ -251,7 +252,7 @@ def test_pentagonal_codes():
     # an odd count stops after the 1-ending code of the last length group
     assert pentagonal_codes(5) == codes[:5]
     assert pentagonal_codes(0) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         pentagonal_codes(-1)
 
 
@@ -285,7 +286,7 @@ def test_code_of_path_rejects_bare_paths():
     from partlab import Primary, TerminatingPath
 
     bare = TerminatingPath((Primary(2), Primary(0)), 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         code_of_path(bare)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import partlab.coefficients
 from partlab import (
     CoeffSeq,
+    InvalidArgument,
     NonIntegralDivision,
     c_from_product,
     c_from_recurrence,
@@ -37,7 +38,7 @@ def test_pentagonal_index_known():
     assert pentagonal_index(0) == 0
     assert [pentagonal_index(n) for n in (1, 2, 5, 7, 12, 15)] == [1, -1, 2, -2, 3, -3]
     assert all(pentagonal_index(n) is None for n in (3, 4, 6, 8, 9, 10, 11, 13))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         pentagonal_index(-1)
 
 
@@ -123,16 +124,16 @@ def test_sigma():
 
 
 def test_coeffseq_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CoeffSeq("e", (0, 2))
     # the message lists the first four values out of range
     with pytest.raises(ValueError, match=r"^e-sequence values outside -1\.\.1: \[2, 3, 4, 5\]$"):
         CoeffSeq("e", (0, 2, 3, 4, 5, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CoeffSeq("c", (1, 0))  # must start at -1
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CoeffSeq("c", (-1, 1))  # index 1 must be 0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         CoeffSeq("q", (0,))
     seq = CoeffSeq("f", (-1, 0, 1))
     assert len(seq) == 3 and seq[2] == 1

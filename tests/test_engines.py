@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import partlab.engines
 from partlab import (
     EngineKind,
+    InvalidArgument,
     NonIntegralDivision,
     integrated_f,
     make_engine,
@@ -46,7 +47,7 @@ def test_monotone_growth():
 
 @pytest.mark.parametrize("kind", list(EngineKind))
 def test_negative_argument(kind):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         make_engine(kind).p(-1)
 
 
@@ -115,7 +116,8 @@ def test_engines_ignore_budget(monkeypatch):
 def test_make_engine_accepts_strings():
     for kind in EngineKind:
         assert type(make_engine(str(kind))) is partlab.engines._ENGINE_CLASSES[kind]
-    with pytest.raises(ValueError):
+    # EngineKind's own ValueError, raised by the standard library's Enum
+    with pytest.raises(ValueError, match=r"^'fibonacci' is not a valid EngineKind$"):
         make_engine("fibonacci")
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partlab import (
+    InvalidArgument,
     InvalidPartition,
     ORACLE_CAP,
     OracleLimitError,
@@ -159,14 +160,14 @@ def test_max_part_histogram_totals():
 def test_constraint_validation():
     with pytest.raises(ValueError, match="family must be 'P' or 'S'"):
         count_constrained(5, "Q")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         count_constrained(5, "P", "weird")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         count_constrained(5, "P", "max_part")  # k missing
 
 
 def test_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         p_oracle(-1)
     with pytest.raises(OracleLimitError):
         p_oracle(ORACLE_CAP + 1)
@@ -174,7 +175,7 @@ def test_caps():
 
 @pytest.mark.parametrize("enumerate_", [enumerate_partitions, enumerate_strict])
 def test_caps_checked_before_iteration(enumerate_):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         enumerate_(-1)
     with pytest.raises(OracleLimitError):
         enumerate_(ORACLE_CAP + 1)

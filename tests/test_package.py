@@ -1,4 +1,5 @@
-"""The package's export list and its lazy loading."""
+"""The package's export list, its lazy loading, and what its source raises and
+computes: PartlabErrors and exact integers."""
 
 import ast
 import inspect
@@ -154,6 +155,72 @@ def test_every_defaulted_parameter_is_passed():
             if not by_position and param.name not in got:
                 unpassed.append(f"{name}({param.name}=)")
     assert unpassed == []
+
+
+# The raises that are not a PartlabError, by file and the spelling of what is
+# raised, each for the protocol that needs that exact type
+NOT_PARTLAB_ERRORS = {
+    ("cli.py", "ArgumentTypeError"): "argparse's signal from a type= converter: exit 2",
+    ("cli.py", "_UsageError"): "a misuse argparse cannot see: main prints it, exit 2",
+    ("cli.py", "SystemExit"): "console_main hands main's exit code to the interpreter",
+    ("__init__.py", "AttributeError"): "how a module __getattr__ reports an unknown name",
+    ("_value.py", "AttributeError"): "how setattr and delattr refuse an immutable value",
+}
+
+
+def _package_trees():
+    for path in sorted((SRC / "partlab").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def test_every_raise_is_a_partlab_error():
+    # what the package raises on purpose is a PartlabError, so plab's exit 3 and
+    # a caller's except PartlabError catch no bug; budget.exceeded builds a
+    # BudgetExceeded
+    ours = {name for name, value in vars(partlab.errors).items()
+            if isinstance(value, type) and issubclass(value, partlab.PartlabError)}
+    stray, allowed = [], set()
+    for file, tree in _package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc and _spelling(exc)
+            if (file, name) in NOT_PARTLAB_ERRORS:
+                allowed.add((file, name))
+            elif name not in ours and name != "exceeded":
+                stray.append(f"{file}:{node.lineno} raise {name}")
+    assert stray == []
+    assert allowed == set(NOT_PARTLAB_ERRORS)
+
+
+def _in_functions(tree):
+    """(name of the innermost def around it, or "", node) for every node."""
+    stack = [("", tree)]
+    while stack:
+        where, node = stack.pop()
+        yield where, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        stack.extend((where, child) for child in ast.iter_child_nodes(node))
+
+
+def test_arithmetic_is_exact():
+    # no float literal, no true division and no float(); bench rounds its timer's
+    # seconds, which is the one float the package makes
+    inexact = []
+    for file, tree in _package_trees():
+        for where, node in _in_functions(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                what = repr(node.value)
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                what = "/"
+            elif isinstance(node, ast.Call) and _spelling(node.func) in ("float", "round"):
+                what = f"{_spelling(node.func)}()"
+            else:
+                continue
+            inexact.append((file, where, what, node.lineno))
+    assert [entry[:3] for entry in inexact] == [("cli.py", "_cmd_bench", "round()")], inexact
 
 
 def _fresh(code: str) -> dict:

@@ -12,6 +12,7 @@ from partlab import (
     Auxiliary,
     BudgetExceeded,
     CyclicReduction,
+    InvalidArgument,
     NoRuleApplies,
     OrthogonalityReport,
     Primary,
@@ -415,9 +416,9 @@ def test_rhs_family_enforced():
         (bare, Auxiliary(0, 0)),
         (leaky_startup, Primary(0)),
     ):
-        with pytest.raises(ValueError) as unitary:
+        with pytest.raises(InvalidArgument) as unitary:
             check_unitary(system, Region(n_max=3, k_max=3))
-        with pytest.raises(ValueError) as evaluated:
+        with pytest.raises(InvalidArgument) as evaluated:
             eval_atom(system, first)
         assert str(unitary.value) == str(evaluated.value)
 
@@ -503,7 +504,7 @@ def test_region_iteration():
 
 
 def test_builtin_system_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         builtin_system("unknown")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         builtin_system("minpart", completion=True)

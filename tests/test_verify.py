@@ -6,6 +6,7 @@ from partlab import codes, coefficients, dag, rewrite, verify
 from partlab import (
     Check,
     CoeffSeq,
+    InvalidArgument,
     PathCode,
     RewriteSystem,
     SUITES,
@@ -164,7 +165,7 @@ def test_planted_fault_fails_its_check(
 
 
 def test_unknown_suite():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         run_verify("everything")
 
 
