@@ -77,12 +77,8 @@ _EXPORTS = {
         "BudgetExceeded",
         "CyclicReduction",
         "InvalidArgument",
-        "InvalidCode",
-        "InvalidPartition",
         "NoRuleApplies",
         "NonIntegralDivision",
-        "NotInDomain",
-        "OracleLimitError",
         "PartlabError",
     ),
     **_owned_by(

@@ -412,7 +412,7 @@ def _cmd_codes_bj(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def _cmd_bench(args) -> int:
-    from .engines import EngineKind, make_engine
+    from .engines import make_engine
 
     max_n = _once(args, "max", "sweep bound", "--upto")
     names = list(args.engine or [])
@@ -422,21 +422,20 @@ def _cmd_bench(args) -> int:
             raise _UsageError(f"--methods {chunk!r} names no engine")
         names.extend(named)
     if not names or "all" in names:
-        kinds = list(EngineKind)
-    else:
-        try:
-            kinds = [EngineKind(name) for name in names]
-        except ValueError as exc:
-            raise _UsageError(exc) from None
+        names = ENGINE_NAMES
+    try:
+        engines = [make_engine(name) for name in names]
+    except InvalidArgument as exc:
+        raise _UsageError(exc) from None
     header = ("engine", "n", "terms", "seconds", "p")
     rows = []
-    for kind in kinds:
-        engine = make_engine(kind)
+    for name in names:
+        engine = engines.pop(0)  # dropped after its sweep: maxpart's p(1500) holds 40 MB
         start = time.perf_counter()
         for n in range(max_n + 1):  # max_n >= 0, so value is set
             value = engine.p(n)
         elapsed = time.perf_counter() - start
-        row = (str(kind), max_n, engine.recurrent_terms, round(elapsed, 6), str(value))
+        row = (name, max_n, engine.recurrent_terms, round(elapsed, 6), str(value))
         rows.append(dict(zip(header, row)))
     if args.format == "json":
         _emit_json(rows)

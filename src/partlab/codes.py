@@ -42,7 +42,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value
-from .errors import InvalidArgument, InvalidCode, InvalidPartition, NotInDomain
+from .errors import InvalidArgument
 from .oracle import enumerate_strict, validate_partition
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ class PathCode(Value):
 
     def __init__(self, bits: str) -> None:
         if bits.strip("01"):
-            raise InvalidCode(f"code must be over 0/1, got {bits!r}")
+            raise InvalidArgument(f"code must be over 0/1, got {bits!r}")
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -105,7 +105,7 @@ def polarity(code: "PathCode | str") -> int:
     """-1 to the number of 1-bits plus one. All-zero words have no polarity."""
     c = as_code(code)
     if c.weight == 0:
-        raise InvalidCode(f"polarity undefined for all-zero code {c.bits!r}")
+        raise InvalidArgument(f"polarity undefined for all-zero code {c.bits!r}")
     return 1 if c.weight % 2 == 1 else -1
 
 
@@ -127,12 +127,15 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
     Terminating means the walk meets the terminal wedge for the first time
     exactly at its final vertex; at-boundary additionally has n = 2k there.
     A walk that touches the wedge earlier is no reduction path at all and is
-    tagged enters_region_early. All-zero codes raise InvalidCode.
+    tagged enters_region_early. A negative n_tilde or an all-zero code raises
+    InvalidArgument.
     """
+    if n_tilde < 0:
+        raise InvalidArgument(f"n_tilde must be nonnegative, got {n_tilde}")
     c = as_code(code)
     k0 = c.rightmost_one
     if k0 is None:
-        raise InvalidCode(f"cannot decode all-zero code {c.bits!r}")
+        raise InvalidArgument(f"cannot decode all-zero code {c.bits!r}")
     n, k = n_tilde, k0
     walk = [(n, k)]
     # index of the first wedge vertex; k >= k0 >= 2 holds all along the walk
@@ -176,9 +179,11 @@ class Lemma51Report(NamedTuple):
 
 
 def lemma51(n_tilde: int, code: "PathCode | str") -> Lemma51Report:
+    if n_tilde < 0:
+        raise InvalidArgument(f"n_tilde must be nonnegative, got {n_tilde}")
     c = as_code(code)
     if c.weight == 0:
-        raise InvalidCode(f"termination predicates undefined for {c.bits!r}")
+        raise InvalidArgument(f"termination predicates undefined for {c.bits!r}")
     v = valuation(c)
     low = n_tilde - (c.length + 1)
     return Lemma51Report(
@@ -218,7 +223,7 @@ def to_strict_partition(code: "PathCode | str") -> tuple[int, ...]:
     """1-bit indices as parts: a strict partition with parts >= 2."""
     c = as_code(code)
     if c.weight == 0:
-        raise InvalidCode(f"no parts in all-zero code {c.bits!r}")
+        raise InvalidArgument(f"no parts in all-zero code {c.bits!r}")
     return c.one_indices()
 
 
@@ -226,9 +231,9 @@ def from_strict_partition(parts) -> PathCode:
     """Leading-1 code whose 1-bits sit at the given distinct parts >= 2."""
     t = validate_partition(parts, strict=True)
     if not t:
-        raise InvalidPartition("empty partition has no code")
+        raise InvalidArgument("empty partition has no code")
     if t[-1] < 2:
-        raise InvalidPartition(f"parts must be >= 2, got {t!r}")
+        raise InvalidArgument(f"parts must be >= 2, got {t!r}")
     return _code_of_parts(t)
 
 
@@ -258,12 +263,12 @@ def involution(j: int, code: "PathCode | str") -> PathCode:
     Rule one maps 10x in B_j to 1x in B_{j-1} and back. Rule two, within
     B_j, maps 1^{k+2} 0 x 0^{k+1} to 1^{k+2} x 1 0^k and back, for k >= 0.
     At most one rule can fire on any code, so the first that applies gives
-    the image. Codes outside B_j + B_{j-1} raise NotInDomain.
+    the image. Codes outside B_j + B_{j-1} raise InvalidArgument.
     """
     c = as_code(code)
     v = valuation(c)
     if not c.bits or c.bits[0] != "1" or v not in (j, j - 1):
-        raise NotInDomain(f"{c.bits!r} (valuation {v}) outside B_{j} + B_{j - 1}")
+        raise InvalidArgument(f"{c.bits!r} (valuation {v}) outside B_{j} + B_{j - 1}")
     w = c.bits
     # The guards exclude each other: rule one backward needs v = j - 1, rule
     # one forward exactly one leading 1, rule two forward zeros >= ones - 1

@@ -352,4 +352,7 @@ _ENGINE_CLASSES = {
 
 
 def make_engine(kind: EngineKind | str) -> Engine:
-    return _ENGINE_CLASSES[EngineKind(kind)]()
+    engine_class = _ENGINE_CLASSES.get(kind)
+    if engine_class is None:
+        raise InvalidArgument(f"{kind!r} is not a valid EngineKind")
+    return engine_class()

@@ -1,8 +1,13 @@
-"""Shared exception types.
+"""Shared exception types, one class per failure a caller can act on.
 
 Everything this package raises on purpose is a PartlabError, so callers, the
-CLI in particular, can tell bad arguments (InvalidArgument, also a ValueError)
-and broken invariants from bugs. tests/test_package.py checks every raise.
+CLI in particular, can tell these failures from bugs. tests/test_package.py
+checks every raise, and that every class here is built elsewhere or is a base.
+
+  bad argument        InvalidArgument (also a ValueError)
+  broken invariant    NonIntegralDivision
+  rewrite failure     AmbiguousRule, NoRuleApplies, CyclicReduction
+  budget              BudgetExceeded
 """
 
 
@@ -11,15 +16,10 @@ class PartlabError(Exception):
 
 
 class InvalidArgument(PartlabError, ValueError):
-    """An argument outside the function's domain, such as a negative n."""
-
-
-class OracleLimitError(PartlabError):
-    """Enumeration request beyond the practical desk limit (n > 80)."""
-
-
-class InvalidPartition(PartlabError):
-    """Sequence is not a valid (strict) partition in canonical form."""
+    """An argument the function does not accept: outside its domain, such as
+    a negative n, an n past the oracle's cap, a word not over 0/1 or an
+    all-zero code, a sequence that is no (strict) partition, or a code
+    outside the involution's B_j + B_{j-1}."""
 
 
 class NonIntegralDivision(PartlabError):
@@ -34,19 +34,11 @@ class NoRuleApplies(PartlabError):
     """No rewrite rule applies to a ground atom that must be reduced."""
 
 
-class BudgetExceeded(PartlabError):
-    """A rewrite chain or evaluation, reachable set or path listing outgrew its
-    budget. budget.exceeded sets kind (chain, atom, vertex or path), variable,
-    limit (the bound in force) and reached (the first count past it)."""
-
-
 class CyclicReduction(PartlabError):
     """A reduction revisits an atom under evaluation, or its graph has a cycle."""
 
 
-class InvalidCode(PartlabError):
-    """Path code without any 1-bit where one is required."""
-
-
-class NotInDomain(PartlabError):
-    """Code lies outside the domain of the requested involution."""
+class BudgetExceeded(PartlabError):
+    """A rewrite chain or evaluation, reachable set or path listing outgrew its
+    budget. budget.exceeded sets kind (chain, atom, vertex or path), variable,
+    limit (the bound in force) and reached (the first count past it)."""

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .errors import InvalidArgument, InvalidPartition, OracleLimitError
+from .errors import InvalidArgument
 
 ORACLE_CAP = 80
 
@@ -67,22 +67,20 @@ def _check_n(n: int) -> None:
     if n < 0:
         raise InvalidArgument(f"n must be nonnegative, got {n}")
     if n > ORACLE_CAP:
-        raise OracleLimitError(
-            f"oracle enumeration capped at n <= {ORACLE_CAP}, got {n}"
-        )
+        raise InvalidArgument(f"oracle enumeration capped at n <= {ORACLE_CAP}, got {n}")
 
 
 def validate_partition(parts: Iterable[int], strict: bool = False) -> tuple[int, ...]:
-    """Return parts as a canonical tuple, or raise InvalidPartition."""
+    """Return parts as a canonical tuple, or raise InvalidArgument."""
     t = tuple(parts)
     for p in t:
         if not isinstance(p, int) or p < 1:
-            raise InvalidPartition(f"parts must be positive ints, got {t!r}")
+            raise InvalidArgument(f"parts must be positive ints, got {t!r}")
     for a, b in zip(t, t[1:]):
         if strict and a <= b:
-            raise InvalidPartition(f"not strictly decreasing: {t!r}")
+            raise InvalidArgument(f"not strictly decreasing: {t!r}")
         if not strict and a < b:
-            raise InvalidPartition(f"not nonincreasing: {t!r}")
+            raise InvalidArgument(f"not nonincreasing: {t!r}")
     return t
 
 

@@ -115,8 +115,11 @@ CASES = [
     ("codes decode 10 1011", None, 0, "277c31d580e77563", "e3b0c44298fc1c14"),
     ("codes decode 10 1011 --format json", None, 0, "a11fefe7f4a9d005", "e3b0c44298fc1c14"),
     ("codes decode 10 000", None, 3, "e3b0c44298fc1c14", "1ea04db112d28d99"),
+    ("codes decode 10 102", None, 3, "e3b0c44298fc1c14", "a3073a08c15d1de2"),
     ("codes encode 5 3 2", None, 0, "83017ffd1aa95077", "e3b0c44298fc1c14"),
     ("codes encode 5 3 2 --format json", None, 0, "c22cd5373e15417f", "e3b0c44298fc1c14"),
+    ("codes encode 5 5", None, 3, "e3b0c44298fc1c14", "a8325166fe57cf3e"),
+    ("codes encode 5 1", None, 3, "e3b0c44298fc1c14", "f684e4bef64e1f86"),
     ("codes bj 7", None, 0, "01e95c6dd97b0ae9", "e3b0c44298fc1c14"),
     ("codes bj 7 --format json", None, 0, "146d814cc5abe53b", "e3b0c44298fc1c14"),
     ("bench 30", None, 0, "9aacd127f9e93f09", "e3b0c44298fc1c14"),

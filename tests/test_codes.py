@@ -9,9 +9,6 @@ from hypothesis import example, given, strategies as st
 from partlab import (
     Classification,
     InvalidArgument,
-    InvalidCode,
-    InvalidPartition,
-    NotInDomain,
     PathCode,
     builtin_system,
     code_of_path,
@@ -40,7 +37,7 @@ def test_code_basics():
     assert code.one_indices() == (5, 3, 2)
     assert code.rightmost_one == 2
     assert str(code) == "1011"
-    with pytest.raises(InvalidCode):
+    with pytest.raises(InvalidArgument, match=r"^code must be over 0/1, got '10x1'$"):
         PathCode("10x1")
 
 
@@ -67,7 +64,7 @@ def test_valuation_and_polarity():
     assert polarity("1011") == 1
     assert polarity("1000") == 1
     assert polarity("0011") == -1
-    with pytest.raises(InvalidCode):
+    with pytest.raises(InvalidArgument, match=r"^polarity undefined for all-zero code '000'$"):
         polarity("000")
 
 
@@ -97,7 +94,7 @@ def test_decode_early_entry():
 
 
 def test_decode_all_zero():
-    with pytest.raises(InvalidCode):
+    with pytest.raises(InvalidArgument, match=r"^cannot decode all-zero code '000'$"):
         decode_path(5, "000")
     assert decode_path(10, "1011").classification is Classification.TERMINATING_BELOW
 
@@ -129,11 +126,11 @@ def test_partition_bijection():
     assert to_strict_partition("0011") == (3, 2)
     assert from_strict_partition((5, 3, 2)).bits == "1011"
     assert from_strict_partition((10,)).bits == "100000000"
-    with pytest.raises(InvalidPartition):
-        from_strict_partition((5, 3, 1))  # part below 2
-    with pytest.raises(InvalidPartition):
+    with pytest.raises(InvalidArgument, match=r"^parts must be >= 2, got \(5, 3, 1\)$"):
+        from_strict_partition((5, 3, 1))
+    with pytest.raises(InvalidArgument, match=r"^empty partition has no code$"):
         from_strict_partition(())
-    with pytest.raises(InvalidCode):
+    with pytest.raises(InvalidArgument, match=r"^no parts in all-zero code '000'$"):
         to_strict_partition("000")
 
 
@@ -215,11 +212,11 @@ def test_involution_fixed_points():
 
 def test_involution_domain():
     # valuation 2, needs 4 or 5
-    with pytest.raises(NotInDomain, match=r"^'1' \(valuation 2\) outside B_5 \+ B_4$"):
+    with pytest.raises(InvalidArgument, match=r"^'1' \(valuation 2\) outside B_5 \+ B_4$"):
         involution(5, "1")
-    with pytest.raises(NotInDomain):
+    with pytest.raises(InvalidArgument, match=r"^'0100' \(valuation 4\) outside B_5 \+ B_4$"):
         involution(5, "0100")  # leading zero
-    with pytest.raises(NotInDomain):
+    with pytest.raises(InvalidArgument, match=r"^'' \(valuation 0\) outside B_5 \+ B_4$"):
         involution(5, "")
 
 
@@ -307,5 +304,15 @@ def test_code_of_path_rejects_uncodable_steps():
 
 
 def test_lemma51_rejects_all_zero_code():
-    with pytest.raises(InvalidCode, match=r"^termination predicates undefined for '000'$"):
+    with pytest.raises(InvalidArgument, match=r"^termination predicates undefined for '000'$"):
         lemma51(5, "000")
+
+
+def test_negative_n_tilde_is_refused():
+    # n~ = 0 is a startup point like any other; below it there is none
+    assert decode_path(0, "1") == (((0, 2),), Classification.NONTERMINATING)
+    assert lemma51(0, "1") == (False, False, False, True)
+    with pytest.raises(InvalidArgument, match=r"^n_tilde must be nonnegative, got -1$"):
+        decode_path(-1, "1")
+    with pytest.raises(InvalidArgument, match=r"^n_tilde must be nonnegative, got -1$"):
+        lemma51(-1, "1")

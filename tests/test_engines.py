@@ -116,8 +116,7 @@ def test_engines_ignore_budget(monkeypatch):
 def test_make_engine_accepts_strings():
     for kind in EngineKind:
         assert type(make_engine(str(kind))) is partlab.engines._ENGINE_CLASSES[kind]
-    # EngineKind's own ValueError, raised by the standard library's Enum
-    with pytest.raises(ValueError, match=r"^'fibonacci' is not a valid EngineKind$"):
+    with pytest.raises(InvalidArgument, match=r"^'fibonacci' is not a valid EngineKind$"):
         make_engine("fibonacci")
 
 

@@ -176,12 +176,17 @@ def _package_trees():
 def test_every_raise_is_a_partlab_error():
     # what the package raises on purpose is a PartlabError, so plab's exit 3 and
     # a caller's except PartlabError catch no bug; budget.exceeded builds a
-    # BudgetExceeded
-    ours = {name for name, value in vars(partlab.errors).items()
-            if isinstance(value, type) and issubclass(value, partlab.PartlabError)}
-    stray, allowed = [], set()
+    # BudgetExceeded. Every class errors.py defines is built outside it or is
+    # a base, so no error class is dead
+    classes = [value for value in vars(partlab.errors).values()
+               if isinstance(value, type) and value.__module__ == "partlab.errors"]
+    ours = {cls.__name__ for cls in classes if issubclass(cls, partlab.PartlabError)}
+    bases = {base.__name__ for cls in classes for base in cls.__bases__}
+    stray, allowed, built = [], set(), set()
     for file, tree in _package_trees():
         for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and file != "errors.py":
+                built.add(_spelling(node.func))
             if not isinstance(node, ast.Raise):
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -192,6 +197,7 @@ def test_every_raise_is_a_partlab_error():
                 stray.append(f"{file}:{node.lineno} raise {name}")
     assert stray == []
     assert allowed == set(NOT_PARTLAB_ERRORS)
+    assert sorted({cls.__name__ for cls in classes} - built - bases) == []
 
 
 def _in_functions(tree):
