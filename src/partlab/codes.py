@@ -42,7 +42,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value
-from .errors import InvalidArgument
+from .errors import InvalidArgument, nonnegative
 from .oracle import enumerate_strict, validate_partition
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ class PathCode(Value):
     bits: str
 
     def __init__(self, bits: str) -> None:
-        if bits.strip("01"):
+        if not isinstance(bits, str) or bits.strip("01"):
             raise InvalidArgument(f"code must be over 0/1, got {bits!r}")
         object.__setattr__(self, "bits", bits)
 
@@ -130,8 +130,7 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
     tagged enters_region_early. A negative n_tilde or an all-zero code raises
     InvalidArgument.
     """
-    if n_tilde < 0:
-        raise InvalidArgument(f"n_tilde must be nonnegative, got {n_tilde}")
+    nonnegative("n_tilde", n_tilde)
     c = as_code(code)
     k0 = c.rightmost_one
     if k0 is None:
@@ -179,8 +178,7 @@ class Lemma51Report(NamedTuple):
 
 
 def lemma51(n_tilde: int, code: "PathCode | str") -> Lemma51Report:
-    if n_tilde < 0:
-        raise InvalidArgument(f"n_tilde must be nonnegative, got {n_tilde}")
+    nonnegative("n_tilde", n_tilde)
     c = as_code(code)
     if c.weight == 0:
         raise InvalidArgument(f"termination predicates undefined for {c.bits!r}")
@@ -249,8 +247,7 @@ def _code_of_parts(parts: tuple[int, ...]) -> PathCode:
 def enumerate_Bj(j: int) -> tuple[PathCode, ...]:
     """All leading-1 codes with valuation j, via strict partitions of j with
     parts >= 2, in the oracle's descending-lexicographic order."""
-    if j < 0:
-        raise InvalidArgument(f"valuation must be nonnegative, got {j}")
+    nonnegative("valuation", j)
     return tuple(
         _code_of_parts(parts) for parts in enumerate_strict(j) if parts and parts[-1] >= 2
     )
@@ -303,8 +300,7 @@ def pentagonal_codes(count: int) -> tuple[PathCode, ...]:
     each exactly once; they are the valuations at which the involution has
     fixed points.
     """
-    if count < 0:
-        raise InvalidArgument(f"count must be nonnegative, got {count}")
+    nonnegative("count", count)
     out: list[PathCode] = []
     m = 0
     while len(out) < count:

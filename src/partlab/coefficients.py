@@ -30,7 +30,7 @@ from operator import add, sub
 from typing import Iterator
 
 from ._value import Value
-from .errors import InvalidArgument, NonIntegralDivision
+from .errors import InvalidArgument, NonIntegralDivision, nonnegative
 
 _KIND_NAMES = ("e", "f", "c")
 
@@ -76,8 +76,7 @@ def pentagonal_index(n: int) -> int | None:
     Positive k answers n = (3k^2 - k)/2, negative k answers n = (3|k|^2 + |k|)/2,
     and 0 answers n = 0. At most one k exists for a given n.
     """
-    if n < 0:
-        raise InvalidArgument(f"n must be nonnegative, got {n}")
+    nonnegative("n", n)
     root = isqrt(24 * n + 1)
     if root * root != 24 * n + 1:
         return None
@@ -103,14 +102,9 @@ def pentagonal_pairs() -> Iterator[tuple[int, int]]:
         k += 1
 
 
-def _check_upto(upto: int) -> None:
-    if upto < 0:
-        raise InvalidArgument(f"upto must be nonnegative, got {upto}")
-
-
 def euler_seq(upto: int) -> CoeffSeq:
     """e_0 .. e_upto."""
-    _check_upto(upto)
+    nonnegative("upto", upto)
     values = [0] * (upto + 1)
     values[0] = -1
     for m, sign in pentagonal_pairs():
@@ -132,7 +126,7 @@ def sigma_table(upto: int) -> list[int]:
     Each n = s q with s <= q has s <= isqrt(n), so the sieve runs over s and
     adds s + q to n = s q for each q > s, and s alone to n = s^2.
     """
-    _check_upto(upto)
+    nonnegative("upto", upto)
     table = [0] * (upto + 1)
     for s in range(1, isqrt(upto) + 1):
         table[s * s] += s
@@ -158,13 +152,13 @@ def euler_product(upto: int) -> CoeffSeq:
     Equals -e_n termwise; returned with kind "e" since the same value range
     applies. Degree 0 coefficient is +1.
     """
-    _check_upto(upto)
+    nonnegative("upto", upto)
     return CoeffSeq("e", tuple(_truncated_product(upto, 1)))
 
 
 def c_from_product(upto: int) -> CoeffSeq:
     """Coefficients of -prod_{2<=j<=upto} (1 - x^j), truncated at degree upto."""
-    _check_upto(upto)
+    nonnegative("upto", upto)
     return CoeffSeq("c", tuple(-v for v in _truncated_product(upto, 2)))
 
 
@@ -218,9 +212,7 @@ def e_from_recurrence(upto: int) -> CoeffSeq:
 def f_equals_e_predicate(n: int) -> bool:
     """True exactly when f_n = e_n: at n = 0 and on the closed-open bands
     k(3k-1)/2 < n <= k(3k+1)/2 for positive k."""
-    if n < 0:
-        raise InvalidArgument(f"n must be nonnegative, got {n}")
-    if n == 0:
+    if nonnegative("n", n) == 0:
         return True
     k = 1
     while k * (3 * k - 1) // 2 < n:

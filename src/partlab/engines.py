@@ -52,7 +52,7 @@ from operator import add, getitem, itemgetter, mul, or_, sub
 from typing import Callable, Sequence
 
 from .coefficients import _exact_div, integrated_f, pentagonal_pairs, sigma_table
-from .errors import InvalidArgument
+from .errors import InvalidArgument, nonnegative
 
 
 class EngineKind(str, Enum):
@@ -75,8 +75,7 @@ class Engine:
         self.recurrent_terms = 0
 
     def p(self, n: int) -> int:
-        if n < 0:
-            raise InvalidArgument(f"n must be nonnegative, got {n}")
+        nonnegative("n", n)
         while len(self._p) <= n:
             self._p.append(self._next(len(self._p)))
         return self._p[n]
@@ -352,7 +351,7 @@ _ENGINE_CLASSES = {
 
 
 def make_engine(kind: EngineKind | str) -> Engine:
-    engine_class = _ENGINE_CLASSES.get(kind)
+    engine_class = _ENGINE_CLASSES.get(kind) if isinstance(kind, str) else None
     if engine_class is None:
         raise InvalidArgument(f"{kind!r} is not a valid EngineKind")
     return engine_class()

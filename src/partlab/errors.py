@@ -1,4 +1,5 @@
-"""Shared exception types, one class per failure a caller can act on.
+"""Shared exception types, one class per failure a caller can act on, and the
+one check of a size argument.
 
 Everything this package raises on purpose is a PartlabError, so callers, the
 CLI in particular, can tell these failures from bugs. tests/test_package.py
@@ -8,6 +9,10 @@ checks every raise, and that every class here is built elsewhere or is a base.
   broken invariant    NonIntegralDivision
   rewrite failure     AmbiguousRule, NoRuleApplies, CyclicReduction
   budget              BudgetExceeded
+
+A size (an n, an upto, a count or a valuation) is an int, not a bool, of at
+least 0. nonnegative(name, value) is the one place that rule is written: any
+other value raises InvalidArgument, whose message names the argument.
 """
 
 
@@ -20,6 +25,15 @@ class InvalidArgument(PartlabError, ValueError):
     a negative n, an n past the oracle's cap, a word not over 0/1 or an
     all-zero code, a sequence that is no (strict) partition, or a code
     outside the involution's B_j + B_{j-1}."""
+
+
+def nonnegative(name: str, value: int) -> int:
+    """value, when it is an int (not a bool) of at least 0; else InvalidArgument."""
+    if type(value) is bool or not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise InvalidArgument(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 class NonIntegralDivision(PartlabError):

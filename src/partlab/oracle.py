@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, nonnegative
 
 ORACLE_CAP = 80
 
@@ -64,9 +64,7 @@ _VACUOUS = ("none", "parts_below", "parts_above")
 
 
 def _check_n(n: int) -> None:
-    if n < 0:
-        raise InvalidArgument(f"n must be nonnegative, got {n}")
-    if n > ORACLE_CAP:
+    if nonnegative("n", n) > ORACLE_CAP:
         raise InvalidArgument(f"oracle enumeration capped at n <= {ORACLE_CAP}, got {n}")
 
 
@@ -74,7 +72,7 @@ def validate_partition(parts: Iterable[int], strict: bool = False) -> tuple[int,
     """Return parts as a canonical tuple, or raise InvalidArgument."""
     t = tuple(parts)
     for p in t:
-        if not isinstance(p, int) or p < 1:
+        if type(p) is bool or not isinstance(p, int) or p < 1:
             raise InvalidArgument(f"parts must be positive ints, got {t!r}")
     for a, b in zip(t, t[1:]):
         if strict and a <= b:
@@ -209,7 +207,7 @@ def count_constrained(
     The empty partition of 0 satisfies "none", "parts_below" and "parts_above"
     vacuously, and never satisfies "max_part" or "min_part".
     """
-    if constraint not in _HOLDS:
+    if not isinstance(constraint, str) or constraint not in _HOLDS:
         raise InvalidArgument(f"unknown constraint {constraint!r}")
     walk = _walk(n, family)
     if k is None and constraint != "none":

@@ -373,7 +373,7 @@ def run(suite: str = "all", config: VerifyConfig | None = None) -> VerifyReport:
     cfg = config or VerifyConfig()
     if suite == "all":
         names = list(SUITES)
-    elif suite in SUITES:
+    elif isinstance(suite, str) and suite in SUITES:
         names = [suite]
     else:
         raise InvalidArgument(f"unknown suite {suite!r}; pick from {', '.join(SUITES)}, all")

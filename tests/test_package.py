@@ -200,6 +200,50 @@ def test_every_raise_is_a_partlab_error():
     assert sorted({cls.__name__ for cls in classes} - built - bases) == []
 
 
+# Each entry point that takes a size, by the argument's name, with one call per
+# check of errors.nonnegative; name=None marks a call that passes a wrong type
+# elsewhere, with the message its function already gives
+SIZES = {
+    "Engine.p": ("n", lambda n: partlab.make_engine("euler").p(n)),
+    "pentagonal_index": ("n", partlab.pentagonal_index),
+    "euler_seq": ("upto", partlab.euler_seq),
+    "integrated_f": ("upto", partlab.integrated_f),
+    "sigma_table": ("upto", partlab.sigma_table),
+    "euler_product": ("upto", partlab.euler_product),
+    "c_from_product": ("upto", partlab.c_from_product),
+    "f_equals_e_predicate": ("n", partlab.f_equals_e_predicate),
+    "p_oracle": ("n", partlab.p_oracle),
+    "count_constrained": ("n", lambda n: partlab.count_constrained(n, "S")),
+    "decode_path": ("n_tilde", lambda n: partlab.decode_path(n, "1")),
+    "lemma51": ("n_tilde", lambda n: partlab.lemma51(n, "1")),
+    "enumerate_Bj": ("valuation", partlab.enumerate_Bj),
+    "pentagonal_codes": ("count", partlab.pentagonal_codes),
+}
+WRONG_TYPES = [
+    *(pytest.param(call, value, f"{name} must be an int, got {value!r}", id=f"{where}-{value!r}")
+      for where, (name, call) in SIZES.items() for value in (True, 1.5, "3", None)),
+    pytest.param(partlab.PathCode, 101, "code must be over 0/1, got 101", id="PathCode"),
+    pytest.param(partlab.valuation, 101, "code must be over 0/1, got 101", id="valuation"),
+    pytest.param(partlab.make_engine, ["euler"], "['euler'] is not a valid EngineKind",
+                 id="make_engine"),
+    pytest.param(partlab.run_verify, ["x"],
+                 "unknown suite ['x']; pick from engines, claim, lemmas, involution, rewrite, all",
+                 id="run_verify"),
+    pytest.param(lambda c: partlab.count_constrained(5, "P", c), ["x"],
+                 "unknown constraint ['x']", id="count_constrained-constraint"),
+    pytest.param(partlab.validate_partition, [2, True],
+                 "parts must be positive ints, got (2, True)", id="validate_partition"),
+]
+
+
+@pytest.mark.parametrize(("call", "value", "message"), WRONG_TYPES)
+def test_an_argument_of_the_wrong_type_is_invalid(call, value, message):
+    # a bool is an int to Python, but no size: True would count as 1
+    with pytest.raises(partlab.InvalidArgument) as info:
+        call(value)
+    assert str(info.value) == message
+
+
 def _in_functions(tree):
     """(name of the innermost def around it, or "", node) for every node."""
     stack = [("", tree)]
@@ -209,6 +253,24 @@ def _in_functions(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         stack.extend((where, child) for child in ast.iter_child_nodes(node))
+
+
+def test_sizes_are_checked_in_one_place():
+    # "must be nonnegative" is raised by errors.nonnegative alone, so every
+    # size follows one rule; cli._nonneg's is argparse's own signal
+    raised = []
+    for file, tree in _package_trees():
+        for where, node in _in_functions(tree):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and "must be nonnegative" in str(c.value)
+                for c in ast.walk(node)
+            ):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((file, where, _spelling(exc)))
+    assert sorted(raised) == [
+        ("cli.py", "_nonneg", "ArgumentTypeError"),
+        ("errors.py", "nonnegative", "InvalidArgument"),
+    ]
 
 
 def test_arithmetic_is_exact():
