@@ -29,15 +29,16 @@ pentagonal valuations; it is the executable core of the cancellation
 argument behind the integrated coefficients.
 
 DecodedWalk and Lemma51Report are NamedTuples, so loading this module never
-loads dataclasses (and inspect with it), and each equals the plain tuple of
-its fields. PathCode is an immutable value instead (see _value), because it
-checks on construction that its word is over 0/1; it is compared and hashed by
-its bits and equals no string or tuple.
+loads dataclasses (and inspect with it), and each equals the plain tuple of its
+fields; decode_path builds walks in C (_decoded). PathCode is an immutable
+value instead (see _value), as it checks that its word is over 0/1 when built;
+it is compared and hashed by its bits and equals no string or tuple.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -121,6 +122,10 @@ class DecodedWalk(NamedTuple):
     classification: Classification
 
 
+# _decoded((walk, cls)) is DecodedWalk(walk, cls), built in C with no Python __new__ call
+_decoded = partial(tuple.__new__, DecodedWalk)
+
+
 def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
     """Replay a code from startup point (n_tilde, k0) and classify the walk.
 
@@ -156,7 +161,7 @@ def decode_path(n_tilde: int, code: "PathCode | str") -> DecodedWalk:
         cls = Classification.TERMINATING_AT
     else:
         cls = Classification.TERMINATING_BELOW
-    return DecodedWalk(tuple(walk), cls)
+    return _decoded((tuple(walk), cls))
 
 
 class Lemma51Report(NamedTuple):
@@ -184,12 +189,7 @@ def lemma51(n_tilde: int, code: "PathCode | str") -> Lemma51Report:
         raise InvalidArgument(f"termination predicates undefined for {c.bits!r}")
     v = valuation(c)
     low = n_tilde - (c.length + 1)
-    return Lemma51Report(
-        terminating=low <= v <= n_tilde,
-        strictly_below=low < v <= n_tilde,
-        at_boundary=v == low,
-        leftmost_one=c.bits[0] == "1",
-    )
+    return Lemma51Report(low <= v <= n_tilde, low < v <= n_tilde, v == low, c.bits[0] == "1")
 
 
 def code_of_path(path: TerminatingPath) -> PathCode:

@@ -38,15 +38,17 @@ sits in this module.
 DagEdge is a NamedTuple, like the atoms, so the vertex keys and edges hash
 and compare in C. The records ExtractedRecurrence and TerminatingPath are
 NamedTuples as well, equal to the plain tuples of their fields, so loading
-this module never loads dataclasses.
+this module never loads dataclasses. Edges and paths are built in C (_edge,
+_path), like the built-in rules' atoms, as one is made per edge and per path.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import budget
-from .errors import CyclicReduction
+from .errors import CyclicReduction, integer
 from .rewrite import Atom, Auxiliary, Primary, RewriteSystem, _fire
 
 
@@ -55,6 +57,10 @@ class DagEdge(NamedTuple):
     target: Atom
     sign: int
     rule: str
+
+
+# _edge((s, t, sign, rule)) is DagEdge(s, t, sign, rule), built in C with no Python __new__ call
+_edge = partial(tuple.__new__, DagEdge)
 
 
 class Dag:
@@ -92,8 +98,9 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
     budget of budget.py, and propagates AmbiguousRule from grounding.
     Acyclicity is verified structurally before returning, by a topological
     sort whose order the graph keeps; CyclicReduction when it fails, a fan
-    back to Primary(n_tilde) included.
+    back to Primary(n_tilde) included; InvalidArgument for a non-int n_tilde.
     """
+    integer("n_tilde", n_tilde)
     limit = budget.env_budget() or budget.DAG_VERTEX_BUDGET
     dag = Dag(system.name, n_tilde)
     vertices, edges, first, target = dag.vertices, dag.edges, [], []
@@ -117,7 +124,7 @@ def build_dag(system: RewriteSystem, n_tilde: int) -> Dag:
                 vertices.append(reached)
                 if t >= limit:
                     raise budget.exceeded("vertex", limit, t + 1, system.name, n_tilde)
-            edges.append(DagEdge(source, vertices[t], sign, name))
+            edges.append(_edge((source, vertices[t], sign, name)))
             target.append(t)
     first.append(len(edges))
     dag._first, dag._target = first, target
@@ -194,6 +201,10 @@ class TerminatingPath(NamedTuple):
     j: int | None
 
 
+# _path((vertices, sign, j)) is TerminatingPath(vertices, sign, j), built in C as _edge is
+_path = partial(tuple.__new__, TerminatingPath)
+
+
 def enumerate_terminating_paths(
     system: RewriteSystem, n_tilde: int
 ) -> list[TerminatingPath]:
@@ -219,7 +230,7 @@ def terminating_paths(dag: Dag) -> list[TerminatingPath]:
             vertex = vertices[v]
             if v:  # a bare root (primary ground instance) yields no paths
                 j = dag.n_tilde - vertex.n if isinstance(vertex, Primary) else None
-                paths.append(TerminatingPath(trail, sign, j))
+                paths.append(_path((trail, sign, j)))
             if len(paths) > limit:
                 raise budget.exceeded("path", limit, len(paths), dag.system_name, dag.n_tilde)
             continue

@@ -1,5 +1,5 @@
 """Shared exception types, one class per failure a caller can act on, and the
-one check of a size argument.
+checks of an int argument.
 
 Everything this package raises on purpose is a PartlabError, so callers, the
 CLI in particular, can tell these failures from bugs. tests/test_package.py
@@ -11,8 +11,9 @@ checks every raise, and that every class here is built elsewhere or is a base.
   budget              BudgetExceeded
 
 A size (an n, an upto, a count or a valuation) is an int, not a bool, of at
-least 0. nonnegative(name, value) is the one place that rule is written: any
-other value raises InvalidArgument, whose message names the argument.
+least 0; nonnegative(name, value) is the one place that rule is written, and
+integer(name, value), its first half, checks an int that a rule or constraint
+judges (n~, a root atom's fields, k). Other values raise InvalidArgument.
 """
 
 
@@ -27,10 +28,17 @@ class InvalidArgument(PartlabError, ValueError):
     outside the involution's B_j + B_{j-1}."""
 
 
-def nonnegative(name: str, value: int) -> int:
-    """value, when it is an int (not a bool) of at least 0; else InvalidArgument."""
+def integer(name: str, value: int) -> int:
+    """value, when it is an int (not a bool); else InvalidArgument."""
     if type(value) is bool or not isinstance(value, int):
         raise InvalidArgument(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def nonnegative(name: str, value: int) -> int:
+    """value, when it is an int (not a bool) of at least 0; else InvalidArgument."""
+    if type(value) is not int:  # a plain int, the common case, skips the call
+        integer(name, value)
     if value < 0:
         raise InvalidArgument(f"{name} must be nonnegative, got {value}")
     return value

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .errors import InvalidArgument, nonnegative
+from .errors import InvalidArgument, integer, nonnegative
 
 ORACLE_CAP = 80
 
@@ -205,13 +205,15 @@ def count_constrained(
     """Count partitions of n in family "P" (all) or "S" (strict) under a constraint.
 
     The empty partition of 0 satisfies "none", "parts_below" and "parts_above"
-    vacuously, and never satisfies "max_part" or "min_part".
+    vacuously, and never satisfies "max_part" or "min_part". Any int k is judged.
     """
     if not isinstance(constraint, str) or constraint not in _HOLDS:
         raise InvalidArgument(f"unknown constraint {constraint!r}")
     walk = _walk(n, family)
     if k is None and constraint != "none":
         raise InvalidArgument(f"constraint {constraint!r} needs k")
+    if k is not None:
+        integer("k", k)
     holds = _HOLDS[constraint]
     empty = int(n == 0 and constraint in _VACUOUS)
     if holds is None:

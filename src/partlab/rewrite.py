@@ -40,6 +40,7 @@ argument tuple: rules receive *atom, and every atom is its own DAG vertex. An
 atom equals the plain tuple of its fields; Primary(n) and Auxiliary(n, k)
 never compare equal, since their lengths differ. Grounding still checks every
 fan target with isinstance, so a body that returns a plain tuple is rejected.
+The built-in bodies build their targets in C (_P, _A), as they make most atoms.
 
 The record types Rule, Region, UnitarityReport and OrthogonalityReport are
 NamedTuples too, so loading this module never loads dataclasses (and inspect
@@ -53,11 +54,13 @@ repr and pickling, so a copy or an unpickled system splits its own.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
+from itertools import product
 from typing import Callable, Iterator, NamedTuple, Union
 
 from . import budget
 from ._value import Value
-from .errors import AmbiguousRule, CyclicReduction, InvalidArgument, NoRuleApplies
+from .errors import AmbiguousRule, CyclicReduction, InvalidArgument, NoRuleApplies, integer
 
 
 class Primary(NamedTuple):
@@ -75,6 +78,9 @@ class Auxiliary(NamedTuple):
         return f"A({self.n},{self.k})"
 
 
+# _P((n,)) is Primary(n), _A((n, k)) Auxiliary(n, k), built in C with no Python __new__ call
+_P = partial(tuple.__new__, Primary)
+_A = partial(tuple.__new__, Auxiliary)
 Atom = Union[Primary, Auxiliary]
 Fan = tuple[tuple[int, Atom], ...]
 MemoTable = dict[Atom, int]  # write-once per key
@@ -188,11 +194,8 @@ class Region(NamedTuple):
 
     def atoms(self) -> Iterator[Atom]:
         """Every primary atom of the region, then every auxiliary one."""
-        for n in range(self.n_max + 1):
-            yield Primary(n)
-        for n in range(self.n_max + 1):
-            for k in range(self.k_max + 1):
-                yield Auxiliary(n, k)
+        yield from (_P((n,)) for n in range(self.n_max + 1))
+        yield from map(_A, product(range(self.n_max + 1), range(self.k_max + 1)))
 
 
 class UnitarityReport(NamedTuple):
@@ -257,7 +260,8 @@ def eval_atom(
     (their values memoize whole). The chain and atom budgets of budget.py
     bound each chain's rule applications and the atoms the whole evaluation
     reaches, its root and every fan entry it grounds; exceeding either raises
-    BudgetExceeded. Revisiting an atom under evaluation raises CyclicReduction.
+    BudgetExceeded. Revisiting an atom under evaluation raises CyclicReduction,
+    a root with a non-int field InvalidArgument.
 
     Atoms are fired through _fire, as build_dag fires them, in the one loop
     that also sums fans: a fan is summed over its memoized prefix, and the
@@ -266,6 +270,8 @@ def eval_atom(
     frame being summed lives in local variables; only the frames below it are
     kept on the explicit stack, each with the iterator over its fan.
     """
+    for name, field in zip("nk", atom):
+        integer(name, field)
     if memo is None:
         memo = {}
     value = memo.get(atom, _MISSING)
@@ -329,19 +335,19 @@ def _minpart_system() -> RewriteSystem:
                 "expand",
                 RuleKind.STARTUP,
                 lambda n: n > 0,
-                lambda n: (0, tuple((1, Auxiliary(n, i)) for i in range(1, n + 1))),
+                lambda n: (0, tuple((1, _A((n, i))) for i in range(1, n + 1))),
             ),
             Rule(
                 "ones",
                 RuleKind.TERMINATION,
                 lambda n, k: n > 0 and k == 1,
-                lambda n, k: (0, ((1, Primary(n - 1)),)),
+                lambda n, k: (0, ((1, _P((n - 1,))),)),
             ),
             Rule(
                 "step",
                 RuleKind.AUXILIARY,
                 lambda n, k: 2 <= k <= n,
-                lambda n, k: (0, ((1, Auxiliary(n - 1, k - 1)), (-1, Auxiliary(n - k, k - 1)))),
+                lambda n, k: (0, ((1, _A((n - 1, k - 1))), (-1, _A((n - k, k - 1))))),
             ),
             Rule("void", RuleKind.TERMINATION, lambda n, k: k > n, lambda n, k: (0, ())),
         ),
@@ -359,7 +365,7 @@ def _bounded_system() -> RewriteSystem:
                 "split",
                 RuleKind.STARTUP,
                 lambda n: n >= 2,
-                lambda n: (1, ((1, Auxiliary(n, n)),)),
+                lambda n: (1, ((1, _A((n, n))),)),
             ),
             Rule(
                 "ones",
@@ -372,18 +378,14 @@ def _bounded_system() -> RewriteSystem:
                 RuleKind.AUXILIARY,
                 lambda n, k: 3 <= k <= n,
                 lambda n, k: (
-                    0,
-                    tuple(
-                        (1, Auxiliary(n - m * (k - 1), k - 1))
-                        for m in range(0, n // (k - 1) + 1)
-                    ),
+                    0, tuple((1, _A((n - m * (k - 1), k - 1))) for m in range(n // (k - 1) + 1))
                 ),
             ),
             Rule(
                 "all",
                 RuleKind.TERMINATION,
                 lambda n, k: k > n,
-                lambda n, k: (0, ((1, Primary(n)),)),
+                lambda n, k: (0, ((1, _P((n,))),)),
             ),
         ),
     )
@@ -396,19 +398,19 @@ def _maxpart_system(completion: bool) -> RewriteSystem:
             "expand",
             RuleKind.STARTUP,
             lambda n: n >= 0,
-            lambda n: (1, tuple((1, Auxiliary(n, k)) for k in range(2, n + 1))),
+            lambda n: (1, tuple((1, _A((n, k))) for k in range(2, n + 1))),
         ),
         Rule(
             "single",
             RuleKind.TERMINATION,
             lambda n, k: 2 <= k <= n <= 2 * k,
-            lambda n, k: (0, ((1, Primary(n - k)),)),
+            lambda n, k: (0, ((1, _P((n - k,))),)),
         ),
         Rule(
             "shift",
             RuleKind.AUXILIARY,
             lambda n, k: k >= 2 and n > 2 * k,
-            lambda n, k: (0, ((1, Auxiliary(n + 1, k + 1)), (-1, Auxiliary(n - k, k + 1)))),
+            lambda n, k: (0, ((1, _A((n + 1, k + 1))), (-1, _A((n - k, k + 1))))),
         ),
     ]
     if completion:
@@ -463,16 +465,13 @@ def overlapping_minpart_rules() -> RewriteSystem:
                 "removal",
                 RuleKind.AUXILIARY,
                 lambda n, k: 1 <= k < n,
-                lambda n, k: (
-                    0,
-                    tuple((1, Auxiliary(n - k, i)) for i in range(k, n - k + 1)),
-                ),
+                lambda n, k: (0, tuple((1, _A((n - k, i))) for i in range(k, n - k + 1))),
             ),
             Rule(
                 "split",
                 RuleKind.AUXILIARY,
                 lambda n, k: k >= 2,
-                lambda n, k: (0, ((1, Auxiliary(n - 1, k - 1)), (-1, Auxiliary(n - k, k - 1)))),
+                lambda n, k: (0, ((1, _A((n - 1, k - 1))), (-1, _A((n - k, k - 1))))),
             ),
         ),
     )

@@ -10,6 +10,9 @@ from partlab import (
     BUILTIN_NAMES,
     BudgetExceeded,
     CyclicReduction,
+    DagEdge,
+    DecodedWalk,
+    Lemma51Report,
     NoRuleApplies,
     Primary,
     Rule,
@@ -19,6 +22,8 @@ from partlab import (
     Auxiliary,
     build_dag,
     builtin_system,
+    code_of_path,
+    decode_path,
     dot_name,
     emit_dot,
     enumerate_terminating_paths,
@@ -27,8 +32,10 @@ from partlab import (
     extract_from_dag,
     grouped_path_sums,
     integrated_f,
+    lemma51,
     make_engine,
     signed_multiplicities,
+    terminating_paths,
 )
 from partlab import budget
 from partlab.rewrite import _fire
@@ -395,3 +402,18 @@ def test_root_and_terminal_with_equal_index_stay_apart():
     mult = signed_multiplicities(dag)
     assert len(mult) == len(dag.vertices)
     assert mult[dag.root] == 1
+
+
+def test_records_are_built_as_their_classes_do(assert_as_class_built):
+    # edges, paths, walks and reports are built by tuple.__new__, in C
+    dag = build_dag(builtin_system("maxpart"), 20)
+    paths = terminating_paths(dag)
+    codes = [code_of_path(p) for p in paths]
+    for cls, records in (
+        (DagEdge, dag.edges),
+        (TerminatingPath, paths),
+        (DecodedWalk, [decode_path(20, c) for c in codes]),
+        (Lemma51Report, [lemma51(20, c) for c in codes]),
+    ):
+        assert records and {type(r) for r in records} == {cls}
+        assert_as_class_built(records)

@@ -219,9 +219,19 @@ SIZES = {
     "enumerate_Bj": ("valuation", partlab.enumerate_Bj),
     "pentagonal_codes": ("count", partlab.pentagonal_codes),
 }
+# Each entry point that checks an int a rule or a constraint judges, negative
+# ones included, with errors.integer alone: once per call, at entry
+MINPART, MAXPART = partlab.builtin_system("minpart"), partlab.builtin_system("maxpart")
+INTS = {
+    "build_dag": ("n_tilde", lambda n: partlab.build_dag(MAXPART, n)),
+    "eval_atom-P": ("n", lambda n: partlab.eval_atom(MINPART, partlab.Primary(n))),
+    "eval_atom-A": ("k", lambda k: partlab.eval_atom(MINPART, partlab.Auxiliary(5, k))),
+    "count_constrained-k": ("k", lambda k: partlab.count_constrained(10, "P", "max_part", k=k)),
+}
 WRONG_TYPES = [
     *(pytest.param(call, value, f"{name} must be an int, got {value!r}", id=f"{where}-{value!r}")
-      for where, (name, call) in SIZES.items() for value in (True, 1.5, "3", None)),
+      for where, (name, call) in {**SIZES, **INTS}.items() for value in (True, 1.5, "3", None)
+      if (where, value) != ("count_constrained-k", None)),  # k=None is no k
     pytest.param(partlab.PathCode, 101, "code must be over 0/1, got 101", id="PathCode"),
     pytest.param(partlab.valuation, 101, "code must be over 0/1, got 101", id="valuation"),
     pytest.param(partlab.make_engine, ["euler"], "['euler'] is not a valid EngineKind",
@@ -244,6 +254,17 @@ def test_an_argument_of_the_wrong_type_is_invalid(call, value, message):
     assert str(info.value) == message
 
 
+def test_a_negative_int_argument_is_judged_not_refused():
+    # a negative n~ or atom field has no rule; a negative k counts nothing
+    with pytest.raises(partlab.NoRuleApplies, match=r"^maxpart: no rule applies at P\(-1\)$"):
+        INTS["build_dag"][1](-1)
+    with pytest.raises(partlab.NoRuleApplies, match=r"^minpart: no rule applies at P\(-1\)$"):
+        INTS["eval_atom-P"][1](-1)
+    with pytest.raises(partlab.NoRuleApplies, match=r"^minpart: no rule applies at A\(5,-2\)$"):
+        INTS["eval_atom-A"][1](-2)
+    assert INTS["count_constrained-k"][1](-2) == 0
+
+
 def _in_functions(tree):
     """(name of the innermost def around it, or "", node) for every node."""
     stack = [("", tree)]
@@ -256,19 +277,22 @@ def _in_functions(tree):
 
 
 def test_sizes_are_checked_in_one_place():
-    # "must be nonnegative" is raised by errors.nonnegative alone, so every
-    # size follows one rule; cli._nonneg's is argparse's own signal
+    # "must be nonnegative" is raised by errors.nonnegative alone and "must be
+    # an int" by errors.integer alone, so every size and every int argument
+    # follows one rule; cli._nonneg's is argparse's own signal
     raised = []
     for file, tree in _package_trees():
         for where, node in _in_functions(tree):
             if isinstance(node, ast.Raise) and any(
-                isinstance(c, ast.Constant) and "must be nonnegative" in str(c.value)
+                isinstance(c, ast.Constant) and ("must be nonnegative" in str(c.value)
+                                                 or "must be an int" in str(c.value))
                 for c in ast.walk(node)
             ):
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.append((file, where, _spelling(exc)))
     assert sorted(raised) == [
         ("cli.py", "_nonneg", "ArgumentTypeError"),
+        ("errors.py", "integer", "InvalidArgument"),
         ("errors.py", "nonnegative", "InvalidArgument"),
     ]
 

@@ -29,7 +29,7 @@ from partlab import (
     make_engine,
     overlapping_minpart_rules,
 )
-from partlab.rewrite import _fire
+from partlab.rewrite import _applicable, _fire, _ground
 
 REGION = Region(n_max=40, k_max=40)
 
@@ -304,6 +304,35 @@ def test_fire_and_check_orthogonal_scan_alike(system):
         else:
             assert _fire(system, atom)[0] is applies[0]
     assert overlaps == {}
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        builtin_system("minpart"),
+        builtin_system("bounded"),
+        builtin_system("maxpart"),
+        builtin_system("maxpart", completion=True),
+        overlapping_minpart_rules(),
+    ],
+    ids=lambda system: system.name,
+)
+def test_rule_bodies_build_atoms_as_their_classes_do(system, assert_as_class_built):
+    # the built-in bodies build fan targets by tuple.__new__, in C; every
+    # target of every applicable rule over the region is a true atom
+    region = Region(n_max=30, k_max=30)
+    atoms = list(region.atoms())
+    targets = [
+        target
+        for atom in atoms
+        for rule in _applicable(system, atom)
+        for _, target in _ground(rule, atom)[2]
+    ]
+    assert targets and all(type(t) is Primary or type(t) is Auxiliary for t in targets)
+    assert_as_class_built(targets)
+    assert atoms[:31] == [Primary(n) for n in range(31)]
+    assert atoms[31:] == [Auxiliary(n, k) for n in range(31) for k in range(31)]
+    assert_as_class_built(atoms)
 
 
 def test_naive_fans_are_identities():
