@@ -193,9 +193,11 @@ class Region(NamedTuple):
     k_max: int
 
     def atoms(self) -> Iterator[Atom]:
-        """Every primary atom of the region, then every auxiliary one."""
-        yield from (_P((n,)) for n in range(self.n_max + 1))
-        yield from map(_A, product(range(self.n_max + 1), range(self.k_max + 1)))
+        """Every primary atom of the region, then every auxiliary one; a
+        negative bound holds none, a bound of another type is InvalidArgument."""
+        n_max, k_max = integer("n_max", self.n_max), integer("k_max", self.k_max)
+        yield from (_P((n,)) for n in range(n_max + 1))
+        yield from map(_A, product(range(n_max + 1), range(k_max + 1)))
 
 
 class UnitarityReport(NamedTuple):

@@ -11,16 +11,8 @@ from pathlib import Path
 import pytest
 
 from partlab import BUILTIN_NAMES, ORACLE_CAP, SUITES, EngineKind, dag, engines, verify
-from partlab.cli import (
-    ENGINE_NAMES,
-    SUITE_NAMES,
-    SYSTEM_NAMES,
-    VERIFY_DAG_CAP,
-    VERIFY_ORACLE_CAP,
-    build_parser,
-    console_main,
-    main,
-)
+from partlab._cmd_verify import SUITE_NAMES, VERIFY_DAG_CAP, VERIFY_ORACLE_CAP
+from partlab.cli import ENGINE_NAMES, SYSTEM_NAMES, build_parser, console_main, main
 
 
 def run(capsys, *argv):

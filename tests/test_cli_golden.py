@@ -8,7 +8,7 @@ positional-or-flag argument, path listings that end at an auxiliary sink
 ("j": null), the usage errors plab checks itself, exit-3 failures (among them
 a small PLAB_BUDGET cutting a rewrite chain, a DAG's vertices and its path
 enumeration, and plain DAG output, which enumerates no paths, under that
-budget) and the help of the commands with such arguments. bench's seconds are
+budget) and the help of plab and of every subcommand. bench's seconds are
 masked before hashing, and help is formatted for an 80-column terminal.
 """
 
@@ -133,8 +133,16 @@ CASES = [
     ("bench 10 --upto 10", None, 2, "e3b0c44298fc1c14", "7ae20894803aa618"),
     ("bench", None, 2, "e3b0c44298fc1c14", "7ae20894803aa618"),
     ("--help", None, 0, "9c9bcd2c4329f6b7", "e3b0c44298fc1c14"),
+    ("count --help", None, 0, "164a765c0e3d8497", "e3b0c44298fc1c14"),
     ("coeffs --help", None, 0, "ab45c9f06ee326cc", "e3b0c44298fc1c14"),
+    ("verify --help", None, 0, "6ed2c1faf128d681", "e3b0c44298fc1c14"),
     ("dag --help", None, 0, "a28c4584e78fb1b2", "e3b0c44298fc1c14"),
+    ("involution --help", None, 0, "1ef51beff2e80cf8", "e3b0c44298fc1c14"),
+    ("codes --help", None, 0, "08a80f5ea51a7832", "e3b0c44298fc1c14"),
+    ("codes pentagonal --help", None, 0, "72434fdab707d7fd", "e3b0c44298fc1c14"),
+    ("codes decode --help", None, 0, "f7879bc7756f6fa7", "e3b0c44298fc1c14"),
+    ("codes encode --help", None, 0, "8fdf1e6135cce586", "e3b0c44298fc1c14"),
+    ("codes bj --help", None, 0, "7f17a2ac384e338b", "e3b0c44298fc1c14"),
     ("bench --help", None, 0, "86d8b572bffe4435", "e3b0c44298fc1c14"),
 ]
 

@@ -162,6 +162,8 @@ def test_every_defaulted_parameter_is_passed():
 NOT_PARTLAB_ERRORS = {
     ("cli.py", "ArgumentTypeError"): "argparse's signal from a type= converter: exit 2",
     ("cli.py", "_UsageError"): "a misuse argparse cannot see: main prints it, exit 2",
+    ("_cmd_bench.py", "_UsageError"): "an engine list argparse cannot check: exit 2",
+    ("_cmd_dag.py", "_UsageError"): "a root index twice, or --completion off maxpart: exit 2",
     ("cli.py", "SystemExit"): "console_main hands main's exit code to the interpreter",
     ("__init__.py", "AttributeError"): "how a module __getattr__ reports an unknown name",
     ("_value.py", "AttributeError"): "how setattr and delattr refuse an immutable value",
@@ -219,14 +221,21 @@ SIZES = {
     "enumerate_Bj": ("valuation", partlab.enumerate_Bj),
     "pentagonal_codes": ("count", partlab.pentagonal_codes),
 }
-# Each entry point that checks an int a rule or a constraint judges, negative
-# ones included, with errors.integer alone: once per call, at entry
+# Each entry point that checks an int a rule, a constraint or a region's bound
+# judges, negative ones included, with errors.integer alone: once per call, at
+# entry; both hygiene checks read the bounds through Region.atoms
 MINPART, MAXPART = partlab.builtin_system("minpart"), partlab.builtin_system("maxpart")
 INTS = {
     "build_dag": ("n_tilde", lambda n: partlab.build_dag(MAXPART, n)),
     "eval_atom-P": ("n", lambda n: partlab.eval_atom(MINPART, partlab.Primary(n))),
     "eval_atom-A": ("k", lambda k: partlab.eval_atom(MINPART, partlab.Auxiliary(5, k))),
     "count_constrained-k": ("k", lambda k: partlab.count_constrained(10, "P", "max_part", k=k)),
+    "check_unitary-n_max": (
+        "n_max", lambda n: partlab.check_unitary(MINPART, partlab.Region(n, 3))
+    ),
+    "check_orthogonal-k_max": (
+        "k_max", lambda k: partlab.check_orthogonal(MINPART, partlab.Region(3, k))
+    ),
 }
 WRONG_TYPES = [
     *(pytest.param(call, value, f"{name} must be an int, got {value!r}", id=f"{where}-{value!r}")
@@ -255,7 +264,8 @@ def test_an_argument_of_the_wrong_type_is_invalid(call, value, message):
 
 
 def test_a_negative_int_argument_is_judged_not_refused():
-    # a negative n~ or atom field has no rule; a negative k counts nothing
+    # a negative n~ or atom field has no rule; a negative k counts nothing, and
+    # a negative bound holds no atom
     with pytest.raises(partlab.NoRuleApplies, match=r"^maxpart: no rule applies at P\(-1\)$"):
         INTS["build_dag"][1](-1)
     with pytest.raises(partlab.NoRuleApplies, match=r"^minpart: no rule applies at P\(-1\)$"):
@@ -263,6 +273,8 @@ def test_a_negative_int_argument_is_judged_not_refused():
     with pytest.raises(partlab.NoRuleApplies, match=r"^minpart: no rule applies at A\(5,-2\)$"):
         INTS["eval_atom-A"][1](-2)
     assert INTS["count_constrained-k"][1](-2) == 0
+    assert INTS["check_unitary-n_max"][1](-1).violations == []
+    assert INTS["check_orthogonal-k_max"][1](-1).overlaps == []
 
 
 def _in_functions(tree):
@@ -312,7 +324,7 @@ def test_arithmetic_is_exact():
             else:
                 continue
             inexact.append((file, where, what, node.lineno))
-    assert [entry[:3] for entry in inexact] == [("cli.py", "_cmd_bench", "round()")], inexact
+    assert [entry[:3] for entry in inexact] == [("_cmd_bench.py", "run", "round()")], inexact
 
 
 def _fresh(code: str) -> dict:
@@ -386,6 +398,28 @@ def test_no_subcommand_loads_dataclasses():
     )
     assert [(argv, code) for argv, code, _ in got] == [(list(a), 0) for a in CLI_SHAPES]
     assert [(argv, loaded) for argv, _, loaded in got if loaded] == []
+
+
+def test_each_subcommand_loads_its_own_module_alone():
+    # a call compiles and builds the one subcommand it runs, and --help none;
+    # each module is dropped after its call, so the next call loads its own
+    shapes = [["--help"], ["count", "10"], *map(list, CLI_SHAPES)]
+    got = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from partlab.cli import main\n"
+        "runs = []\n"
+        f"for argv in {shapes!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    loaded = sorted(m for m in sys.modules if m.startswith('partlab._cmd_'))\n"
+        "    runs.append([argv, code, loaded])\n"
+        "    for m in loaded:\n"
+        "        del sys.modules[m]\n"
+        "print(json.dumps(runs))"
+    )
+    assert got == [
+        [argv, 0, [f"partlab._cmd_{argv[0]}"] if argv != ["--help"] else []] for argv in shapes
+    ]
 
 
 def test_codes_commands_load_no_reduction_layer():
