@@ -43,7 +43,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value
-from .errors import InvalidArgument, nonnegative
+from .errors import InvalidArgument, integer, nonnegative
 from .oracle import enumerate_strict, validate_partition
 
 if TYPE_CHECKING:
@@ -260,8 +260,11 @@ def involution(j: int, code: "PathCode | str") -> PathCode:
     Rule one maps 10x in B_j to 1x in B_{j-1} and back. Rule two, within
     B_j, maps 1^{k+2} 0 x 0^{k+1} to 1^{k+2} x 1 0^k and back, for k >= 0.
     At most one rule can fire on any code, so the first that applies gives
-    the image. Codes outside B_j + B_{j-1} raise InvalidArgument.
+    the image. Codes outside B_j + B_{j-1}, and a j that is no int, raise
+    InvalidArgument.
     """
+    if type(j) is not int:  # a plain int, the common case, skips the call
+        integer("j", j)
     c = as_code(code)
     v = valuation(c)
     if not c.bits or c.bits[0] != "1" or v not in (j, j - 1):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -414,6 +415,19 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "count" in out and "verify" in out
+
+
+def test_every_readme_example_exits_zero(capsys):
+    # the lines of README's sh blocks that start with "plab ", each with its
+    # comment stripped and split on blanks, as a shell splits an unquoted $cmd
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [line.split("#")[0].split()
+                for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+                for line in block.splitlines() if line.startswith("plab ")]
+    assert examples, "README has no plab example"
+    for argv in examples:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (" ".join(argv), err)
 
 
 def test_console_main(capsys, monkeypatch):

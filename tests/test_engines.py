@@ -19,7 +19,8 @@ from partlab import (
     sigma_table,
 )
 
-KNOWN = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 10: 42, 30: 5604, 50: 204226, 100: 190569292}
+KNOWN = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 10: 42, 30: 5604, 50: 204226, 100: 190569292,
+         1000: 24061467864032622473692149727991}
 
 
 # p(0..6) in order is a sweep; euler's and integral's offset lists hold no or

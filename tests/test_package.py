@@ -221,9 +221,9 @@ SIZES = {
     "enumerate_Bj": ("valuation", partlab.enumerate_Bj),
     "pentagonal_codes": ("count", partlab.pentagonal_codes),
 }
-# Each entry point that checks an int a rule, a constraint or a region's bound
-# judges, negative ones included, with errors.integer alone: once per call, at
-# entry; both hygiene checks read the bounds through Region.atoms
+# Each entry point that checks an int a rule, a constraint, a region's bound or
+# the pairing judges, negative ones included, with errors.integer alone: once
+# per call, at entry; both hygiene checks read the bounds through Region.atoms
 MINPART, MAXPART = partlab.builtin_system("minpart"), partlab.builtin_system("maxpart")
 INTS = {
     "build_dag": ("n_tilde", lambda n: partlab.build_dag(MAXPART, n)),
@@ -236,6 +236,7 @@ INTS = {
     "check_orthogonal-k_max": (
         "k_max", lambda k: partlab.check_orthogonal(MINPART, partlab.Region(3, k))
     ),
+    "involution": ("j", lambda j: partlab.involution(j, "101")),
 }
 WRONG_TYPES = [
     *(pytest.param(call, value, f"{name} must be an int, got {value!r}", id=f"{where}-{value!r}")
@@ -264,8 +265,8 @@ def test_an_argument_of_the_wrong_type_is_invalid(call, value, message):
 
 
 def test_a_negative_int_argument_is_judged_not_refused():
-    # a negative n~ or atom field has no rule; a negative k counts nothing, and
-    # a negative bound holds no atom
+    # a negative n~ or atom field has no rule; a negative k counts nothing, a
+    # negative bound holds no atom, and a negative j's B_j holds no code
     with pytest.raises(partlab.NoRuleApplies, match=r"^maxpart: no rule applies at P\(-1\)$"):
         INTS["build_dag"][1](-1)
     with pytest.raises(partlab.NoRuleApplies, match=r"^minpart: no rule applies at P\(-1\)$"):
@@ -275,6 +276,9 @@ def test_a_negative_int_argument_is_judged_not_refused():
     assert INTS["count_constrained-k"][1](-2) == 0
     assert INTS["check_unitary-n_max"][1](-1).violations == []
     assert INTS["check_orthogonal-k_max"][1](-1).overlaps == []
+    with pytest.raises(partlab.InvalidArgument,
+                       match=r"^'101' \(valuation 6\) outside B_-1 \+ B_-2$"):
+        INTS["involution"][1](-1)
 
 
 def _in_functions(tree):

@@ -41,6 +41,8 @@ def test_eval_matches_counts(name):
     memo = {}
     for n in range(26):
         assert eval_atom(system, Primary(n), memo) == euler.p(n)
+    # past reductions' evaluation band of 60-150, on a fresh memo
+    assert eval_atom(system, Primary(200)) == euler.p(200)
 
 
 def test_eval_with_completion_rules():

@@ -13,11 +13,13 @@ and is written with ast.unparse. Mutants with the same text count once. The
 unmutated unparse must pass the full tier-1 first, or the module is skipped
 and the sweep exits 1. Survivors do not change the exit status.
 
-A mutant's judge is tests/test_<module>.py run with -x, where that file
-exists; a mutant it does not kill is rerun against the full tier-1, and one
-that still passes is a survivor. A run that takes longer than three times the
-unmutated tier-1 run plus 30 s kills the mutant, and so does one that needs
-more than 2 GiB of address space (a limit every run inherits from the sweep).
+A mutant's judge is tests/test_<module>.py run with -x, or for a module
+without that file the test files JUDGES lists for it; a module with neither
+is an error that names it, and nothing is swept. A mutant its judge does not
+kill is rerun against the full tier-1, and one that still passes is a
+survivor. A run that takes longer than three times the unmutated tier-1 run
+plus 30 s kills the mutant, and so does one that needs more than 2 GiB of
+address space (a limit every run inherits from the sweep).
 Every run uses --hypothesis-seed=0 and -p no:cacheprovider, without
 PLAB_BUDGET and with no hypothesis database carried over from an earlier run.
 
@@ -26,8 +28,8 @@ without __pycache__ and run with PYTHONDONTWRITEBYTECODE=1: a mutant of the
 same size as the module, written within the same second as it, could
 otherwise be served the module's stale bytecode. The sweep prints, per
 module, the mutant count and each survivor with its line, column and source
-text. Only the standard library is used; neither the package nor its tests
-import this file.
+text. Only the standard library is used. The package does not import this
+file; tests/test_mutants.py loads it to check that every module has a judge.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ WORKERS = 2
 MEMORY_LIMIT = 2 << 30
 PYTEST = [sys.executable, "-m", "pytest", "-q", "--hypothesis-seed=0", "-p", "no:cacheprovider"]
 TIER1 = [*PYTEST, "--continue-on-collection-errors"]
+# the test files that judge a module with no tests/test_<module>.py of its own
+JUDGES = {
+    **dict.fromkeys(["_cmd_bench", "_cmd_codes", "_cmd_coeffs", "_cmd_count", "_cmd_dag",
+                     "_cmd_involution", "_cmd_verify"],
+                    ["tests/test_cli.py", "tests/test_cli_golden.py"]),
+    "__main__": ["tests/test_cli.py"],
+    "__init__": ["tests/test_package.py"],
+    "_value": ["tests/test_package.py"],
+    "errors": ["tests/test_package.py"],
+}
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -155,7 +167,14 @@ class Sweep:
             self.free.put(workdir)
 
 
-def sweep_module(sweep: Sweep, pool: ThreadPoolExecutor, module: str) -> bool:
+def judge_files(module: str) -> list[str] | None:
+    """The test files that judge a mutant of module first, relative to the
+    repository; None when one of them does not exist."""
+    files = JUDGES.get(module, [f"tests/test_{module}.py"])
+    return files if all((ROOT / f).is_file() for f in files) else None
+
+
+def sweep_module(sweep: Sweep, pool: ThreadPoolExecutor, module: str, judge: list[str]) -> bool:
     """Sweep one module and print its mutants and survivors; False if skipped."""
     source = (PACKAGE / f"{module}.py").read_text()
     lines = source.splitlines()
@@ -165,13 +184,10 @@ def sweep_module(sweep: Sweep, pool: ThreadPoolExecutor, module: str) -> bool:
         print(f"{module}: SKIPPED, the unmutated unparse fails tier-1", flush=True)
         return False
     limit = 3 * seconds + 30
-    judge_file = ROOT / "tests" / f"test_{module}.py"
-    judge = [*PYTEST, "-x", str(judge_file.relative_to(ROOT))] if judge_file.exists() else TIER1
     passed = list(pool.map(lambda m: sweep.run(module, m[3], judge, limit)[0], found))
     alive = [m for m, p in zip(found, passed) if p]
-    if judge is not TIER1:
-        passed = list(pool.map(lambda m: sweep.run(module, m[3], TIER1, limit)[0], alive))
-        alive = [m for m, p in zip(alive, passed) if p]
+    passed = list(pool.map(lambda m: sweep.run(module, m[3], TIER1, limit)[0], alive))
+    alive = [m for m, p in zip(alive, passed) if p]
     print(f"{module}: {len(found)} mutants, {len(alive)} survivors", flush=True)
     for line, column, change, _ in alive:
         print(f"  {module}.py:{line}:{column}: {change}: {lines[line - 1].strip()}", flush=True)
@@ -185,13 +201,20 @@ def main(argv: list[str]) -> int:
         print(f"unknown module(s) {', '.join(unknown)}; choose from {', '.join(known)}",
               file=sys.stderr)
         return 2
+    judges = {m: judge_files(m) for m in argv or known}
+    unjudged = [m for m, files in judges.items() if files is None]
+    if unjudged:
+        print(f"no judge for module(s) {', '.join(unjudged)}: add tests/test_<module>.py "
+              "or a row of JUDGES", file=sys.stderr)
+        return 2
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     soft = MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT, hard)
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))  # inherited by every run
     with tempfile.TemporaryDirectory(prefix="mutants-") as base:
         sweep = Sweep(Path(base))
         with ThreadPoolExecutor(WORKERS) as pool:
-            swept = [sweep_module(sweep, pool, module) for module in argv or known]
+            swept = [sweep_module(sweep, pool, module, [*PYTEST, "-x", *files])
+                     for module, files in judges.items()]
     return 0 if all(swept) else 1
 
 
