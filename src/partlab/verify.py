@@ -4,12 +4,17 @@ Each suite returns a flat list of named checks; ``run`` collects them into a
 report. Suites re-derive everything they compare (no frozen tables here), so
 they stay honest under refactoring. Default caps in VerifyConfig are sized
 for an interactive run of a few seconds; the acceptance tests run these
-suites at their larger ``ACCEPTANCE`` bounds.
+suites at their larger ``ACCEPTANCE`` bounds. ``plab verify --upto`` sets the
+size-indexed fields (oracle_limit, engine_limit, series_limit, dag_limit,
+involution_limit and region_bound); walk_limit and code_length_limit keep
+their defaults. Every field is a size, checked by errors.nonnegative before
+any suite runs. No suite samples: every case up to its bound is checked, so
+two runs give the same report and a failure names a case that reproduces.
 
 A check compares two whole sequences built by two routes, such as an engine's
 sweep against the oracle's counts, so a bound that shrinks on one side makes
 the lengths differ and the check fail. Only facts asked of each case on its
-own (a code, a reduction path, a word pair or a valuation j) stay as one
+own (a code, a reduction path, a pair of words or a valuation j) stay as one
 ``all()`` over a generator of the cases; a case that needs several conditions
 gets a predicate named for its fact, such as ``_bounds_match_replay``. No
 check keeps a flag that a loop clears.
@@ -28,20 +33,21 @@ too. A test that replaces a function in the layer that defines it is seen here.
 
 from __future__ import annotations
 
-import random
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, product
 from operator import eq
 from typing import TYPE_CHECKING, NamedTuple
 
 import partlab
-from partlab.errors import InvalidArgument
+from partlab.errors import InvalidArgument, nonnegative
 
 if TYPE_CHECKING:
     from .engines import EngineKind
 
 
 class VerifyConfig(NamedTuple):
-    """Sweep bounds for the suites; every field is an inclusive cap."""
+    """Sweep bounds for the suites; every field is an inclusive cap and a
+    size, so run refuses a negative one or one that is no int. plab verify
+    --upto sets all but walk_limit and code_length_limit."""
 
     oracle_limit: int = 40
     engine_limit: int = 150
@@ -51,9 +57,6 @@ class VerifyConfig(NamedTuple):
     code_length_limit: int = 9
     involution_limit: int = 24
     region_bound: int = 24
-    pair_samples: int = 200
-    pair_length_limit: int = 12
-    seed: int = 7
 
 
 class Check(NamedTuple):
@@ -177,10 +180,9 @@ def _path_code_terminates(n_tilde: int, path) -> bool:
     )
 
 
-def _word_pair(rng: random.Random, limit: int) -> tuple[str, ...]:
-    """Two random binary words, each of a random length up to limit."""
-    lengths = rng.randint(0, limit), rng.randint(0, limit)
-    return tuple("".join(rng.choice("01") for _ in range(n)) for n in lengths)
+def _words_upto(length: int) -> list[str]:
+    """Every binary word of at most length bits, the empty word first."""
+    return ["".join(w) for n in range(length + 1) for w in product("01", repeat=n)]
 
 
 def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
@@ -192,8 +194,10 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
     # polarity is the pentagonal coefficient at its valuation.
     pents = codes.pentagonal_codes(12)
     first_pentagonal = list(islice((v for v in count(2) if euler_e(v)), 12))
-    rng = random.Random(cfg.seed)
-    pairs = (_word_pair(rng, cfg.pair_length_limit) for _ in range(cfg.pair_samples))
+    # Each half has at most code_length_limit // 2 bits, so no concatenation
+    # is longer than the longest code the termination check reads.
+    half = cfg.code_length_limit // 2
+    words = _words_upto(half)
     return [
         Check(
             "lemmas",
@@ -228,8 +232,12 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
         Check(
             "lemmas",
             "concatenation-valuation-additive",
-            all(codes.valuation(p + s) == codes.split_valuation(p, s) for p, s in pairs),
-            f"{cfg.pair_samples} samples",
+            all(
+                codes.valuation(p + s) == codes.split_valuation(p, s)
+                for p in words
+                for s in words
+            ),
+            f"p, s of l<={half}",
         ),
     ]
 
@@ -371,6 +379,8 @@ SUITES = {
 def run(suite: str = "all", config: VerifyConfig | None = None) -> VerifyReport:
     """Run one suite (or all of them) and return the collected report."""
     cfg = config or VerifyConfig()
+    for field, value in zip(cfg._fields, cfg):
+        nonnegative(field, value)
     if suite == "all":
         names = list(SUITES)
     elif isinstance(suite, str) and suite in SUITES:

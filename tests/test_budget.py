@@ -31,7 +31,6 @@ def test_precedence(monkeypatch):
     # the path budget in force, read from a real raise: the default when
     # PLAB_BUDGET is unset, the variable when it is set; the graph, 61 vertices
     # and 44 paths, is built before PLAB_BUDGET=4 could stop it
-    monkeypatch.delenv("PLAB_BUDGET", raising=False)
     dag = build_dag(builtin_system("minpart"), 8)
     monkeypatch.setattr(budget, "PATH_BUDGET", 9)
     with pytest.raises(BudgetExceeded) as raised:
@@ -86,7 +85,6 @@ def test_valid_value_bounds_work(monkeypatch):
 
 
 def test_atom_budget_bounds_a_whole_evaluation(monkeypatch):
-    monkeypatch.delenv("PLAB_BUDGET", raising=False)
     bounded = builtin_system("bounded")
     # bounded P(40): the root and 1,794 fan entries over its 573 memo atoms
     monkeypatch.setattr(budget, "ATOM_BUDGET", 1_795)

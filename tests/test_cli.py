@@ -376,8 +376,7 @@ def test_budget_failure_exit_code(capsys, monkeypatch):
     assert "error:" in err
 
 
-def test_rewrite_count_stops_at_the_default_atom_budget(capsys, monkeypatch):
-    monkeypatch.delenv("PLAB_BUDGET", raising=False)
+def test_rewrite_count_stops_at_the_default_atom_budget(capsys):
     code, out, err = run(capsys, "count", "3000", "--method", "rewrite:bounded")
     assert (code, out, err) == (3, "", (
         "error: bounded: evaluating P(3000) reached 400670 atoms, past the atom budget "

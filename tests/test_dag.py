@@ -188,7 +188,6 @@ def test_bare_root_has_no_paths():
 
 
 def test_vertex_budget(monkeypatch):
-    monkeypatch.delenv("PLAB_BUDGET", raising=False)
     monkeypatch.setattr(budget, "DAG_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetExceeded, match="^minpart reduction from 30 exceeded 10 vertices$"):
         build_dag(builtin_system("minpart"), 30)
@@ -203,7 +202,6 @@ def test_vertex_budget(monkeypatch):
 
 
 def test_path_budget(monkeypatch):
-    monkeypatch.delenv("PLAB_BUDGET", raising=False)
     monkeypatch.setattr(budget, "PATH_BUDGET", 2)
     with pytest.raises(BudgetExceeded, match="^minpart path enumeration from 8 exceeded 2$"):
         enumerate_terminating_paths(builtin_system("minpart"), 8)

@@ -220,6 +220,10 @@ SIZES = {
     "lemma51": ("n_tilde", lambda n: partlab.lemma51(n, "1")),
     "enumerate_Bj": ("valuation", partlab.enumerate_Bj),
     "pentagonal_codes": ("count", partlab.pentagonal_codes),
+    # run_verify checks every bound before any suite runs
+    **{f"VerifyConfig.{field}": (
+        field, lambda v, field=field: partlab.run_verify("all", partlab.VerifyConfig(**{field: v}))
+    ) for field in partlab.VerifyConfig._fields},
 }
 # Each entry point that checks an int a rule, a constraint, a region's bound or
 # the pairing judges, negative ones included, with errors.integer alone: once
@@ -262,6 +266,12 @@ def test_an_argument_of_the_wrong_type_is_invalid(call, value, message):
     with pytest.raises(partlab.InvalidArgument) as info:
         call(value)
     assert str(info.value) == message
+
+
+def test_a_negative_verify_bound_is_refused():
+    with pytest.raises(partlab.InvalidArgument) as info:
+        partlab.run_verify("all", partlab.VerifyConfig(engine_limit=-5))
+    assert str(info.value) == "engine_limit must be nonnegative, got -5"
 
 
 def test_a_negative_int_argument_is_judged_not_refused():

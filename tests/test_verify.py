@@ -24,7 +24,6 @@ SMALL = VerifyConfig(
     code_length_limit=6,
     involution_limit=12,
     region_bound=12,
-    pair_samples=40,
 )
 
 
@@ -133,7 +132,10 @@ PLANTED = [
              {"images-stay-in-domain"}),
     *_domain("extraction", "rewrite", dag, "extract_from_dag", lambda dag: dag.n_tilde,
              lambda got: got._replace(constant=-1), 1, SMALL.dag_limit, EXTRACTION),
-    # seed 7 draws 3 empty prefixes and 2 empty suffixes
+    # the longer word of a pair, from the two empty words to half the code bound
+    *_domain("pair-length", "lemmas", codes, "split_valuation",
+             lambda p, s: max(len(p), len(s)), lambda v: v + 1,
+             0, SMALL.code_length_limit // 2, ADDITIVE),
     _planted("empty-prefix", "lemmas", codes, "split_valuation", lambda p, s: len(p),
              lambda v: v + 1, 0, ADDITIVE),
     _planted("empty-suffix", "lemmas", codes, "split_valuation", lambda p, s: len(s),

@@ -11,7 +11,9 @@ module is swept. Each mutant changes one site of the module's syntax tree:
 
 and is written with ast.unparse. Mutants with the same text count once. The
 unmutated unparse must pass the full tier-1 first, or the module is skipped
-and the sweep exits 1. Survivors do not change the exit status.
+and the sweep exits 1. Survivors do not change the exit status. These
+baseline runs, one per swept module, share the two workers and all run
+before any mutant is judged.
 
 A mutant's judge is tests/test_<module>.py run with -x, or for a module
 without that file the test files JUDGES lists for it; a module with neither
@@ -174,15 +176,23 @@ def judge_files(module: str) -> list[str] | None:
     return files if all((ROOT / f).is_file() for f in files) else None
 
 
-def sweep_module(sweep: Sweep, pool: ThreadPoolExecutor, module: str, judge: list[str]) -> bool:
-    """Sweep one module and print its mutants and survivors; False if skipped."""
+def baseline(sweep: Sweep, module: str) -> tuple[bool, float]:
+    """Whether tier-1 passes on the module's unmutated unparse, and its seconds."""
     source = (PACKAGE / f"{module}.py").read_text()
-    lines = source.splitlines()
-    original, found = mutants(source)
-    ok, seconds = sweep.run(module, original, TIER1, 600)
+    return sweep.run(module, ast.unparse(ast.parse(source)), TIER1, 600)
+
+
+def sweep_module(sweep: Sweep, pool: ThreadPoolExecutor, module: str, judge: list[str],
+                 baseline_run: tuple[bool, float]) -> bool:
+    """Sweep one module, given its baseline, and print its mutants and
+    survivors; False if skipped."""
+    ok, seconds = baseline_run
     if not ok:
         print(f"{module}: SKIPPED, the unmutated unparse fails tier-1", flush=True)
         return False
+    source = (PACKAGE / f"{module}.py").read_text()
+    lines = source.splitlines()
+    _, found = mutants(source)
     limit = 3 * seconds + 30
     passed = list(pool.map(lambda m: sweep.run(module, m[3], judge, limit)[0], found))
     alive = [m for m, p in zip(found, passed) if p]
@@ -213,8 +223,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as base:
         sweep = Sweep(Path(base))
         with ThreadPoolExecutor(WORKERS) as pool:
-            swept = [sweep_module(sweep, pool, module, [*PYTEST, "-x", *files])
-                     for module, files in judges.items()]
+            baselines = pool.map(lambda module: baseline(sweep, module), judges)
+            swept = [sweep_module(sweep, pool, module, [*PYTEST, "-x", *files], run)
+                     for (module, files), run in zip(judges.items(), baselines)]
     return 0 if all(swept) else 1
 
 
