@@ -96,6 +96,18 @@ def _emit_csv(header: tuple[str, ...], rows: list[dict]) -> None:
         print(",".join(str(row[key]) for key in header))
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Writes an option's metavar after each of its flags, `--n N, --n-tilde
+    N`, as argparse 3.10 to 3.12 do; 3.13 writes it once, after the last
+    flag. Every parser of plab uses it, so help is the same on each version."""
+
+    def _format_action_invocation(self, action):
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        args = self._format_args(action, self._get_default_metavar_for_optional(action))
+        return ", ".join(f"{flag} {args}" for flag in action.option_strings)
+
+
 class _Command(argparse.ArgumentParser):
     """A subcommand's parser, empty until its first parse, which imports its
     module and lets it add the arguments and the handler. argparse 3.10 to
@@ -115,10 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plab",
         description="Exact partition counting, coefficient series, rewrite-"
         "system reductions, and the path-code combinatorics behind them.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, line in _COMMANDS.items():
-        sub.add_parser(name, help=line).module = f"._cmd_{name}"
+        command = sub.add_parser(name, help=line, formatter_class=_HelpFormatter)
+        command.module = f"._cmd_{name}"
     return parser
 
 

@@ -32,11 +32,17 @@ ground instance behaves exactly like a primary one (constant only).
 
 Domain predicates and fan bodies are plain Python callables taking n (for
 primary-family rules) or n, k (for auxiliary-family ones). There is no
-pattern language; a rule family is one callable pair.
+pattern language; a rule family is one callable pair. A body's fan may be any
+iterable of (sign, atom) pairs, read once: grounding turns it into a tuple.
+The narrow built-in bodies return tuples of one or two entries; the wide ones
+(the startup expansions, bounded's tail, the naive removal) return
+zip(repeat(1), map(_A, ...)), an iterator that builds each entry in C.
 
 Atoms are NamedTuples, so the memo lookups, cycle checks and DAG keys that
-evaluation makes for every atom hash and compare in C, and an atom is its own
-argument tuple: rules receive *atom, and every atom is its own DAG vertex. An
+evaluation makes for every atom hash and compare in C, and every atom is its
+own DAG vertex. Rules receive the atom's fields as *args, where args = atom[:]
+is a plain tuple made once per atom: unpacking the atom itself, a tuple
+subclass, would copy it into a new tuple at every domain and body call. An
 atom equals the plain tuple of its fields; Primary(n) and Auxiliary(n, k)
 never compare equal, since their lengths differ. Grounding still checks every
 fan target with isinstance, so a body that returns a plain tuple is rejected.
@@ -55,8 +61,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
-from itertools import product
-from typing import Callable, Iterator, NamedTuple, Union
+from itertools import product, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from . import budget
 from ._value import Value
@@ -107,13 +113,15 @@ class Rule(NamedTuple):
     """One parameterized rule family.
 
     domain and body receive the atom arguments: (n,) when the left side is a
-    primary atom, (n, k) when auxiliary. body returns (constant, fan).
+    primary atom, (n, k) when auxiliary. body returns (constant, fan), where
+    fan is any iterable of (sign, atom) pairs; grounding reads it once, into
+    a tuple.
     """
 
     name: str
     kind: RuleKind
     domain: Callable[..., bool]
-    body: Callable[..., tuple[int, Fan]]
+    body: Callable[..., tuple[int, Iterable[tuple[int, Atom]]]]
 
     @property
     def lhs_primary(self) -> bool:
@@ -140,12 +148,15 @@ class RewriteSystem(Value):
         object.__setattr__(self, "_r2", tuple(r for r in rules if not r.lhs_primary))
 
 
-def _ground(rule: Rule, atom: Atom) -> tuple[Rule, int, Fan]:
-    """(rule, constant, fan) of rule at atom; every fan target must belong to
-    the family the rule kind rewrites into. Like _fire and _applicable, it
-    reads rule[1] (kind), rule[2] (domain) and rule[3] (body) by position,
-    which costs less than by name on every grounding."""
-    constant, fan = rule[3](*atom)
+def _ground(rule: Rule, atom: Atom, args: tuple) -> tuple[Rule, int, Fan]:
+    """(rule, constant, fan) of rule at atom, its body called with *args, the
+    atom's fields as the plain tuple its caller made (see _fire). The body's
+    fan may be any iterable of (sign, atom) pairs and is returned as a tuple;
+    every target must belong to the family the rule kind rewrites into. Like
+    _fire and _applicable, it reads rule[1] (kind), rule[2] (domain) and
+    rule[3] (body) by position, which costs less than by name on every
+    grounding."""
+    constant, fan = rule[3](*args)
     fan = tuple(fan)
     family = _FAMILIES[rule[1]][1]
     for _, target in fan:
@@ -161,7 +172,8 @@ def _applicable(system: RewriteSystem, atom: Atom) -> list[Rule]:
     """The rules of the group that owns atom whose domain holds there, in rule
     order."""
     group = system._r1 if isinstance(atom, Primary) else system._r2
-    return [rule for rule in group if rule[2](*atom)]
+    args = atom[:]
+    return [rule for rule in group if rule[2](*args)]
 
 
 def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan]:
@@ -171,10 +183,16 @@ def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan]:
     when none does. The scan is written out here, and _applicable is called
     only to name the rules: building its list at every firing made the
     reductions benchmark about 7% slower.
+
+    Every domain of the group and then the fired body are called with
+    *args, the atom's fields as a plain tuple, made once here: unpacking
+    the atom itself, a tuple subclass, copies it into a new tuple at each
+    call, 55 to 70 ns more per call under Python 3.11.
     """
+    args = atom[:]
     fired = None
     for rule in system._r1 if isinstance(atom, Primary) else system._r2:
-        if rule[2](*atom):
+        if rule[2](*args):
             if fired is not None:
                 names = ", ".join(r.name for r in _applicable(system, atom))
                 raise AmbiguousRule(
@@ -183,7 +201,7 @@ def _fire(system: RewriteSystem, atom: Atom) -> tuple[Rule, int, Fan]:
             fired = rule
     if fired is None:
         raise NoRuleApplies(f"{system.name}: no rule applies at {atom!r}")
-    return _ground(fired, atom)
+    return _ground(fired, atom, args)
 
 
 class Region(NamedTuple):
@@ -221,8 +239,9 @@ def check_unitary(system: RewriteSystem, region: Region) -> UnitarityReport:
     and repeated fan targets."""
     report = UnitarityReport([])
     for atom in region.atoms():
+        args = atom[:]
         for rule in _applicable(system, atom):
-            _, _, fan = _ground(rule, atom)
+            _, _, fan = _ground(rule, atom, args)
             seen: set[Atom] = set()
             for sign, target in fan:
                 if sign not in (-1, 0, 1):
@@ -337,7 +356,7 @@ def _minpart_system() -> RewriteSystem:
                 "expand",
                 RuleKind.STARTUP,
                 lambda n: n > 0,
-                lambda n: (0, tuple((1, _A((n, i))) for i in range(1, n + 1))),
+                lambda n: (0, zip(repeat(1), map(_A, zip(repeat(n), range(1, n + 1))))),
             ),
             Rule(
                 "ones",
@@ -379,8 +398,9 @@ def _bounded_system() -> RewriteSystem:
                 "tail",
                 RuleKind.AUXILIARY,
                 lambda n, k: 3 <= k <= n,
+                # A(n - m(k - 1), k - 1) for m = 0 .. n // (k - 1)
                 lambda n, k: (
-                    0, tuple((1, _A((n - m * (k - 1), k - 1))) for m in range(n // (k - 1) + 1))
+                    0, zip(repeat(1), map(_A, zip(range(n, -1, 1 - k), repeat(k - 1))))
                 ),
             ),
             Rule(
@@ -400,7 +420,7 @@ def _maxpart_system(completion: bool) -> RewriteSystem:
             "expand",
             RuleKind.STARTUP,
             lambda n: n >= 0,
-            lambda n: (1, tuple((1, _A((n, k))) for k in range(2, n + 1))),
+            lambda n: (1, zip(repeat(1), map(_A, zip(repeat(n), range(2, n + 1))))),
         ),
         Rule(
             "single",
@@ -467,7 +487,9 @@ def overlapping_minpart_rules() -> RewriteSystem:
                 "removal",
                 RuleKind.AUXILIARY,
                 lambda n, k: 1 <= k < n,
-                lambda n, k: (0, tuple((1, _A((n - k, i))) for i in range(k, n - k + 1))),
+                lambda n, k: (
+                    0, zip(repeat(1), map(_A, zip(repeat(n - k), range(k, n - k + 1))))
+                ),
             ),
             Rule(
                 "split",

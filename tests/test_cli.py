@@ -1,5 +1,6 @@
 """The plab command line: output formats and exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -13,7 +14,14 @@ import pytest
 
 from partlab import BUILTIN_NAMES, ORACLE_CAP, SUITES, EngineKind, dag, engines, verify
 from partlab._cmd_verify import SUITE_NAMES, VERIFY_DAG_CAP, VERIFY_ORACLE_CAP
-from partlab.cli import ENGINE_NAMES, SYSTEM_NAMES, build_parser, console_main, main
+from partlab.cli import (
+    ENGINE_NAMES,
+    SYSTEM_NAMES,
+    _HelpFormatter,
+    build_parser,
+    console_main,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -483,3 +491,36 @@ def test_parser_is_buildable():
     parser = build_parser()
     args = parser.parse_args(["count", "7"])
     assert args.n == 7 and args.method == "euler"
+
+
+def test_help_writes_the_metavar_after_each_flag():
+    # argparse 3.13 writes `--n, --n-tilde N`; plab's formatter overrides a
+    # private argparse method to keep the form of 3.10 to 3.12 on any version
+    parser = argparse.ArgumentParser(prog="p", formatter_class=_HelpFormatter)
+    parser.add_argument("--n", "--n-tilde", dest="n_opt", metavar="N_OPT")
+    parser.add_argument("--method", "--engine", choices=["euler", "sigma"])
+    parser.add_argument("-m", "--methods", nargs="+")
+    parser.add_argument("--quiet", "-q", action="store_true")
+    parser.add_argument("n", nargs="?")
+    lines = [line.strip() for line in parser.format_help().splitlines()]
+    assert "--n N_OPT, --n-tilde N_OPT" in lines
+    assert "--method {euler,sigma}, --engine {euler,sigma}" in lines
+    assert "-m METHODS [METHODS ...], --methods METHODS [METHODS ...]" in lines
+    assert "--quiet, -q" in lines
+    assert "n" in lines
+
+
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def test_every_parser_uses_the_help_formatter(capsys):
+    parser = build_parser()
+    commands = _subparsers(parser)[0].choices
+    for name in commands:
+        with pytest.raises(SystemExit):  # printing its help loads the command's module
+            parser.parse_args([name, "--help"])
+    nested = _subparsers(commands["codes"])[0].choices
+    parsers = [parser, *commands.values(), *nested.values()]
+    assert len(parsers) == 1 + 7 + 4
+    assert all(p.formatter_class is _HelpFormatter for p in parsers)

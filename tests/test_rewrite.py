@@ -328,13 +328,66 @@ def test_rule_bodies_build_atoms_as_their_classes_do(system, assert_as_class_bui
         target
         for atom in atoms
         for rule in _applicable(system, atom)
-        for _, target in _ground(rule, atom)[2]
+        for _, target in _ground(rule, atom, atom[:])[2]
     ]
     assert targets and all(type(t) is Primary or type(t) is Auxiliary for t in targets)
     assert_as_class_built(targets)
     assert atoms[:31] == [Primary(n) for n in range(31)]
     assert atoms[31:] == [Auxiliary(n, k) for n in range(31) for k in range(31)]
     assert_as_class_built(atoms)
+
+
+# each wide body's fan, written out as a list, after the constant it comes with
+_WIDE_FANS = [
+    (
+        builtin_system("minpart"),
+        "expand",
+        lambda n: (0, [(1, Auxiliary(n, i)) for i in range(1, n + 1)]),
+    ),
+    (
+        builtin_system("bounded"),
+        "tail",
+        lambda n, k: (
+            0, [(1, Auxiliary(n - m * (k - 1), k - 1)) for m in range(n // (k - 1) + 1)]
+        ),
+    ),
+    (
+        builtin_system("maxpart"),
+        "expand",
+        lambda n: (1, [(1, Auxiliary(n, k)) for k in range(2, n + 1)]),
+    ),
+    (
+        overlapping_minpart_rules(),
+        "removal",
+        lambda n, k: (0, [(1, Auxiliary(n - k, i)) for i in range(k, n - k + 1)]),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "system, rule_name, expected",
+    _WIDE_FANS,
+    ids=["minpart-expand", "bounded-tail", "maxpart-expand", "minpart-naive-removal"],
+)
+def test_wide_fans_are_grounded_in_order(system, rule_name, expected):
+    # the wide bodies return lazy fans; grounded, each is the tuple written
+    # out above, entry by entry, with int signs and exactly typed targets
+    rule = next(r for r in system.rules if r.name == rule_name)
+    entries = 0
+    for atom in Region(n_max=30, k_max=30).atoms():
+        if isinstance(atom, Primary) != rule.lhs_primary or not rule.domain(*atom):
+            continue
+        args = atom[:]
+        fired, constant, fan = _ground(rule, atom, args)
+        want_constant, want = expected(*atom)
+        assert fired is rule and constant == want_constant and type(fan) is tuple
+        assert [(type(sign), sign, type(t), t) for sign, t in fan] == [
+            (int, sign, type(t), t) for sign, t in want
+        ], atom
+        # a second grounding at the same atom builds its own fan
+        assert _ground(rule, atom, args) == (rule, constant, fan)
+        entries += len(fan)
+    assert entries > 300
 
 
 def test_naive_fans_are_identities():
