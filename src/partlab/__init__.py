@@ -19,8 +19,7 @@ def _owned_by(module: str, *names: str) -> dict[str, str]:
     return dict.fromkeys(names, module)
 
 
-# Every public name, once, with the submodule that defines it; a value
-# "module.attr" exports that attribute under another name.
+# Every public name, once, with the submodule that defines it.
 _EXPORTS = {
     **_owned_by(
         "coefficients",
@@ -90,7 +89,6 @@ _EXPORTS = {
         "max_part_histogram",
         "p_oracle",
         "s_oracle",
-        "validate_partition",
     ),
     **_owned_by(
         "rewrite",
@@ -109,12 +107,11 @@ _EXPORTS = {
         "eval_atom",
         "overlapping_minpart_rules",
     ),
-    **_owned_by("verify", "Check", "SUITES", "VerifyConfig", "VerifyReport"),
-    "run_verify": "verify.run",
+    **_owned_by("verify", "Check", "SUITES", "VerifyConfig", "VerifyReport", "run_verify"),
 }
 
 # Submodules load on first access too, as partlab.dag and the like.
-_SUBMODULES = {target.partition(".")[0] for target in _EXPORTS.values()} | {"budget"}
+_SUBMODULES = set(_EXPORTS.values()) | {"budget"}
 
 __version__ = "0.1.0"
 
@@ -126,10 +123,10 @@ def __getattr__(name: str):
     if name in _SUBMODULES:
         return _import_module(f".{name}", __name__)
     try:
-        module, _, attr = _EXPORTS[name].partition(".")
+        module = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(_import_module(f".{module}", __name__), attr or name)
+    value = getattr(_import_module(f".{module}", __name__), name)
     globals()[name] = value  # later accesses skip this hook
     return value
 

@@ -8,18 +8,10 @@ from .cli import _emit_json, _positive
 # sorted(verify.SUITES)
 SUITE_NAMES = ("claim", "engines", "involution", "lemmas", "rewrite")
 
-# verify --upto sets these size-indexed VerifyConfig fields, each clamped at
-# its cap where run gives one. The oracle enumerates every partition of each
-# n, so its cost grows exponentially: the sweep to 45 takes seconds, the
-# sweep to 80 many minutes.
-VERIFY_SIZED = (
-    "oracle_limit",
-    "engine_limit",
-    "series_limit",
-    "dag_limit",
-    "involution_limit",
-    "region_bound",
-)
+# verify --upto sets every VerifyConfig field, each clamped at its cap where
+# run gives one. The oracle enumerates every partition of each n, so its cost
+# grows exponentially: the sweep to 45 takes seconds, the sweep to 80 many
+# minutes.
 VERIFY_ORACLE_CAP = 45
 VERIFY_DAG_CAP = 60
 
@@ -56,14 +48,14 @@ def run(args) -> int:
             # B_j is listed from the oracle's strict partitions of j
             "involution_limit": ORACLE_CAP,
         }
-        bounds = {f: min(args.upto, caps.get(f, args.upto)) for f in VERIFY_SIZED}
-        config = defaults._replace(**bounds)
-        if any(value > getattr(defaults, field) for field, value in bounds.items()):
+        bounds = (min(args.upto, caps.get(f, args.upto)) for f in defaults._fields)
+        config = verify_mod.VerifyConfig(*bounds)
+        if any(value > default for value, default in zip(config, defaults)):
             print(
                 "warning: bound raised above its default; this may take a while",
                 file=sys.stderr,
             )
-    report = verify_mod.run(args.suite, config)
+    report = verify_mod.run_verify(args.suite, config)
     if args.format == "json":
         _emit_json(
             {

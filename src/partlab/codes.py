@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value
 from .errors import InvalidArgument, integer, nonnegative
-from .oracle import enumerate_strict, validate_partition
+from .oracle import enumerate_strict
 
 if TYPE_CHECKING:
     from .dag import TerminatingPath
@@ -227,7 +227,14 @@ def to_strict_partition(code: "PathCode | str") -> tuple[int, ...]:
 
 def from_strict_partition(parts) -> PathCode:
     """Leading-1 code whose 1-bits sit at the given distinct parts >= 2."""
-    t = validate_partition(parts, strict=True)
+    try:
+        t = tuple(parts)
+    except TypeError:
+        raise InvalidArgument(f"parts must be positive ints, got {parts!r}") from None
+    if any(type(p) is bool or not isinstance(p, int) or p < 1 for p in t):
+        raise InvalidArgument(f"parts must be positive ints, got {t!r}")
+    if any(a <= b for a, b in zip(t, t[1:])):
+        raise InvalidArgument(f"not strictly decreasing: {t!r}")
     if not t:
         raise InvalidArgument("empty partition has no code")
     if t[-1] < 2:

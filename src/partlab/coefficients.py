@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate, count
 from math import isqrt
 from operator import add, sub
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ._value import Value
 from .errors import InvalidArgument, NonIntegralDivision, nonnegative
@@ -49,11 +49,18 @@ class CoeffSeq(Value):
     kind: str
     values: tuple[int, ...]
 
-    def __init__(self, kind: str, values: tuple[int, ...]) -> None:
+    def __init__(self, kind: str, values: Sequence[int]) -> None:
         if kind not in _KIND_NAMES:
             raise InvalidArgument(f"kind must be one of {_KIND_NAMES}, got {kind!r}")
-        bad = [v for v in values if v not in (-1, 0, 1)]
-        if bad:
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise InvalidArgument(f"{kind}-sequence values must be ints, got {values!r}") from None
+        if not {int}.issuperset(map(type, values)):  # C-level passes; no bool, no float
+            bad = [v for v in values if type(v) is not int]
+            raise InvalidArgument(f"{kind}-sequence values must be ints, got {bad[:4]}")
+        if not {-1, 0, 1}.issuperset(values):
+            bad = [v for v in values if v not in (-1, 0, 1)]
             raise InvalidArgument(f"{kind}-sequence values outside -1..1: {bad[:4]}")
         if kind == "c":
             if values and values[0] != -1:

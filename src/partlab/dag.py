@@ -254,6 +254,8 @@ def grouped_path_sums(paths: list[TerminatingPath]) -> dict[int, int]:
 def dot_name(v: Atom, n_tilde: int) -> str:
     """DOT node name in the graph rooted at n_tilde: R_<n~> for the root,
     A_<n>_<k> for an auxiliary vertex, P_<j> for terminal j = n~ - u."""
+    if type(n_tilde) is not int:  # a plain int, the common case, skips the call
+        integer("n_tilde", n_tilde)
     if isinstance(v, Auxiliary):
         return f"A_{v.n}_{v.k}"
     return f"R_{v.n}" if v.n == n_tilde else f"P_{n_tilde - v.n}"

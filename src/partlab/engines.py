@@ -63,7 +63,7 @@ class EngineKind(str, Enum):
     BOUNDED = "bounded"
     MAXPART = "maxpart"
 
-    def __str__(self) -> str:  # argparse-friendly
+    def __str__(self) -> str:  # else f"{kind}" reads "EngineKind.SIGMA" from Python 3.11 on
         return self.value
 
 

@@ -43,7 +43,7 @@ Constraint vocabulary for count_constrained:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
 from .errors import InvalidArgument, integer, nonnegative
@@ -66,20 +66,6 @@ _VACUOUS = ("none", "parts_below", "parts_above")
 def _check_n(n: int) -> None:
     if nonnegative("n", n) > ORACLE_CAP:
         raise InvalidArgument(f"oracle enumeration capped at n <= {ORACLE_CAP}, got {n}")
-
-
-def validate_partition(parts: Iterable[int], strict: bool = False) -> tuple[int, ...]:
-    """Return parts as a canonical tuple, or raise InvalidArgument."""
-    t = tuple(parts)
-    for p in t:
-        if type(p) is bool or not isinstance(p, int) or p < 1:
-            raise InvalidArgument(f"parts must be positive ints, got {t!r}")
-    for a, b in zip(t, t[1:]):
-        if strict and a <= b:
-            raise InvalidArgument(f"not strictly decreasing: {t!r}")
-        if not strict and a < b:
-            raise InvalidArgument(f"not nonincreasing: {t!r}")
-    return t
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,15 +1,14 @@
 """Self-checking suites that cross-verify the package against itself.
 
-Each suite returns a flat list of named checks; ``run`` collects them into a
-report. Suites re-derive everything they compare (no frozen tables here), so
-they stay honest under refactoring. Default caps in VerifyConfig are sized
-for an interactive run of a few seconds; the acceptance tests run these
-suites at their larger ``ACCEPTANCE`` bounds. ``plab verify --upto`` sets the
-size-indexed fields (oracle_limit, engine_limit, series_limit, dag_limit,
-involution_limit and region_bound); walk_limit and code_length_limit keep
-their defaults. Every field is a size, checked by errors.nonnegative before
-any suite runs. No suite samples: every case up to its bound is checked, so
-two runs give the same report and a failure names a case that reproduces.
+Each suite returns a flat list of named checks; ``run_verify`` collects them
+into a report. Suites re-derive everything they compare (no frozen tables
+here), so they stay honest under refactoring. VerifyConfig's defaults are
+sized for an interactive run of a few seconds, and ``plab verify --upto`` sets
+every field; each is a size, checked by errors.nonnegative before any suite
+runs. lemmas_suite reads its walk and code-length bounds from the module
+constants WALK_LIMIT and CODE_LENGTH_LIMIT when it runs. No suite samples:
+every case up to its bound is checked, so two runs give the same report and a
+failure names a case that reproduces.
 
 A check compares two whole sequences built by two routes, such as an engine's
 sweep against the oracle's counts, so a bound that shrinks on one side makes
@@ -44,17 +43,19 @@ if TYPE_CHECKING:
     from .engines import EngineKind
 
 
+WALK_LIMIT = 18
+CODE_LENGTH_LIMIT = 9
+
+
 class VerifyConfig(NamedTuple):
     """Sweep bounds for the suites; every field is an inclusive cap and a
-    size, so run refuses a negative one or one that is no int. plab verify
-    --upto sets all but walk_limit and code_length_limit."""
+    size, so run_verify refuses a negative one or one that is no int. plab
+    verify --upto sets every field."""
 
     oracle_limit: int = 40
     engine_limit: int = 150
     series_limit: int = 200
     dag_limit: int = 16
-    walk_limit: int = 18
-    code_length_limit: int = 9
     involution_limit: int = 24
     region_bound: int = 24
 
@@ -63,12 +64,11 @@ class Check(NamedTuple):
     suite: str
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def line(self) -> str:
         mark = "ok  " if self.passed else "FAIL"
-        tail = f"  ({self.detail})" if self.detail else ""
-        return f"{mark} {self.suite}:{self.name}{tail}"
+        return f"{mark} {self.suite}:{self.name}  ({self.detail})"
 
 
 class VerifyReport(NamedTuple):
@@ -135,12 +135,6 @@ def claim_suite(cfg: VerifyConfig) -> list[Check]:
     return [Check("claim", name, ok, f"n<={lim}") for name, ok in facts.items()]
 
 
-def _codes_of_length(length: int):
-    """Every nonzero binary word of the given length."""
-    for mask in range(1, 1 << length):
-        yield format(mask, f"0{length}b")
-
-
 def _bounds_match_replay(n_tilde: int, bits: str) -> bool:
     """lemma51's arithmetic termination bounds agree with replaying the walk.
 
@@ -187,16 +181,17 @@ def _words_upto(length: int) -> list[str]:
 
 def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
     codes, euler_e = partlab.codes, partlab.coefficients.euler_e
-    walks = range(2, cfg.walk_limit + 1)
+    walks = range(2, WALK_LIMIT + 1)
+    nonzero = [bits for bits in _words_upto(CODE_LENGTH_LIMIT) if "1" in bits]
     maxpart = partlab.rewrite.builtin_system("maxpart")
     # The (100)*(1+011) language: valuations are exactly the generalized
     # pentagonal numbers >= 2 in length order, one code each, and each code's
     # polarity is the pentagonal coefficient at its valuation.
     pents = codes.pentagonal_codes(12)
     first_pentagonal = list(islice((v for v in count(2) if euler_e(v)), 12))
-    # Each half has at most code_length_limit // 2 bits, so no concatenation
+    # Each half has at most CODE_LENGTH_LIMIT // 2 bits, so no concatenation
     # is longer than the longest code the termination check reads.
-    half = cfg.code_length_limit // 2
+    half = CODE_LENGTH_LIMIT // 2
     words = _words_upto(half)
     return [
         Check(
@@ -205,10 +200,9 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
             all(
                 _bounds_match_replay(n_tilde, bits)
                 for n_tilde in walks
-                for length in range(1, cfg.code_length_limit + 1)
-                for bits in _codes_of_length(length)
+                for bits in nonzero
             ),
-            f"l<={cfg.code_length_limit}, n~<={cfg.walk_limit}",
+            f"l<={CODE_LENGTH_LIMIT}, n~<={WALK_LIMIT}",
         ),
         Check(
             "lemmas",
@@ -219,7 +213,7 @@ def lemmas_suite(cfg: VerifyConfig) -> list[Check]:
                 for path in partlab.dag.enumerate_terminating_paths(maxpart, n_tilde)
                 if path.j is not None
             ),
-            f"n~<={cfg.walk_limit}",
+            f"n~<={WALK_LIMIT}",
         ),
         Check(
             "lemmas",
@@ -376,7 +370,7 @@ SUITES = {
 }
 
 
-def run(suite: str = "all", config: VerifyConfig | None = None) -> VerifyReport:
+def run_verify(suite: str = "all", config: VerifyConfig | None = None) -> VerifyReport:
     """Run one suite (or all of them) and return the collected report."""
     cfg = config or VerifyConfig()
     for field, value in zip(cfg._fields, cfg):

@@ -13,6 +13,7 @@ sums over B_j (08). Criteria 10 and 11 stand alone.
 """
 
 import time
+from itertools import product
 
 import pytest
 
@@ -30,13 +31,15 @@ from partlab import (
     polarity,
     run_verify,
     valuation,
+    verify,
 )
-from partlab.verify import _codes_of_length
 
 ACCEPTANCE = VerifyConfig(
-    oracle_limit=60, engine_limit=200, series_limit=200, dag_limit=30, walk_limit=24,
-    code_length_limit=12, involution_limit=40, region_bound=60,
+    oracle_limit=60, engine_limit=200, series_limit=200, dag_limit=30, involution_limit=40,
+    region_bound=60,
 )
+# the lemmas suite's walk and code-length bounds, module constants of verify
+WALK_LIMIT, CODE_LENGTH_LIMIT = 24, 12
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -49,17 +52,23 @@ def report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def suites():
-    """Each verify suite run once at ACCEPTANCE: name -> (report, seconds)."""
+    """Each verify suite run once at ACCEPTANCE and the lemma bounds above:
+    name -> (report, seconds)."""
     runs = {}
-    for name in SUITES:
-        start = time.perf_counter()
-        runs[name] = (run_verify(name, ACCEPTANCE), time.perf_counter() - start)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "WALK_LIMIT", WALK_LIMIT)
+        patch.setattr(verify, "CODE_LENGTH_LIMIT", CODE_LENGTH_LIMIT)
+        for name in SUITES:
+            start = time.perf_counter()
+            runs[name] = (run_verify(name, ACCEPTANCE), time.perf_counter() - start)
     return runs
 
 
-def passed(suites, suite: str, *names: str) -> bool:
-    """Whether every named check of one suite passed; an unreported name fails."""
-    outcome = {c.name: c.passed for c in suites[suite][0].checks}
+def passed(suites, suite: str, *names: str, detail: str) -> bool:
+    """Whether every named check of one suite passed with the given detail,
+    which names the bound it ran at, so a check run at other bounds fails; an
+    unreported name fails."""
+    outcome = {c.name: c.passed and c.detail == detail for c in suites[suite][0].checks}
     return all(outcome.get(name, False) for name in names)
 
 
@@ -80,14 +89,14 @@ def counted_to_2000():
 
 def test_c01_exact_counts(capsys, suites, counted_to_2000):
     euler, integral, _, _ = counted_to_2000
-    ok = passed(suites, "engines", "integral-matches-exhaustive")
+    ok = passed(suites, "engines", "integral-matches-exhaustive", detail="n<=60")
     ok = ok and all(integral.p(n) == euler.p(n) for n in range(2001))
     report(capsys, 1, "exact-counts", ok, "enumeration to 60, cross-check to 2000")
 
 
 def test_c02_engine_agreement(capsys, suites):
     kinds = ("integral", "sigma", "minpart", "bounded", "maxpart")
-    ok = passed(suites, "engines", *(f"{kind}-matches-euler" for kind in kinds))
+    ok = passed(suites, "engines", *(f"{kind}-matches-euler" for kind in kinds), detail="n<=200")
     report(capsys, 2, "engine-agreement", ok, "six engines, n<=200")
 
 
@@ -95,7 +104,7 @@ def test_c03_coefficient_routes(capsys, suites):
     ok = passed(
         suites, "claim", "integrated-is-prefix-sum", "truncated-product-equals-integrated",
         "divisor-recurrence-rebuilds-truncated-product", "divisor-recurrence-rebuilds-pentagonal",
-        "equality-predicate-marks-agreement",
+        "equality-predicate-marks-agreement", detail="n<=200",
     )
     report(capsys, 3, "coefficient-routes", ok, "four routes + predicate, n<=200")
 
@@ -103,35 +112,36 @@ def test_c03_coefficient_routes(capsys, suites):
 def test_c04_maxpart_reduction(capsys, suites):
     # coeffs[j] = f_j at every n~ means the coefficients are stable as n~ grows
     elapsed = suites["rewrite"][1]
-    ok = passed(suites, "rewrite", "maxpart-extraction-integrated") and elapsed < 10.0
+    ok = passed(suites, "rewrite", "maxpart-extraction-integrated", detail="n~<=30")
+    ok = ok and elapsed < 10.0
     detail = f"constant 1, integrated coefficients, stable, n~<=30, {elapsed:.2f}s"
     report(capsys, 4, "maxpart-reduction", ok, detail)
 
 
 def test_c05_minpart_reduction(capsys, suites):
-    ok = passed(suites, "rewrite", "minpart-extraction-pentagonal")
+    ok = passed(suites, "rewrite", "minpart-extraction-pentagonal", detail="n~<=30")
     report(capsys, 5, "minpart-reduction", ok, "constant 0, pentagonal coefficients, n~<=30")
 
 
 def test_c06_sign_pairing(capsys, suites):
     ok = passed(
         suites, "involution", "images-stay-in-domain", "self-inverse", "rule-sign-bookkeeping",
-        "fixed-points-pentagonal", "signed-sums-telescope",
+        "fixed-points-pentagonal", "signed-sums-telescope", detail="2<=j<=40",
     )
     report(capsys, 6, "sign-pairing", ok, "pairing properties + fixed-point shapes, 2<=j<=40")
 
 
 def test_c07_termination_formula(capsys, suites):
-    ok = passed(
-        suites, "lemmas", "termination-bounds-match-replay", "reduction-path-codes-terminate"
-    )
+    ok = passed(suites, "lemmas", "termination-bounds-match-replay", detail="l<=12, n~<=24")
+    ok = ok and passed(suites, "lemmas", "reduction-path-codes-terminate", detail="n~<=24")
     # the codes of genuine reduction paths are exactly the terminating ones
     system = builtin_system("maxpart")
     terminating = (Classification.TERMINATING_BELOW, Classification.TERMINATING_AT)
+    words = ("".join(w) for length in range(1, 11) for w in product("01", repeat=length))
+    codes = [bits for bits in words if "1" in bits]
     for n_tilde in range(2, 17):
         paths = enumerate_terminating_paths(system, n_tilde)
         path_codes = {code_of_path(p).bits for p in paths if p.j is not None}
-        codes = (bits for length in range(1, 11) for bits in _codes_of_length(length))
         terminating_codes = {
             bits for bits in codes if decode_path(n_tilde, bits).classification in terminating
         }
@@ -141,7 +151,7 @@ def test_c07_termination_formula(capsys, suites):
 
 
 def test_c08_valuation_identities(capsys, suites):
-    ok = passed(suites, "lemmas", "concatenation-valuation-additive")
+    ok = passed(suites, "lemmas", "concatenation-valuation-additive", detail="p, s of l<=6")
     # signed sums over the valuation classes are the integrated coefficients
     f = integrated_f(40)
     ok = ok and all(sum(polarity(b) for b in enumerate_Bj(j)) == f[j] for j in range(2, 41))
@@ -152,7 +162,10 @@ def test_c08_valuation_identities(capsys, suites):
 def test_c09_rule_hygiene(capsys, suites):
     systems = ("minpart", "bounded", "maxpart", "maxpart-completed")
     hygiene = (f"{name}-{prop}" for name in systems for prop in ("unitary", "orthogonal"))
-    ok = passed(suites, "rewrite", *hygiene, "overlapping-variant-flagged")
+    ok = passed(suites, "rewrite", *hygiene, detail="bound 60")
+    # every atom with 2 <= k < n <= 60
+    overlaps = f"{58 * 59 // 2} overlapping atoms"
+    ok = ok and passed(suites, "rewrite", "overlapping-variant-flagged", detail=overlaps)
     report(capsys, 9, "rule-hygiene", ok, "three systems clean at 60; overlap flagged")
 
 

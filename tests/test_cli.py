@@ -408,7 +408,7 @@ def test_verify_upto_clamps_oracle(capsys, monkeypatch):
         seen.append(config)
         return verify.VerifyReport(())
 
-    monkeypatch.setattr(verify, "run", fake_run)
+    monkeypatch.setattr(verify, "run_verify", fake_run)
     code, _, err = run(capsys, "verify", "--upto", "1000")
     assert code == 0 and "warning" in err
     assert seen[0].oracle_limit == VERIFY_ORACLE_CAP == 45

@@ -134,6 +134,20 @@ def test_partition_bijection():
         to_strict_partition("000")
 
 
+def test_from_strict_partition_checks_in_order():
+    # positive ints, then strictly decreasing, then nonempty, then parts >= 2
+    assert from_strict_partition([5, 3, 2]).bits == "1011"
+    with pytest.raises(InvalidArgument, match=r"^parts must be positive ints, got \(0, 1\)$"):
+        from_strict_partition([0, 1])
+    for parts in ([1, 2], [3, 3]):
+        with pytest.raises(InvalidArgument, match=rf"^not strictly decreasing: \({parts[0]}, "):
+            from_strict_partition(parts)
+    with pytest.raises(InvalidArgument, match=r"^empty partition has no code$"):
+        from_strict_partition([])
+    with pytest.raises(InvalidArgument, match=r"^parts must be >= 2, got \(2, 1\)$"):
+        from_strict_partition([2, 1])
+
+
 @given(st.sets(st.integers(min_value=2, max_value=24), min_size=1, max_size=8))
 def test_partition_roundtrip(parts_set):
     parts = tuple(sorted(parts_set, reverse=True))

@@ -126,9 +126,9 @@ def test_sigma():
 def test_coeffseq_validation():
     with pytest.raises(InvalidArgument):
         CoeffSeq("e", (0, 2))
-    # the message lists the first four values out of range
+    # the message lists the first four values out of range, and no -1
     with pytest.raises(ValueError, match=r"^e-sequence values outside -1\.\.1: \[2, 3, 4, 5\]$"):
-        CoeffSeq("e", (0, 2, 3, 4, 5, 6))
+        CoeffSeq("e", (0, -1, 2, 3, 4, 5, 6))
     with pytest.raises(InvalidArgument):
         CoeffSeq("c", (1, 0))  # must start at -1
     with pytest.raises(InvalidArgument):
@@ -137,6 +137,9 @@ def test_coeffseq_validation():
         CoeffSeq("q", (0,))
     seq = CoeffSeq("f", (-1, 0, 1))
     assert len(seq) == 3 and seq[2] == 1
+    # a list is stored as a tuple, so the value hashes
+    listed = CoeffSeq("f", [-1, 0, 1])
+    assert listed.values == (-1, 0, 1) and hash(listed) == hash(seq)
 
 
 def test_coeffseq_contract():

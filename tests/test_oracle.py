@@ -16,7 +16,6 @@ from partlab import (
     max_part_histogram,
     p_oracle,
     s_oracle,
-    validate_partition,
 )
 from partlab.oracle import _zs1
 
@@ -124,18 +123,6 @@ def test_empty_partition():
         for constraint in CONSTRAINTS:
             vacuous = constraint in ("none", "parts_below", "parts_above")
             assert count_constrained(0, family, constraint, 1) == vacuous
-
-
-def test_validate_partition():
-    assert validate_partition([3, 2, 2, 1]) == (3, 2, 2, 1)
-    assert validate_partition((5, 3, 2), strict=True) == (5, 3, 2)
-    assert validate_partition(()) == ()
-    with pytest.raises(InvalidArgument, match=r"^not nonincreasing: \(1, 2\)$"):
-        validate_partition([1, 2])
-    with pytest.raises(InvalidArgument, match=r"^parts must be positive ints, got \(3, 0\)$"):
-        validate_partition([3, 0])
-    with pytest.raises(InvalidArgument, match=r"^not strictly decreasing: \(3, 3\)$"):
-        validate_partition([3, 3], strict=True)
 
 
 def test_constraint_counts():

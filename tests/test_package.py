@@ -241,6 +241,7 @@ INTS = {
         "k_max", lambda k: partlab.check_orthogonal(MINPART, partlab.Region(3, k))
     ),
     "involution": ("j", lambda j: partlab.involution(j, "101")),
+    "dot_name": ("n_tilde", lambda n: partlab.dot_name(partlab.Primary(3), n)),
 }
 WRONG_TYPES = [
     *(pytest.param(call, value, f"{name} must be an int, got {value!r}", id=f"{where}-{value!r}")
@@ -255,8 +256,17 @@ WRONG_TYPES = [
                  id="run_verify"),
     pytest.param(lambda c: partlab.count_constrained(5, "P", c), ["x"],
                  "unknown constraint ['x']", id="count_constrained-constraint"),
-    pytest.param(partlab.validate_partition, [2, True],
-                 "parts must be positive ints, got (2, True)", id="validate_partition"),
+    pytest.param(partlab.from_strict_partition, [2, True],
+                 "parts must be positive ints, got (2, True)", id="from_strict_partition"),
+    *(pytest.param(partlab.from_strict_partition, value,
+                   f"parts must be positive ints, got {value!r}", id=f"from_strict_partition-{value}")
+      for value in (None, 5, 1.5, True)),
+    *(pytest.param(lambda values: partlab.CoeffSeq("e", values), value,
+                   f"e-sequence values must be ints, got {shown}", id=f"CoeffSeq-{value!r}")
+      for value, shown in (((1.0, 0.0), [1.0, 0.0]), ((True, False), [True, False]),
+                           # the first four values that are no int
+                           ((0, 1.0, None, "1", 1, 0.0, False), [1.0, None, "1", 0.0]),
+                           (None, None))),
 ]
 
 
@@ -505,7 +515,7 @@ def test_submodules_load_on_first_access():
 
 
 def test_run_verify_is_verify_run():
-    assert partlab.run_verify is partlab.verify.run
+    assert partlab.run_verify is partlab.verify.run_verify
 
 
 def test_unknown_name_raises_attribute_error():

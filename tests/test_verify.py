@@ -20,14 +20,21 @@ SMALL = VerifyConfig(
     engine_limit=60,
     series_limit=80,
     dag_limit=10,
-    walk_limit=10,
-    code_length_limit=6,
     involution_limit=12,
     region_bound=12,
 )
+# the lemma bounds every test here runs at
+WALK, CODE_LENGTH = 10, 6
 
 
-def test_all_suites_pass():
+@pytest.fixture(autouse=True)
+def small_lemma_bounds(monkeypatch):
+    monkeypatch.setattr(verify, "WALK_LIMIT", WALK)
+    monkeypatch.setattr(verify, "CODE_LENGTH_LIMIT", CODE_LENGTH)
+
+
+def test_all_suites_pass(monkeypatch):
+    monkeypatch.undo()  # the module's own lemma bounds
     report = run_verify("all")
     assert report.ok, [c.line() for c in report.failures]
     assert report.lines()[-1] == "31/31 checks passed"
@@ -120,12 +127,12 @@ ADDITIVE = {"concatenation-valuation-additive"}
 # the case that gets the fault, and the checks that fail with it.
 PLANTED = [
     *_domain("walk", "lemmas", verify, "_bounds_match_replay", lambda n, bits: n, _no,
-             2, SMALL.walk_limit, {"termination-bounds-match-replay"}),
+             2, WALK, {"termination-bounds-match-replay"}),
     *_domain("path-walk", "lemmas", verify, "_path_code_terminates", lambda n, path: n, _no,
-             2, SMALL.walk_limit, {"reduction-path-codes-terminate"}),
+             2, WALK, {"reduction-path-codes-terminate"}),
     *_domain("code-length", "lemmas", verify, "_bounds_match_replay",
              lambda n, bits: len(bits), _no,
-             1, SMALL.code_length_limit, {"termination-bounds-match-replay"}),
+             1, CODE_LENGTH, {"termination-bounds-match-replay"}),
     # in the images-stay-in-domain column
     *_domain("involution-j", "involution", verify, "_pairing_at", lambda j, c: j,
              lambda row: (False, *row[1:]), 2, SMALL.involution_limit,
@@ -135,7 +142,7 @@ PLANTED = [
     # the longer word of a pair, from the two empty words to half the code bound
     *_domain("pair-length", "lemmas", codes, "split_valuation",
              lambda p, s: max(len(p), len(s)), lambda v: v + 1,
-             0, SMALL.code_length_limit // 2, ADDITIVE),
+             0, CODE_LENGTH // 2, ADDITIVE),
     _planted("empty-prefix", "lemmas", codes, "split_valuation", lambda p, s: len(p),
              lambda v: v + 1, 0, ADDITIVE),
     _planted("empty-suffix", "lemmas", codes, "split_valuation", lambda p, s: len(s),
@@ -175,12 +182,12 @@ def test_report_lines():
     report = VerifyReport(
         (
             Check("demo", "works", True, "n<=3"),
-            Check("demo", "breaks", False),
+            Check("demo", "breaks", False, "n<=4"),
         )
     )
     assert not report.ok
     assert report.failures == (report.checks[1],)
     lines = report.lines()
     assert lines[0] == "ok   demo:works  (n<=3)"
-    assert lines[1] == "FAIL demo:breaks"
+    assert lines[1] == "FAIL demo:breaks  (n<=4)"
     assert lines[-1] == "1/2 checks passed"
