@@ -2,16 +2,15 @@
 codes, decoding a code against n~, the code of a strict partition, and B_j."""
 
 import argparse
-from functools import partial
 
 from .cli import _emit_json, _nonneg, _positive
 
 
 def arguments(p) -> None:
-    # plain parsers: their arguments are added here, not on first parse; they
-    # format their help as plab's own parsers do
-    nested = partial(argparse.ArgumentParser, formatter_class=p.formatter_class)
-    codes_sub = p.add_subparsers(dest="codes_command", required=True, parser_class=nested)
+    # plain parsers: their arguments are added here, not on first parse
+    codes_sub = p.add_subparsers(
+        dest="codes_command", required=True, parser_class=argparse.ArgumentParser
+    )
 
     q = codes_sub.add_parser("pentagonal", help="the (100)*(1+011) language")
     q.add_argument("count", type=_nonneg)

@@ -10,13 +10,7 @@ COUNT_METHODS = (
 
 def arguments(p) -> None:
     p.add_argument("n", type=_nonneg)
-    p.add_argument(
-        "--method",
-        "--engine",
-        dest="method",
-        choices=list(COUNT_METHODS),
-        default="euler",
-    )
+    p.add_argument("--method", choices=list(COUNT_METHODS), default="euler")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.set_defaults(func=run)
 

@@ -1,26 +1,12 @@
 """plab dag: the reduction graph of a built-in system at a root index, as
 DOT, as plain text or as JSON with its terminating paths."""
 
-from .cli import SYSTEM_NAMES, _emit_json, _nonneg, _once, _UsageError
-
-
-class _SystemSlot(tuple):
-    """The choices of dag's first positional: the system names, or a decimal.
-
-    argparse fills positionals in order, so `dag --system minpart 6` puts the
-    6 in the system's slot, and run moves it to the root index. Help and the
-    invalid-choice message list the names only.
-    """
-
-    def __contains__(self, value) -> bool:
-        return tuple.__contains__(self, value) or value.isdecimal()
+from .cli import SYSTEM_NAMES, _emit_json, _nonneg, _UsageError
 
 
 def arguments(p) -> None:
-    p.add_argument("system", nargs="?", choices=_SystemSlot(sorted(SYSTEM_NAMES)))
-    p.add_argument("--system", dest="system_opt", choices=sorted(SYSTEM_NAMES))
-    p.add_argument("n_tilde", nargs="?", type=_nonneg)
-    p.add_argument("--n", "--n-tilde", dest="n_tilde_opt", metavar="N_OPT", type=_nonneg)
+    p.add_argument("system", choices=sorted(SYSTEM_NAMES))
+    p.add_argument("n_tilde", type=_nonneg)
     p.add_argument("--format", choices=["dot", "json", "plain"], default="dot")
     p.add_argument("--paths", action="store_true", help="include terminating paths (json)")
     p.add_argument(
@@ -32,13 +18,8 @@ def arguments(p) -> None:
 
 
 def run(args) -> int:
-    if args.system is not None and args.system.isdecimal():
-        if args.n_tilde is not None:
-            raise _UsageError("give the root index exactly once, positionally or as --n")
-        args.system, args.n_tilde = None, int(args.system)
-    system_name = _once(args, "system", "system", "--system")
-    n_tilde = _once(args, "n_tilde", "root index", "--n")
-    if args.completion and system_name != "maxpart":
+    n_tilde = args.n_tilde
+    if args.completion and args.system != "maxpart":
         raise _UsageError("--completion applies to the maxpart system only")
     from .dag import (
         build_dag,
@@ -50,7 +31,7 @@ def run(args) -> int:
     )
     from .rewrite import builtin_system
 
-    system = builtin_system(system_name, completion=args.completion)
+    system = builtin_system(args.system, completion=args.completion)
     dag = build_dag(system, n_tilde)
     if args.format == "dot":
         print(emit_dot(dag), end="")

@@ -20,6 +20,10 @@ code or verify layers. The tests check the literals against the package's own
 lists. json loads only when a command prints JSON, and no subcommand loads
 dataclasses.
 
+Every argument has one spelling, a positional or a single flag, so argparse
+alone checks how it is given, and help reads the same on Python 3.10 to 3.13,
+whose argparse differs only on an option with several flags.
+
 `plab ...`, `python -m partlab ...` and `python -m partlab.cli ...` run the
 same command line.
 """
@@ -68,14 +72,6 @@ class _UsageError(Exception):
     """A misuse argparse cannot see; main prints it and exits 2."""
 
 
-def _once(args, name: str, what: str, flag: str):
-    """The value given positionally as `name` or as flag (dest name_opt)."""
-    positional, flagged = getattr(args, name), getattr(args, f"{name}_opt")
-    if (positional is None) == (flagged is None):
-        raise _UsageError(f"give the {what} exactly once, positionally or as {flag}")
-    return flagged if positional is None else positional
-
-
 def _check_budget_setting() -> None:
     try:
         budget.env_budget()
@@ -94,18 +90,6 @@ def _emit_csv(header: tuple[str, ...], rows: list[dict]) -> None:
     print(",".join(header))
     for row in rows:
         print(",".join(str(row[key]) for key in header))
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """Writes an option's metavar after each of its flags, `--n N, --n-tilde
-    N`, as argparse 3.10 to 3.12 do; 3.13 writes it once, after the last
-    flag. Every parser of plab uses it, so help is the same on each version."""
-
-    def _format_action_invocation(self, action):
-        if not action.option_strings or action.nargs == 0:
-            return super()._format_action_invocation(action)
-        args = self._format_args(action, self._get_default_metavar_for_optional(action))
-        return ", ".join(f"{flag} {args}" for flag in action.option_strings)
 
 
 class _Command(argparse.ArgumentParser):
@@ -127,11 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plab",
         description="Exact partition counting, coefficient series, rewrite-"
         "system reductions, and the path-code combinatorics behind them.",
-        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, line in _COMMANDS.items():
-        command = sub.add_parser(name, help=line, formatter_class=_HelpFormatter)
+        command = sub.add_parser(name, help=line)
         command.module = f"._cmd_{name}"
     return parser
 

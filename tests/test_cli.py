@@ -17,7 +17,6 @@ from partlab._cmd_verify import SUITE_NAMES, VERIFY_DAG_CAP, VERIFY_ORACLE_CAP
 from partlab.cli import (
     ENGINE_NAMES,
     SYSTEM_NAMES,
-    _HelpFormatter,
     build_parser,
     console_main,
     main,
@@ -37,7 +36,7 @@ def test_count_plain(capsys):
 
 
 def test_count_all_engines_json(capsys):
-    code, out, _ = run(capsys, "count", "10", "--engine", "all", "--format", "json")
+    code, out, _ = run(capsys, "count", "10", "--method", "all", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 10
@@ -53,7 +52,7 @@ def test_count_all_engines_json(capsys):
 
 
 def test_count_method_spellings(capsys):
-    # --method and --engine are the same option
+    # --method names an engine, the oracle or a rewrite system
     code, out, _ = run(capsys, "count", "5", "--method", "euler")
     assert (code, out.strip()) == (0, "7")
     code, out, _ = run(capsys, "count", "6", "--method", "oracle")
@@ -118,21 +117,6 @@ def test_coeffs_dag_kinds_agree(capsys):
     assert payload_dag["constant"] == 1
     for j in range(1, 9):
         assert payload_dag["values"][str(j)] == payload_f["values"][str(j)]
-
-
-def test_coeffs_upto_flag(capsys):
-    code, out, _ = run(capsys, "coeffs", "e", "--upto", "5", "--format", "csv")
-    flag_lines = out.splitlines()
-    code2, out, _ = run(capsys, "coeffs", "e", "5", "--format", "csv")
-    assert code == code2 == 0
-    assert flag_lines == out.splitlines()
-
-
-def test_coeffs_upto_given_twice_or_not_at_all(capsys):
-    code, _, err = run(capsys, "coeffs", "e", "5", "--upto", "5")
-    assert code == 2 and "--upto" in err
-    code, _, err = run(capsys, "coeffs", "e")
-    assert code == 2 and "--upto" in err
 
 
 def test_verify_suite_exit_zero(capsys):
@@ -217,32 +201,15 @@ def test_dag_paths_build_the_graph_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_dag_flag_spelling(capsys):
-    code, out, _ = run(capsys, "dag", "--system", "minpart", "--n", "2")
-    positional_code, positional_out, _ = run(capsys, "dag", "minpart", "2")
-    assert code == positional_code == 0
-    assert out == positional_out
-
-
-@pytest.mark.parametrize("argv", [("--system", "minpart", "2"), ("2", "--system", "minpart")])
-def test_dag_mixed_spelling(capsys, argv):
-    # argparse puts the 2 in the system's slot; it is read as the root index
-    code, out, _ = run(capsys, "dag", *argv)
-    positional_code, positional_out, _ = run(capsys, "dag", "minpart", "2")
-    assert code == positional_code == 0
-    assert out == positional_out
-
-
 def test_dag_single_root_at_zero(capsys):
-    code, out, _ = run(capsys, "dag", "--system", "maxpart", "--n", "0",
-                       "--format", "plain")
+    code, out, _ = run(capsys, "dag", "maxpart", "0", "--format", "plain")
     assert code == 0
     assert "vertices 1  edges 0" in out
 
 
 def test_dag_missing_arguments(capsys):
     code, _, err = run(capsys, "dag", "minpart")
-    assert code == 2 and "--n" in err
+    assert code == 2 and "required: n_tilde" in err
 
 
 def test_dag_completion_misuse(capsys):
@@ -349,37 +316,14 @@ def test_bench_defaults_to_all(capsys):
     assert len(out.splitlines()) == 6
 
 
-def test_bench_methods_flag(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--upto", "25", "--methods", "euler,integral",
-        "--format", "csv",
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "engine,n,terms,seconds"
-    assert [line.split(",")[0] for line in lines[1:]] == ["euler", "integral"]
-
-
 def test_bench_rejects_unknown_method(capsys):
-    code, _, err = run(capsys, "bench", "10", "--methods", "quantum")
-    assert code == 2
-
-
-@pytest.mark.parametrize("methods", ["", " , "])  # "," is a golden row
-def test_bench_methods_naming_no_engine(capsys, methods):
-    code, out, err = run(capsys, "bench", "5", "--methods", methods)
-    assert (code, out) == (2, "")
-    assert err == f"error: --methods {methods!r} names no engine\n"
-
-
-def test_bench_bound_given_twice(capsys):
-    code, _, err = run(capsys, "bench", "10", "--upto", "10")
-    assert code == 2 and "--upto" in err
+    code, _, err = run(capsys, "bench", "10", "--engine", "quantum")
+    assert code == 2 and "invalid choice: 'quantum'" in err
 
 
 def test_budget_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PLAB_BUDGET", "1")
-    code, _, err = run(capsys, "count", "30", "--engine", "rewrite:minpart")
+    code, _, err = run(capsys, "count", "30", "--method", "rewrite:minpart")
     assert code == 3
     assert "error:" in err
 
@@ -493,28 +437,13 @@ def test_parser_is_buildable():
     assert args.n == 7 and args.method == "euler"
 
 
-def test_help_writes_the_metavar_after_each_flag():
-    # argparse 3.13 writes `--n, --n-tilde N`; plab's formatter overrides a
-    # private argparse method to keep the form of 3.10 to 3.12 on any version
-    parser = argparse.ArgumentParser(prog="p", formatter_class=_HelpFormatter)
-    parser.add_argument("--n", "--n-tilde", dest="n_opt", metavar="N_OPT")
-    parser.add_argument("--method", "--engine", choices=["euler", "sigma"])
-    parser.add_argument("-m", "--methods", nargs="+")
-    parser.add_argument("--quiet", "-q", action="store_true")
-    parser.add_argument("n", nargs="?")
-    lines = [line.strip() for line in parser.format_help().splitlines()]
-    assert "--n N_OPT, --n-tilde N_OPT" in lines
-    assert "--method {euler,sigma}, --engine {euler,sigma}" in lines
-    assert "-m METHODS [METHODS ...], --methods METHODS [METHODS ...]" in lines
-    assert "--quiet, -q" in lines
-    assert "n" in lines
-
-
 def _subparsers(parser):
     return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
 
 
-def test_every_parser_uses_the_help_formatter(capsys):
+def test_every_argument_has_one_spelling(capsys):
+    # a value given two ways needs code to reconcile them, and argparse 3.13
+    # writes an option with several flags unlike 3.10 to 3.12
     parser = build_parser()
     commands = _subparsers(parser)[0].choices
     for name in commands:
@@ -523,4 +452,8 @@ def test_every_parser_uses_the_help_formatter(capsys):
     nested = _subparsers(commands["codes"])[0].choices
     parsers = [parser, *commands.values(), *nested.values()]
     assert len(parsers) == 1 + 7 + 4
-    assert all(p.formatter_class is _HelpFormatter for p in parsers)
+    for p in parsers:
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        assert [a.option_strings for a in actions if len(a.option_strings) > 1] == []
+        values = [a.dest.removesuffix("_opt") for a in actions]  # no x beside x_opt
+        assert len(values) == len(set(values)), (p.prog, values)

@@ -162,8 +162,7 @@ def test_every_defaulted_parameter_is_passed():
 NOT_PARTLAB_ERRORS = {
     ("cli.py", "ArgumentTypeError"): "argparse's signal from a type= converter: exit 2",
     ("cli.py", "_UsageError"): "a misuse argparse cannot see: main prints it, exit 2",
-    ("_cmd_bench.py", "_UsageError"): "an engine list argparse cannot check: exit 2",
-    ("_cmd_dag.py", "_UsageError"): "a root index twice, or --completion off maxpart: exit 2",
+    ("_cmd_dag.py", "_UsageError"): "--completion off maxpart: exit 2",
     ("cli.py", "SystemExit"): "console_main hands main's exit code to the interpreter",
     ("__init__.py", "AttributeError"): "how a module __getattr__ reports an unknown name",
     ("_value.py", "AttributeError"): "how setattr and delattr refuse an immutable value",

@@ -1,12 +1,16 @@
 """The gate of tools/pairs.py on synthetic pairs and on a recorded A/A set, its
 check on --seeds, the command its tier1 workload runs, where it writes the two
-trees, and how its record names the change."""
+trees, how its record names the change, and what SIGTERM leaves behind."""
 
+import contextlib
 import importlib.util
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,7 +105,7 @@ def test_one_seed_is_a_usage_error(tmp_path, capsys):
 
 
 def test_tier1_runs_the_tier1_verify_command(tmp_path, monkeypatch):
-    # no pytest runs: subprocess.run is replaced by a recorder
+    # no pytest runs: the child is replaced by a recorder
     (tmp_path / "src" / "partlab").mkdir(parents=True)
     (tmp_path / "src" / "partlab" / "oracle.py").write_text("ORACLE_CAP = 80\n")
     calls = []
@@ -110,7 +114,7 @@ def test_tier1_runs_the_tier1_verify_command(tmp_path, monkeypatch):
         calls.append((argv, kwargs))
         return subprocess.CompletedProcess(argv, 0, "544 passed in 10.0s\n", "")
 
-    monkeypatch.setattr(pairs.subprocess, "run", recorded)
+    monkeypatch.setattr(pairs, "_child", recorded)
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
     metrics, meta = pairs.run_tier1(tmp_path)
     argv, kwargs = calls[0]
@@ -122,7 +126,7 @@ def test_tier1_runs_the_tier1_verify_command(tmp_path, monkeypatch):
     assert len(meta["partlab_src_sha256"]) == 64
     # a failing tier-1 run is no measurement
     monkeypatch.setattr(
-        pairs.subprocess, "run",
+        pairs, "_child",
         lambda argv, **kwargs: subprocess.CompletedProcess(argv, 1, "1 failed\n", ""),
     )
     with pytest.raises(SystemExit, match="tier-1: exited 1"):
@@ -182,3 +186,69 @@ def test_change_is_head_with_a_dirty_flag(tmp_path):
     git("checkout", "-q", "engines.py")
     (tmp_path / "new.py").write_text("")
     assert pairs.checkout(tmp_path) == {"commit": head, "dirty": True}
+
+
+# perfbench/run.py of a stand-in repository: a run that starts a grandchild, as
+# the cli workload starts plab, writes both pids and sleeps
+SLEEPER = """\
+import os, subprocess, sys, time
+grandchild = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open(os.environ["PIDS_FILE"], "a") as pids:
+    pids.write(f"{os.getpid()} {grandchild.pid}\\n")
+time.sleep(60)
+"""
+# pairs.main on the stand-in repository: argv is pairs.py, the repository and --out
+PAIRS_MAIN = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("pairs", sys.argv[1])
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+pairs.ROOT = pairs.Path(sys.argv[2])
+pairs.main(["--parent", "HEAD", "--workload", "engines", "--seeds", "1-2", "--out", sys.argv[3]])
+"""
+
+
+def _alive(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has ended
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_sigterm_kills_the_running_child_and_removes_the_trees(tmp_path):
+    repo, tmp, pids_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    (repo / "perfbench").mkdir(parents=True)
+    tmp.mkdir()
+    (repo / "perfbench" / "run.py").write_text(SLEEPER)
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "first")
+    command = subprocess.Popen(
+        [sys.executable, "-c", PAIRS_MAIN, str(ROOT / "tools" / "pairs.py"), str(repo),
+         str(tmp_path / "bench.json")],
+        env={**os.environ, "TMPDIR": str(tmp), "PIDS_FILE": str(pids_file)},
+    )
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while not (pids_file.exists() and pids_file.read_text().endswith("\n")):
+            assert command.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert [path.name[:6] for path in tmp.iterdir()] == ["pairs-"]
+        command.send_signal(signal.SIGTERM)
+        code = command.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in pids if _alive(pid)]
+        assert (code, left, list(tmp.iterdir())) == (128 + signal.SIGTERM, [], [])
+    finally:
+        command.kill()
+        command.wait()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

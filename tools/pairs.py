@@ -12,7 +12,9 @@ one run at a time, with PYTHONDONTWRITEBYTECODE=1 so that each run compiles what
 it imports, as in a fresh checkout. There is one pair per seed of A-B, at least
 two: pair i (from 1) runs both trees on seed number i, the parent first on odd
 pairs and the change first on even ones. A run that exits nonzero or is not
-correct stops the command with exit 1.
+correct stops the command with exit 1. Each run is a child in a session of
+its own. Stopped by Ctrl-C or SIGTERM, the command kills the running child's
+process group, its grandchildren with it, and removes the temporary directory.
 
 --workload tier1 runs the Tier-1 verify command in place of run.py, in each
 tree with that tree's src/ first on PYTHONPATH: `python -m pytest -q
@@ -37,10 +39,12 @@ lower-is-better. The command prints the pairs and the summary table, and exits
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -60,13 +64,27 @@ TIER1 = "tier1"
 TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
+def _child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run(argv, capture_output=True, text=True, **kwargs), in a new
+    session: if this process leaves the wait early, by any exception, it kills
+    the child's process group, so no grandchild of the run outlives it."""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True, **kwargs) as child:
+        try:
+            out, err = child.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(argv, child.returncode, out, err)
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """(metric values, metadata line) of one run.py process in tree."""
-    child = subprocess.run(
+    child = _child(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True, cwd=tree,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        cwd=tree, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = child.stdout.splitlines()
     if child.returncode != 0 or not lines:
@@ -82,8 +100,8 @@ def run_tier1(tree: Path) -> tuple[dict, dict]:
     src = str(tree / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     start = perf_counter()
-    child = subprocess.run(
-        [sys.executable, *TIER1_COMMAND], capture_output=True, text=True, cwd=tree,
+    child = _child(
+        [sys.executable, *TIER1_COMMAND], cwd=tree,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": path},
     )
     wall = perf_counter() - start
@@ -184,6 +202,9 @@ def main(argv=None) -> int:
     parent_rev = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
                                 cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     change = checkout(ROOT)
+    # SIGTERM leaves as an exception does: _child kills the running child's
+    # group, and the with block below removes both trees
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     pairs, metas = [], {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
