@@ -21,6 +21,10 @@ sigma's sum is an online convolution, since sigma is known in advance and p
 arrives one value at a time: short lags are summed directly, long ones in
 products of aligned blocks of p, each one C-level multiply; the blocks that
 close at one step are summed as one packed int and unpacked once.
+minpart stores each row only up to half its index, past which it holds zeros
+and a final 1, and subtracts only where the second read lies in such a head,
+for k up to a third of the step; the cells above are copies of the previous
+row's, and the skipped reads, all zeros, still count as terms.
 bounded and maxpart fill each column or diagonal of their two-parameter table
 as one C-level running sum (itertools.accumulate) with no per-cell Python
 loop: bounded's column m is a running sum of reads along an anti-diagonal,
@@ -222,12 +226,18 @@ class MinPartEngine(Engine):
     """Counts by smallest part.
 
     row_m[k] holds the number of partitions of m with smallest part k:
-    row_m[1] = p(m-1), row_m[k] = row_{m-1}[k-1] - row_{m-k}[k-1], and the
-    count is zero once k exceeds the argument, so the second read is zero
-    for k > (m+1)/2. p(m) sums the row; past (m+1)/2 the row holds zeros,
-    then row_m[m] = 1, so it sums the cells up to (m+1)/2 and adds 1. Each
-    cell k >= 2 counts its two reads, zero or not. No step past m reads a row
-    below (m+1)//2, so step m drops row (m+1)//2 - 1.
+    row_m[1] = p(m-1) and row_m[k] = row_{m-1}[k-1] - row_{m-k}[k-1]. A
+    partition of r whose smallest part exceeds r/2 has one part, so row_r
+    holds zeros past r/2 and then row_r[r] = 1. Row r stores only its head,
+    the cells up to r//2 (row 1 stores its final 1, p(0)). The read
+    row_{m-k}[k-1] lies past that head exactly when k > (m+2)/3; there it
+    is a zero, since k-1 = m-k only at k = (m+1)/2, past the cells row m
+    stores. So row m subtracts for k = 2..(m+2)//3 and copies
+    row_{m-1}[k-1] for the k above, up to m//2, and p(m) sums the head and
+    adds the final 1. Each cell k >= 2 still counts its two reads, zero or
+    not. Step m reads no row below m - (m+2)//3, a bound that rises by at
+    most one a step, so step m drops row m - 1 - m//3, the one just below
+    step m + 1's.
     """
 
     def __init__(self) -> None:
@@ -237,15 +247,16 @@ class MinPartEngine(Engine):
     def _next(self, m: int) -> int:
         rows = self._rows
         prev = rows[m - 1]
-        half = (m + 1) // 2
+        third = (m + 2) // 3
         row = [0, self._p[m - 1]]  # index 0 unused
-        row += [prev[k - 1] - rows[m - k][k - 1] for k in range(2, half + 1)]
-        # past half the row holds zeros, then row_m[m] = 1; at m = 1 nothing
+        row += [prev[k - 1] - rows[m - k][k - 1] for k in range(2, third + 1)]
+        # past third the second read is a zero past row m-k's head
+        row += prev[third : m // 2]
+        # past m//2 the row holds zeros, then row_m[m] = 1; row 1's head holds it
         total = sum(row) + (m > 1)
-        row += prev[half:m]
         rows.append(row)
-        # step m + 1 reads rows m + 1 - k for k <= (m + 2) // 2, none below half
-        rows[half - 1] = None
+        # step m + 1 reads rows m + 1 - k for k <= (m + 3) // 3, none below m - m//3
+        rows[m - 1 - m // 3] = None
         # p(m-1), two reads per cell k = 2..m, then m reads for the row sum
         self.recurrent_terms += 3 * m - 1
         return total

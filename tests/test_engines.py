@@ -1,5 +1,6 @@
 """The six counting engines: values, work counters, and failure modes."""
 
+import tracemalloc
 from functools import cache
 from itertools import takewhile
 from operator import mul
@@ -121,9 +122,9 @@ def test_make_engine_accepts_strings():
         make_engine("fibonacci")
 
 
-# The euler, integral, sigma, bounded and maxpart recurrences as plain Python
-# loops, kept as the reference for the engines' C-level sums: (p(0..n),
-# recurrent_terms) of a sweep. _ref_integral also takes any integer f_0..f_n.
+# The six recurrences as plain Python loops, kept as the reference for the
+# engines' C-level sums and trimmed tables: (p(0..n), recurrent_terms) of a
+# sweep. _ref_integral also takes any integer f_0..f_n.
 
 
 def _ref_euler(n):
@@ -181,6 +182,20 @@ def _ref_bounded(n):
     return p[: n + 1], terms
 
 
+def _ref_minpart(n):
+    # rows[m][k]: partitions of m with smallest part k, every cell k <= m stored
+    p, terms, rows = [1], 0, [[0]]
+    for m in range(1, n + 1):
+        row = [0, p[m - 1]]
+        for k in range(2, m + 1):
+            row.append(rows[m - 1][k - 1] - (rows[m - k][k - 1] if k - 1 <= m - k else 0))
+            terms += 2
+        rows.append(row)
+        terms += 1 + m
+        p.append(sum(row))
+    return p, terms
+
+
 def _ref_maxpart(n):
     # diags[d][k]: aux(d + k, k), partitions of d + k with largest part k
     p, terms, diags = [1, 1], 0, []
@@ -209,6 +224,7 @@ def _ref_maxpart(n):
         ("euler", _ref_euler),
         ("integral", _ref_integral),
         ("sigma", _ref_sigma),
+        ("minpart", _ref_minpart),
         ("bounded", _ref_bounded),
         ("maxpart", _ref_maxpart),
     ],
@@ -236,16 +252,41 @@ def test_composite_engines_at_small_and_band_edges(kind):
         assert make_engine(kind).p(n) == euler.p(n), n
 
 
-# minpart drops row r and maxpart diagonal i once no later step reads them,
-# after step 2r + 1 and the fill of diagonal 2i: a cold minpart p(700) keeps
-# rows 350..700, and a cold maxpart p(300) diagonals 150..298 and the empty 0.
+# The engines workload asks minpart for 200..700. Its rows keep only their
+# heads, and a step subtracts only below (m+2)/3, so odd and even tops and the
+# bands' edges all come up in a sweep to 700.
+def test_minpart_at_its_workload_band():
+    euler = make_engine("euler")
+    sweep = make_engine("minpart")
+    assert [sweep.p(n) for n in range(701)] == [euler.p(n) for n in range(701)]
+    for n in (200, 699, 700):
+        assert make_engine("minpart").p(n) == euler.p(n), n
+
+
+# minpart drops row r and maxpart diagonal i once no later step reads them:
+# step m reads no row below m - (m+2)//3, and diagonal i is last read at the
+# fill of diagonal 2i. A cold minpart p(700) keeps rows 467..700, and a cold
+# maxpart p(300) diagonals 150..298 and the empty 0.
 @pytest.mark.parametrize(
-    "kind, table, n, live", [("minpart", "_rows", 700, 351), ("maxpart", "_diag", 300, 150)]
+    "kind, table, n, live", [("minpart", "_rows", 700, 234), ("maxpart", "_diag", 300, 150)]
 )
 def test_composite_engines_drop_what_no_step_reads(kind, table, n, live):
     engine = make_engine(kind)
     engine.p(n)
     assert sum(row is not None for row in getattr(engine, table)) == live
+
+
+# minpart's rows store only their heads, the cells up to half the row's index:
+# a cold p(700) peaks at about 1.6 MB, where rows with their zero tails took
+# 2.9 MB.
+def test_minpart_keeps_only_row_heads():
+    tracemalloc.start()
+    try:
+        make_engine("minpart").p(700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # The sigma engine sums its lags from SigmaEngine.SHORT = 32 on in products of
